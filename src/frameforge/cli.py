@@ -100,8 +100,8 @@ def _load_window(spec: str, n: int) -> gabor.ZNWindow:
 
 def cmd_gabor_sweep(args) -> int:
     try:
-        if args.N > 256 or args.N < 1:
-            raise ValueError(f"N={args.N} out of the supported range 1..256")
+        if args.N > gabor.MAX_SWEEP_N or args.N < 1:
+            raise ValueError(f"N={args.N} out of the supported range 1..{gabor.MAX_SWEEP_N}")
         w = _load_window(args.window, args.N)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw = gsub.add_parser("sweep")
     sw.add_argument("--N", type=int, required=True)
     sw.add_argument("--window", default="gaussian", help="gaussian|twoexp|sech|rational|file:PATH")
-    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--output")
     sw.set_defaults(fn=cmd_gabor_sweep)
     pt = gsub.add_parser("perturb")

@@ -61,3 +61,7 @@ class ConditionViolated(FrameForgeError):
 
 class ZeroShift(FrameForgeError):
     pass
+
+
+class NonFiniteData(FrameForgeError):
+    pass

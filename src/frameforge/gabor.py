@@ -22,12 +22,16 @@ from .errors import (
     DependentModulates,
     DimensionMismatch,
     NonDivisorLattice,
+    NonFiniteData,
     ZeroShift,
 )
 from .linalg import DEFAULT_RTOL, as_cvector
-from .sequences import FRAME_TOL, VectorSequence, classify
+from .sequences import FRAME_TOL, FrameReport, VectorSequence, classify, report_from_spectrum
 
 WINDOW_GENERATORS = ("gaussian", "twoexp", "sech", "rational")
+
+# Largest N a density sweep accepts, in the library and on the command line.
+MAX_SWEEP_N = 256
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ class ZNWindow:
         g = as_cvector(self.g)
         if g.shape[0] < 1:
             raise DimensionMismatch("window must be nonempty")
+        if not np.isfinite(g).all():
+            raise NonFiniteData("window has non-finite entries (NaN or inf)")
         object.__setattr__(self, "g", g)
 
     @property
@@ -110,21 +116,47 @@ def gabor_atom(w: ZNWindow, a_shift: int, b_mod: int) -> np.ndarray:
     return modulate(translate(w, a_shift), b_mod).g
 
 
-def gabor_system(w: ZNWindow, lat: ZNLattice) -> VectorSequence:
-    """Family {M_{n b} T_{m a} g} ordered lexicographically in (m, n)."""
+def _check_length(w: ZNWindow, lat: ZNLattice) -> None:
     if w.N != lat.N:
         raise DimensionMismatch(f"window length {w.N} does not match lattice N={lat.N}")
-    atoms = [
-        gabor_atom(w, m * lat.a, n * lat.b)
-        for m in range(lat.N // lat.a)
-        for n in range(lat.N // lat.b)
-    ]
-    return VectorSequence(np.array(atoms))
+
+
+def gabor_system(w: ZNWindow, lat: ZNLattice) -> VectorSequence:
+    """Family {M_{n b} T_{m a} g} ordered lexicographically in (m, n).
+
+    Atom (m, n) is exp(2*pi*i*(n b)*t/N) * g[(t - m a) mod N], built for all
+    atoms in one broadcast; it equals ``gabor_atom(w, m * a, n * b)``.
+    """
+    _check_length(w, lat)
+    N, a, b = lat.N, lat.a, lat.b
+    t = np.arange(N)
+    m = np.arange(N // a)[:, None, None]
+    n = np.arange(N // b)[None, :, None]
+    phase = np.exp(2j * np.pi * (n * b) * t / N)
+    return VectorSequence((phase * w.g[(t - m * a) % N]).reshape(-1, N))
+
+
+def gabor_frame_report(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> FrameReport:
+    """Same result as ``classify(gabor_system(w, lat), tol)`` without the atoms.
+
+    Walnut's representation of the frame operator on aZ_N x bZ_N:
+    S[j, l] = (N/b) sum_m g[j - m a] conj(g[l - m a]) when j = l mod N/b,
+    and 0 otherwise.  With j = r + (N/b) s, S splits into N/b Hermitian
+    b x b blocks S_r = (N/b) G_r G_r^*, where G_r[s, m] = g[r + (N/b) s - m a],
+    and the spectrum of S is the union of the blocks' spectra.
+    """
+    _check_length(w, lat)
+    N, a, b = lat.N, lat.a, lat.b
+    q = N // b
+    idx = np.arange(q)[:, None, None] + q * np.arange(b)[:, None] - a * np.arange(N // a)
+    g = w.g[idx % N]
+    blocks = q * (g @ g.conj().transpose(0, 2, 1))
+    return report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N, tol)
 
 
 def gabor_stats(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> dict:
     """Classification plus the discrete density bookkeeping for one lattice."""
-    rep = classify(gabor_system(w, lat), tol)
+    rep = gabor_frame_report(w, lat, tol)
     ab = lat.a * lat.b
     stats = rep.to_dict()
     stats.update(
@@ -150,9 +182,8 @@ def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int, tol: float = 1
     """
     if u < 1 or v < 1 or lat.a % u or lat.b % v:
         raise BadRefinement(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
-    coarse = classify(gabor_system(w, lat))
-    fine_lat = ZNLattice(lat.N, lat.a // u, lat.b // v)
-    fine = classify(gabor_system(w, fine_lat))
+    coarse = gabor_frame_report(w, lat)
+    fine = gabor_frame_report(w, ZNLattice(lat.N, lat.a // u, lat.b // v))
     uv = u * v
     return {
         "coarse": coarse.to_dict(),
@@ -267,7 +298,7 @@ def verify_rank_r_frame_implication(
     per_factor = []
     ok = True
     for j, lat in enumerate(lattices):
-        rep = classify(gabor_system(spec.windows[j], lat), tol)
+        rep = gabor_frame_report(spec.windows[j], lat, tol)
         density_ok = lat.a * lat.b <= lat.N
         per_factor.append({**rep.to_dict(), "ab_over_N": lat.density_ratio, "density_ok": density_ok})
         ok = ok and rep.is_frame and density_ok
@@ -301,7 +332,7 @@ def perturb_window(
         )
     c = np.exp(2j * np.pi * c_phase)
     h = ZNWindow(w.g + c * modulate(translate(w, alpha), beta).g)
-    rep = classify(gabor_system(h, lat), tol)
+    rep = gabor_frame_report(h, lat, tol)
     lam_max = rep.bessel_bound
     lam_min = rep.lower_bound
     return {
@@ -325,8 +356,8 @@ def density_sweep(w: ZNWindow, tol: float = FRAME_TOL) -> list[dict]:
     One row per pair, in lexicographic divisor order; rows carry the fields
     of the sweep CSV: N, a, b, count, A, B, is_frame, is_riesz, ab_over_N.
     """
-    if w.N > 256:
-        raise ValueError(f"N={w.N} exceeds the supported sweep size 256")
+    if w.N > MAX_SWEEP_N:
+        raise ValueError(f"N={w.N} exceeds the supported sweep size {MAX_SWEEP_N}")
     rows = []
     for a, b in itertools.product(divisors(w.N), repeat=2):
         rows.append(gabor_stats(w, ZNLattice(w.N, a, b), tol))

@@ -96,12 +96,22 @@ def classify(seq: VectorSequence, tol: float = FRAME_TOL) -> FrameReport:
     A > tol * B and a Riesz basis when additionally the analysis operator is
     square (count = space_dim), hence invertible.
     """
-    s = frame_operator(seq)
-    eig = np.linalg.eigvalsh(s)
-    a_bound = float(max(eig[0], 0.0))
-    b_bound = float(eig[-1])
+    eig = np.linalg.eigvalsh(frame_operator(seq))
+    return report_from_spectrum(eig, len(seq), seq.space_dim, tol)
+
+
+def report_from_spectrum(eig, count: int, space_dim: int, tol: float = FRAME_TOL) -> FrameReport:
+    """Frame bounds and classification from the frame operator's eigenvalues.
+
+    ``eig`` holds the whole spectrum in any shape and order, for instance
+    the stacked spectra of the diagonal blocks of a block-diagonal frame
+    operator.  ``count`` is the number of vectors in the family; the frame
+    is a Riesz basis when it equals ``space_dim``.
+    """
+    a_bound = float(max(eig.min(), 0.0))
+    b_bound = float(eig.max())
     is_frame = a_bound > tol * b_bound
-    is_riesz = is_frame and len(seq) == seq.space_dim
+    is_riesz = is_frame and count == space_dim
     return FrameReport(a_bound, b_bound, is_frame, is_riesz)
 
 

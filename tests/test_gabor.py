@@ -5,7 +5,9 @@ from frameforge import gabor, sequences
 from frameforge.errors import (
     ConditionViolated,
     DependentModulates,
+    DimensionMismatch,
     NonDivisorLattice,
+    NonFiniteData,
     ZeroShift,
 )
 from frameforge.gabor import (
@@ -14,6 +16,7 @@ from frameforge.gabor import (
     ZNWindow,
     build_rank_r_window,
     density_sweep,
+    gabor_frame_report,
     gabor_stats,
     gabor_system,
     modulate,
@@ -112,6 +115,52 @@ class TestGaborSystem:
                         a2 = gabor.gabor_atom(w2, m2 * 3, n2 * 2)
                         direct.append(np.kron(a1, a2))
         np.testing.assert_allclose(prod.vectors, np.array(direct), atol=1e-12)
+
+
+def oracle_windows(n):
+    """The four sampled windows and one seeded random complex window."""
+    rng = np.random.default_rng(100 + n)
+    return [sample_window(gen, n) for gen in gabor.WINDOW_GENERATORS] + [ZNWindow(crandom(rng, n))]
+
+
+def divisor_lattices(n):
+    return [ZNLattice(n, a, b) for a in gabor.divisors(n) for b in gabor.divisors(n)]
+
+
+class TestVectorisedSystem:
+    @pytest.mark.parametrize("n", [12, 30, 36])
+    def test_equals_stacked_atoms(self, n):
+        for w in oracle_windows(n):
+            for lat in divisor_lattices(n):
+                atoms = [
+                    gabor.gabor_atom(w, m * lat.a, k * lat.b)
+                    for m in range(n // lat.a)
+                    for k in range(n // lat.b)
+                ]
+                assert np.array_equal(gabor_system(w, lat).vectors, np.array(atoms))
+
+
+class TestGaborFrameReport:
+    @pytest.mark.parametrize("n", [12, 30, 36])
+    def test_matches_dense_oracle(self, n):
+        for w in oracle_windows(n):
+            for lat in divisor_lattices(n):
+                ref = classify(gabor_system(w, lat))
+                rep = gabor_frame_report(w, lat)
+                assert (rep.is_frame, rep.is_riesz) == (ref.is_frame, ref.is_riesz)
+                assert abs(rep.lower_bound - ref.lower_bound) <= 1e-12 * ref.bessel_bound
+                assert abs(rep.bessel_bound - ref.bessel_bound) <= 1e-12 * ref.bessel_bound
+
+    def test_tolerance_is_passed_on(self):
+        w = sample_window("gaussian", 12)
+        lat = ZNLattice(12, 3, 2)
+        rep = gabor_frame_report(w, lat)
+        assert rep.is_frame
+        assert not gabor_frame_report(w, lat, tol=2 * rep.lower_bound / rep.bessel_bound).is_frame
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            gabor_frame_report(sample_window("gaussian", 8), ZNLattice(12, 2, 2))
 
 
 class TestGaborStats:
@@ -281,6 +330,13 @@ class TestSampleWindow:
     def test_peak_at_zero(self):
         w = sample_window("gaussian", 16)
         assert np.argmax(np.abs(w.g)) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_window_rejected(self, bad):
+        g = np.ones(8, dtype=complex)
+        g[3] = bad
+        with pytest.raises(NonFiniteData, match="non-finite"):
+            ZNWindow(g)
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestGaborCommands:
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli.main(["gabor", "sweep", "--N", "12", "--window", "gaussian",
-                         "--seed", "1", "--output", str(out)])
+                         "--output", str(out)])
         assert code == 0
         rows = io.read_sweep_csv(out)
         assert len(rows) == 36
@@ -141,6 +142,31 @@ class TestGaborCommands:
         rows = io.read_sweep_csv(out)
         row = next(r for r in rows if (r["a"], r["b"]) == (1, 4))
         assert row["is_riesz"]
+
+    def test_sweep_n240_stays_fast(self, tmp_path, capsys):
+        # the dense route builds every atom and takes tens of seconds here
+        out = tmp_path / "sweep.csv"
+        t0 = time.perf_counter()
+        code = cli.main(["gabor", "sweep", "--N", "240", "--window", "gaussian",
+                         "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert len(io.read_sweep_csv(out)) == 20**2  # 240 has 20 divisors
+        assert elapsed < 15.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--N", "8"],
+        ["perturb", "--N", "8", "--a", "2", "--b", "2", "--alpha", "4", "--beta", "4"],
+    ])
+    def test_non_finite_window_file(self, tmp_path, capsys, command, bad):
+        payload = io.window_to_dict(gabor.sample_window("gaussian", 8))
+        payload["entries"][3] = [bad, 0.0]
+        wpath = tmp_path / "w.json"
+        io.save_json(wpath, payload)
+        assert cli.main(["gabor", *command, "--window", f"file:{wpath}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
 
     def test_sweep_oversize(self):
         assert cli.main(["gabor", "sweep", "--N", "300"]) == 2
