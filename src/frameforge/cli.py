@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -16,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import gabor, io, schmidt, sequences, verify
-from .errors import FrameForgeError
+from .errors import BadTolerance, FrameForgeError
 from .linalg import DEFAULT_RTOL
 
 EXIT_OK = 0
@@ -26,7 +27,15 @@ EXIT_USAGE = 2
 
 def default_tol() -> float:
     env = os.environ.get("FRAMEFORGE_TOL")
-    return float(env) if env else DEFAULT_RTOL
+    if not env:
+        return DEFAULT_RTOL
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadTolerance(f"FRAMEFORGE_TOL must be a positive finite float, got {env!r}")
+    return tol
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -195,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return args.fn(args)
     except FrameForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

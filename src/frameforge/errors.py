@@ -65,3 +65,11 @@ class ZeroShift(FrameForgeError):
 
 class NonFiniteData(FrameForgeError):
     pass
+
+
+class DrawFailed(FrameForgeError):
+    pass
+
+
+class BadTolerance(FrameForgeError):
+    pass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sequences
+from . import linalg, sequences
 from .errors import (
     BadRefinement,
     ConditionViolated,
@@ -250,10 +250,7 @@ def build_rank_r_window(spec: RankRWindowSpec, tol: float = DEFAULT_RTOL) -> ZNW
         factor_terms.append(rows)
     total = np.zeros(int(np.prod([w.N for w in spec.windows])), dtype=complex)
     for k in range(spec.r):
-        v = factor_terms[0][k]
-        for j in range(1, spec.d):
-            v = np.kron(v, factor_terms[j][k])
-        total += v
+        total += linalg.kron_all([rows[k] for rows in factor_terms])
     return ZNWindow(total, "rank_r")
 
 

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from .errors import NonFiniteData
 from .gabor import ZNWindow
 from .schmidt import BipartiteShape, FSROperator
 from .sequences import MinimalSumSequence, VectorSequence, build_minimal_sum
@@ -19,8 +20,16 @@ def vector_to_dict(x) -> dict:
     return {"dim": int(x.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in x]}
 
 
-def vector_from_dict(d) -> np.ndarray:
+def _finite_entries(d, kind: str) -> np.ndarray:
+    """Complex entries of a vector or operator file; NaN and inf are data errors."""
     entries = np.array([complex(re, im) for re, im in d["entries"]])
+    if not np.isfinite(entries).all():
+        raise NonFiniteData(f"{kind} file has non-finite entries (NaN or inf)")
+    return entries
+
+
+def vector_from_dict(d) -> np.ndarray:
+    entries = _finite_entries(d, "vector")
     if entries.shape[0] != int(d["dim"]):
         raise ValueError(f"vector file declares dim {d['dim']} but has {entries.shape[0]} entries")
     return entries
@@ -37,7 +46,7 @@ def operator_to_dict(a) -> dict:
 
 def operator_from_dict(d) -> np.ndarray:
     rows, cols = int(d["rows"]), int(d["cols"])
-    entries = np.array([complex(re, im) for re, im in d["entries"]])
+    entries = _finite_entries(d, "operator")
     if entries.shape[0] != rows * cols:
         raise ValueError(f"operator file declares {rows}x{cols} but has {entries.shape[0]} entries")
     return entries.reshape(rows, cols)

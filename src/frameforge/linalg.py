@@ -13,6 +13,7 @@ realizes the tensor product of both vectors and operators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,17 @@ def tensor_vec(x, y) -> np.ndarray:
 def tensor_op(a, b) -> np.ndarray:
     """Kronecker product; satisfies (A(x)B)(x(x)y) = Ax (x) By."""
     return np.kron(as_coperator(a), as_coperator(b))
+
+
+def kron_all(arrays) -> np.ndarray:
+    """Kronecker product of a nonempty list of arrays, left to right.
+
+    For row matrices V_j of shape (N_j, m_j), row (n_1, ..., n_d) of the
+    result (flattened in the package convention) is the tensor product
+    V_1[n_1] (x) ... (x) V_d[n_d]; for vectors it is their tensor product.
+    A single array is returned as it is, not copied.
+    """
+    return functools.reduce(np.kron, arrays)
 
 
 def adjoint(a) -> np.ndarray:

@@ -215,9 +215,9 @@ def reshuffle_rank(
     rank = int(np.count_nonzero(s > tol * max(s[0], scale)))
     terms = []
     for k in range(rank):
-        scale = np.sqrt(s[k])
-        a = scale * u[:, k].reshape(shape.k1, shape.h1)
-        b = scale * vh[k, :].reshape(shape.k2, shape.h2)
+        root = np.sqrt(s[k])
+        a = root * u[:, k].reshape(shape.k1, shape.h1)
+        b = root * vh[k, :].reshape(shape.k2, shape.h2)
         terms.append((a, b))
     return rank, FSROperator(shape, tuple(terms))
 

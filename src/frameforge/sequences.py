@@ -16,7 +16,6 @@ where for each group j the r component sequences are linearly independent.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,13 +122,7 @@ def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:
     """
     if not seqs:
         raise EmptySequence("need at least one factor sequence")
-    out = []
-    for combo in itertools.product(*(s.vectors for s in seqs)):
-        v = combo[0]
-        for w in combo[1:]:
-            v = np.kron(v, w)
-        out.append(v)
-    return VectorSequence(np.array(out))
+    return VectorSequence(linalg.kron_all([s.vectors for s in seqs]))
 
 
 def concatenate(seqs: list[VectorSequence]) -> VectorSequence:
@@ -196,16 +189,10 @@ def materialize(ms: MinimalSumSequence) -> VectorSequence:
     Length is prod(N_j), dimension prod(m_j), lexicographic order over the
     multi-index (n_1, ..., n_d).
     """
-    out = []
-    for multi in itertools.product(*(range(n) for n in ms.lengths)):
-        acc = np.zeros(int(np.prod(ms.dims)), dtype=complex)
-        for k in range(ms.r):
-            v = ms.groups[0][k][multi[0]]
-            for j in range(1, ms.d):
-                v = np.kron(v, ms.groups[j][k][multi[j]])
-            acc += v
-        out.append(acc)
-    return VectorSequence(np.array(out))
+    out = np.zeros((int(np.prod(ms.lengths)), int(np.prod(ms.dims))), dtype=complex)
+    for k in range(ms.r):
+        out += linalg.kron_all([g[k].vectors for g in ms.groups])
+    return VectorSequence(out)
 
 
 def verify_main_theorem(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import gabor, schmidt, sequences
-from .linalg import inner, op_norm, tensor_op
+from .errors import DrawFailed
+from .linalg import inner, op_norm
 from .schmidt import BipartiteShape, FSROperator
 from .sequences import VectorSequence, build_minimal_sum, classify, concatenate, materialize
 
@@ -52,7 +53,11 @@ def random_frame_minimal_sum(rng, dims, lengths, r: int, max_tries: int = 50):
             continue
         if classify(materialize(ms)).is_frame:
             return ms
-    raise RuntimeError("failed to draw a frame minimal sum")
+    raise DrawFailed(
+        f"no frame minimal sum found in {max_tries} draws with dims {list(dims)}, "
+        f"lengths {list(lengths)} and rank {r}; a frame needs prod(lengths) >= prod(dims), "
+        f"and independent groups need rank <= length * dim in every factor"
+    )
 
 
 def branch3_minimal_sum(rng, m1: int = 3, n: int = 4):

@@ -278,6 +278,33 @@ class TestRankRWindow:
             verify_rank_r_frame_implication(spec, lats)
 
 
+def rank_r_window_by_terms(spec):
+    """Reference: each of the r terms built by a chain of vector krons."""
+    factor_terms = [np.array([w.g for w in spec.modulated_translates(j)]) for j in range(spec.d)]
+    total = np.zeros(int(np.prod([w.N for w in spec.windows])), dtype=complex)
+    for k in range(spec.r):
+        v = factor_terms[0][k]
+        for j in range(1, spec.d):
+            v = np.kron(v, factor_terms[j][k])
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rank_r_window_matches_term_loop(d, r):
+    rng = np.random.default_rng(200 + 10 * d + r)
+    for _ in range(4):
+        ns = [int(n) for n in rng.integers(max(r, 2), 6, size=d)]
+        shifts = [rng.choice(n * n, size=r, replace=False) for n in ns]
+        spec = RankRWindowSpec(
+            windows=tuple(ZNWindow(crandom(rng, n)) for n in ns),
+            alphas=tuple(tuple(int(p // n) for p in sh) for n, sh in zip(ns, shifts)),
+            betas=tuple(tuple(int(p % n) for p in sh) for n, sh in zip(ns, shifts)),
+        )
+        assert np.array_equal(build_rank_r_window(spec).g, rank_r_window_by_terms(spec))
+
+
 class TestPerturbWindow:
     def test_known_non_frame_instance(self):
         rng = np.random.default_rng(12)

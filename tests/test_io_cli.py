@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,20 @@ from frameforge.sequences import VectorSequence
 from frameforge.verify import random_fsr_operator, suite_rng
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def crandom(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def run_cli(args, timeout=30):
+    """Run the CLI in a child process, so a hang fails the test instead of stalling it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "frameforge.cli", *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 class TestRoundTrips:
@@ -96,6 +112,19 @@ class TestSchmidtCommand:
             ["schmidt", "decompose", "--input", str(tmp_path / "nope.json"), "--shape", "2,2,2,2"]
         ) == 2
 
+    @pytest.mark.parametrize("method", ["svd", "deflate"])
+    def test_non_finite_operator_file(self, tmp_path, method):
+        payload = io.operator_to_dict(crandom(np.random.default_rng(8), 4, 4))
+        # On this operator, np.linalg.svd does not return once entry 0 is inf.
+        payload["entries"][0] = [float("inf"), 0.0]
+        path = tmp_path / "F.json"
+        io.save_json(path, payload)
+        proc = run_cli(["schmidt", "decompose", "--input", str(path),
+                        "--shape", "2,2,2,2", "--method", method])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestFramesCommands:
     def test_classify(self, tmp_path, capsys):
@@ -119,6 +148,24 @@ class TestFramesCommands:
         assert cli.main(
             ["frames", "verify-main", "--dims", "2,2", "--lens", "3", "--trials", "2"]
         ) == 2
+
+    def test_classify_non_finite_sequence(self, tmp_path, capsys):
+        payload = io.sequence_to_dict(VectorSequence(np.eye(3, dtype=complex)))
+        payload["vectors"][1]["entries"][0] = [float("nan"), 0.0]
+        path = tmp_path / "seq.json"
+        io.save_json(path, payload)
+        assert cli.main(["frames", "classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+    def test_verify_main_impossible_draw(self, capsys):
+        # Two vectors can never span C^3, so no draw is a frame.
+        assert cli.main(
+            ["frames", "verify-main", "--dims", "3", "--lens", "2", "--trials", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestGaborCommands:
@@ -195,6 +242,18 @@ class TestVerifyCommand:
 
     def test_zero_trials(self):
         assert cli.main(["verify", "all", "--seed", "3", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-1e-9", "0", "inf", "nan"])
+    def test_bad_tolerance_env(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("FRAMEFORGE_TOL", value)
+        assert cli.main(["verify", "all", "--trials", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: FRAMEFORGE_TOL ")
+
+    def test_tolerance_env_override(self, monkeypatch):
+        monkeypatch.setenv("FRAMEFORGE_TOL", "1e-7")
+        args = cli.build_parser().parse_args(["schmidt", "decompose", "--input", "F.json",
+                                              "--shape", "2,2,2,2"])
+        assert args.tol == 1e-7
 
     def test_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

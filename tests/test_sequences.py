@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,70 @@ class TestMinimalSum:
         mat = materialize(build_minimal_sum(groups))
         assert len(mat) == 4 * 5
         assert mat.space_dim == 3 * 2
+
+
+def tensor_by_rows(seqs):
+    """Reference: one np.kron per multi-index, in lexicographic order."""
+    out = []
+    for combo in itertools.product(*(s.vectors for s in seqs)):
+        v = combo[0]
+        for w in combo[1:]:
+            v = np.kron(v, w)
+        out.append(v)
+    return np.array(out)
+
+
+def materialize_by_rows(ms):
+    """Reference: the defining sum built row by row, term by term."""
+    out = []
+    for multi in itertools.product(*(range(n) for n in ms.lengths)):
+        acc = np.zeros(int(np.prod(ms.dims)), dtype=complex)
+        for k in range(ms.r):
+            v = ms.groups[0][k][multi[0]]
+            for j in range(1, ms.d):
+                v = np.kron(v, ms.groups[j][k][multi[j]])
+            acc += v
+        out.append(acc)
+    return np.array(out)
+
+
+def random_shapes(rng, d, r, draws=8):
+    """Seeded (lengths, dims) with m_j * N_j >= r, so groups can be independent.
+
+    The first draw has a factor of length 1, the second a factor of
+    dimension 1.
+    """
+    for i in range(draws):
+        lengths = rng.integers(1, 5, size=d)
+        dims = rng.integers(1, 4, size=d)
+        if i == 0:
+            lengths[0], dims[0] = 1, max(dims[0], r)
+        if i == 1:
+            dims[-1], lengths[-1] = 1, max(lengths[-1], r)
+        lengths = np.where(lengths * dims < r, r, lengths)
+        yield [int(n) for n in lengths], [int(m) for m in dims]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+class TestKroneckerMatchesRowLoop:
+    def test_materialize(self, d, r):
+        rng = np.random.default_rng(100 * d + r)
+        for lengths, dims in random_shapes(rng, d, r):
+            groups = [
+                [VectorSequence(crandom(rng, n, m)) for _ in range(r)]
+                for n, m in zip(lengths, dims)
+            ]
+            ms = build_minimal_sum(groups)
+            mat = materialize(ms)
+            assert mat.vectors.shape == (int(np.prod(lengths)), int(np.prod(dims)))
+            assert np.array_equal(mat.vectors, materialize_by_rows(ms))
+
+    def test_tensor_sequences(self, d, r):
+        rng = np.random.default_rng(1000 + 100 * d + r)
+        for lengths, dims in random_shapes(rng, d, r):
+            seqs = [VectorSequence(crandom(rng, n, m)) for n, m in zip(lengths, dims)]
+            assert np.array_equal(tensor_sequences(seqs).vectors, tensor_by_rows(seqs))
 
 
 class TestConcatenate:
