@@ -15,17 +15,34 @@ from .sequences import MinimalSumSequence, VectorSequence, build_minimal_sum
 SWEEP_FIELDS = ["N", "a", "b", "count", "A", "B", "is_frame", "is_riesz", "ab_over_N"]
 
 
-def vector_to_dict(x) -> dict:
-    x = np.asarray(x, dtype=complex)
-    return {"dim": int(x.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in x]}
+def _entries_to_list(a) -> list:
+    """The [[re, im], ...] layout of a complex array in C order, as Python floats."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
+
+
+def _fields(d, kind: str) -> dict:
+    """The JSON object holding a ``kind``; any other JSON value is a data error."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object for the {kind}, got {type(d).__name__}")
+    return d
 
 
 def _finite_entries(d, kind: str) -> np.ndarray:
     """Complex entries of a vector or operator file; NaN and inf are data errors."""
-    entries = np.array([complex(re, im) for re, im in d["entries"]])
+    pairs = np.asarray(_fields(d, kind)["entries"])
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{kind} file entries must be a list of [re, im] pairs of numbers")
+    entries = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
     if not np.isfinite(entries).all():
         raise NonFiniteData(f"{kind} file has non-finite entries (NaN or inf)")
     return entries
+
+
+def vector_to_dict(x) -> dict:
+    x = np.asarray(x, dtype=complex)
+    return {"dim": int(x.shape[0]), "entries": _entries_to_list(x)}
 
 
 def vector_from_dict(d) -> np.ndarray:
@@ -37,16 +54,12 @@ def vector_from_dict(d) -> np.ndarray:
 
 def operator_to_dict(a) -> dict:
     a = np.asarray(a, dtype=complex)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
-    }
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": _entries_to_list(a)}
 
 
 def operator_from_dict(d) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
     entries = _finite_entries(d, "operator")
+    rows, cols = int(d["rows"]), int(d["cols"])
     if entries.shape[0] != rows * cols:
         raise ValueError(f"operator file declares {rows}x{cols} but has {entries.shape[0]} entries")
     return entries.reshape(rows, cols)
@@ -60,7 +73,7 @@ def sequence_to_dict(seq: VectorSequence) -> dict:
 
 
 def sequence_from_dict(d) -> VectorSequence:
-    vecs = [vector_from_dict(v) for v in d["vectors"]]
+    vecs = [vector_from_dict(v) for v in _fields(d, "sequence")["vectors"]]
     seq = VectorSequence.from_vectors(vecs)
     if seq.space_dim != int(d["space_dim"]):
         raise ValueError("sequence file dimension mismatch")
@@ -76,7 +89,7 @@ def minimal_sum_to_dict(ms: MinimalSumSequence) -> dict:
 
 
 def minimal_sum_from_dict(d) -> MinimalSumSequence:
-    groups = [[sequence_from_dict(s) for s in group] for group in d["groups"]]
+    groups = [[sequence_from_dict(s) for s in group] for group in _fields(d, "minimal sum")["groups"]]
     ms = build_minimal_sum(groups)
     if ms.d != int(d["d"]) or ms.r != int(d["r"]):
         raise ValueError("minimal sum file d/r mismatch")
@@ -91,12 +104,12 @@ def fsr_to_dict(f: FSROperator) -> dict:
 
 
 def fsr_from_dict(d) -> FSROperator:
-    s = d["shape"]
+    s = _fields(_fields(d, "decomposition")["shape"], "decomposition shape")
     shape = BipartiteShape(int(s["h1"]), int(s["h2"]), int(s["k1"]), int(s["k2"]))
-    terms = tuple(
-        (operator_from_dict(t["A"]), operator_from_dict(t["B"])) for t in d["terms"]
+    terms = [_fields(t, "decomposition term") for t in d["terms"]]
+    return FSROperator(
+        shape, tuple((operator_from_dict(t["A"]), operator_from_dict(t["B"])) for t in terms)
     )
-    return FSROperator(shape, terms)
 
 
 def window_to_dict(w: ZNWindow) -> dict:
@@ -111,9 +124,13 @@ def window_from_dict(d) -> ZNWindow:
 
 
 def save_json(path, payload) -> None:
+    """Write ``payload`` as compact one-line JSON.
+
+    ``json.dumps`` without ``indent`` runs the C encoder; float text is the
+    same ``repr`` either way, so values round-trip bit for bit.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_json(path):

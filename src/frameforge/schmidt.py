@@ -71,10 +71,17 @@ class FSROperator:
         return len(self.terms)
 
     def materialize(self) -> np.ndarray:
-        out = np.zeros((self.shape.codomain_dim, self.shape.domain_dim), dtype=complex)
-        for a, b in self.terms:
-            out += np.kron(a, b)
-        return out
+        """sum_k A_k (x) B_k as one contraction over k of the stacked factors."""
+        s = self.shape
+        if not self.terms:
+            return np.zeros((s.codomain_dim, s.domain_dim), dtype=complex)
+        a = np.stack([a for a, _ in self.terms])  # (r, k1, h1)
+        b = np.stack([b for _, b in self.terms])  # (r, k2, h2)
+        return (
+            np.tensordot(a, b, axes=(0, 0))  # (k1, h1, k2, h2)
+            .transpose(0, 2, 1, 3)
+            .reshape(s.codomain_dim, s.domain_dim)
+        )
 
 
 def _check_operator(f, shape: BipartiteShape) -> np.ndarray:
@@ -162,6 +169,10 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     e_{i1} (x) e_{i2}) at the largest-modulus residual entry (full-pivot
     style), rescales v1 so the pairing is exactly 1, extracts the D term and
     subtracts it.  Stops when ||residual|| <= tol * ||F||.
+
+    With unit vectors, D_uv(residual) reduces to two slices of the residual
+    R viewed as R4[i1, i2, j1, j2]: A = R4[:, i2, :, j2] and
+    B = R4[i1, :, j1, :] / R[i, j], read here without forming D_uv.
     """
     f = _check_operator(f, shape)
     norm0 = np.linalg.norm(f)
@@ -169,6 +180,7 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     if norm0 == 0.0:
         return FSROperator(shape, ())
     residual = f.copy()
+    r4 = residual.reshape(shape.k1, shape.k2, shape.h1, shape.h2)  # a view of residual
     max_steps = min(shape.k1 * shape.h1, shape.k2 * shape.h2)
     for _ in range(max_steps):
         if np.linalg.norm(residual) <= tol * norm0:
@@ -176,12 +188,9 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
         i, j = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
         i1, i2 = divmod(int(i), shape.k2)
         j1, j2 = divmod(int(j), shape.h2)
-        u1 = np.eye(shape.h1, dtype=complex)[j1]
-        u2 = np.eye(shape.h2, dtype=complex)[j2]
-        v1 = np.eye(shape.k1, dtype=complex)[i1] * np.conj(1.0 / residual[i, j])
-        v2 = np.eye(shape.k2, dtype=complex)[i2]
-        a, b = D_uv(residual, u1, u2, v1, v2, shape)
-        residual = residual - np.kron(a, b)
+        a = r4[:, i2, :, j2].copy()
+        b = r4[i1, :, j1, :] / residual[i, j]
+        residual -= np.kron(a, b)
         terms.append((a, b))
     return FSROperator(shape, tuple(terms))
 

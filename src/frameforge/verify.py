@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gabor, schmidt, sequences
-from .errors import DrawFailed
+from .errors import DependentGroup, DrawFailed
 from .linalg import inner, op_norm
 from .schmidt import BipartiteShape, FSROperator
 from .sequences import VectorSequence, build_minimal_sum, classify, concatenate, materialize
@@ -41,7 +41,21 @@ def random_vector_sequence(rng, dim: int, count: int) -> VectorSequence:
 
 
 def random_frame_minimal_sum(rng, dims, lengths, r: int, max_tries: int = 50):
-    """Random minimal sum whose materialization is a frame (retry until so)."""
+    """Random minimal sum whose materialization is a frame (retry until so).
+
+    Raises ``DrawFailed`` before drawing when no draw can succeed: when
+    prod(lengths) < prod(dims), or when r > m * n for some factor, since r
+    sequences of n vectors in C^m are then always dependent.
+    """
+    conditions = (
+        "a frame needs prod(lengths) >= prod(dims), "
+        "and independent groups need rank <= length * dim in every factor"
+    )
+    if np.prod(lengths) < np.prod(dims) or any(r > m * n for m, n in zip(dims, lengths)):
+        raise DrawFailed(
+            f"no frame minimal sum exists with dims {list(dims)}, lengths {list(lengths)} "
+            f"and rank {r}; {conditions}"
+        )
     for _ in range(max_tries):
         groups = [
             [random_vector_sequence(rng, m, n) for _ in range(r)]
@@ -49,14 +63,13 @@ def random_frame_minimal_sum(rng, dims, lengths, r: int, max_tries: int = 50):
         ]
         try:
             ms = build_minimal_sum(groups)
-        except Exception:
+        except DependentGroup:
             continue
         if classify(materialize(ms)).is_frame:
             return ms
     raise DrawFailed(
         f"no frame minimal sum found in {max_tries} draws with dims {list(dims)}, "
-        f"lengths {list(lengths)} and rank {r}; a frame needs prod(lengths) >= prod(dims), "
-        f"and independent groups need rank <= length * dim in every factor"
+        f"lengths {list(lengths)} and rank {r}; {conditions}"
     )
 
 
@@ -78,7 +91,7 @@ def branch3_minimal_sum(rng, m1: int = 3, n: int = 4):
         g21 = VectorSequence(np.outer(coeff1, e1))
         try:
             ms = build_minimal_sum([[g10, g11], [g20, g21]])
-        except Exception:
+        except DependentGroup:
             continue
         if classify(materialize(ms)).is_frame:
             return ms
@@ -93,7 +106,7 @@ def branch1_minimal_sum(rng, m1: int = 2, m2: int = 2, n: int = 3, eps: float = 
         ]
         try:
             ms = build_minimal_sum(groups)
-        except Exception:
+        except DependentGroup:
             continue
         pure = build_minimal_sum([[g[0]] for g in ms.groups])
         if classify(materialize(ms)).is_frame and classify(materialize(pure)).is_frame:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameforge import cli, gabor, io, schmidt
+from frameforge import cli, gabor, io, schmidt, verify
+from frameforge.errors import DependentGroup
 from frameforge.schmidt import BipartiteShape, FSROperator
-from frameforge.sequences import VectorSequence
+from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
 from frameforge.verify import random_fsr_operator, suite_rng
 
 
@@ -70,6 +71,129 @@ class TestRoundTrips:
             assert r1["is_frame"] == r2["is_frame"]
 
 
+def entries_by_scalar(z):
+    """The per-scalar [[re, im], ...] comprehension: oracle for the array codec."""
+    return [[float(w.real), float(w.imag)] for w in np.asarray(z, dtype=complex).ravel()]
+
+
+def bits(z):
+    """Raw IEEE bits of a complex array, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+# signed zeros, the smallest and a mid-range subnormal, +-1e308 and +-max float,
+# and thirds, which have no short decimal form
+SPECIAL = np.array(
+    [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324),
+     complex(2.2250738585072014e-308 / 3, 1.0), complex(1e308, -1e308),
+     complex(-1.7976931348623157e308, 1.7976931348623157e308), complex(1 / 3, -2 / 3)]
+)
+
+
+class TestEntryCodec:
+    def test_vector_entries_match_per_scalar(self):
+        x = np.concatenate([SPECIAL, crandom(np.random.default_rng(30), 9)])
+        got = io.vector_to_dict(x)["entries"]
+        assert json.dumps(got) == json.dumps(entries_by_scalar(x))
+        assert all(type(v) is float for pair in got for v in pair)
+
+    def test_operator_entries_match_per_scalar(self):
+        a = np.concatenate([SPECIAL, crandom(np.random.default_rng(31), 14)]).reshape(3, 7)
+        for op in (a, a.T, a[:, ::2]):  # C-ordered, transposed and strided inputs
+            assert json.dumps(io.operator_to_dict(op)["entries"]) == json.dumps(entries_by_scalar(op))
+
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(32)
+        x = np.concatenate([SPECIAL, crandom(rng, 5)])
+        fsr = random_fsr_operator(suite_rng(32, 0), BipartiteShape(2, 3, 1, 2), 2)
+        path = tmp_path / "x.json"
+        io.save_json(path, io.vector_to_dict(x))
+        assert np.array_equal(bits(io.vector_from_dict(io.load_json(path))), bits(x))
+        io.save_json(path, io.operator_to_dict(x.reshape(3, 4)))
+        assert np.array_equal(bits(io.operator_from_dict(io.load_json(path))), bits(x.reshape(3, 4)))
+        io.save_json(path, io.fsr_to_dict(fsr))
+        back = io.fsr_from_dict(io.load_json(path))
+        for (a, b), (a0, b0) in zip(back.terms, fsr.terms, strict=True):
+            assert np.array_equal(bits(a), bits(a0)) and np.array_equal(bits(b), bits(b0))
+
+    def test_save_json_is_one_compact_line(self, tmp_path):
+        path = tmp_path / "x.json"
+        payload = io.operator_to_dict(crandom(np.random.default_rng(33), 4, 4))
+        io.save_json(path, payload)
+        text = path.read_text()
+        assert text == json.dumps(payload) + "\n"
+        assert json.loads(text) == payload
+
+    def test_indented_files_still_load(self, tmp_path):
+        def write_indented(payload):  # the layout files were written in before
+            path = tmp_path / "old.json"
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            return path
+
+        x = np.concatenate([SPECIAL, crandom(np.random.default_rng(34), 3)])
+        back = io.vector_from_dict(io.load_json(write_indented(io.vector_to_dict(x))))
+        assert np.array_equal(bits(back), bits(x))
+        fsr = random_fsr_operator(suite_rng(34, 0), BipartiteShape(2, 2, 2, 2), 2)
+        back = io.fsr_from_dict(io.load_json(write_indented(io.fsr_to_dict(fsr))))
+        assert np.array_equal(back.materialize(), fsr.materialize())
+
+    def test_empty_entries_decode_to_empty_array(self):
+        v = io.vector_from_dict({"dim": 0, "entries": []})
+        assert v.shape == (0,) and v.dtype == complex
+        a = io.operator_from_dict({"rows": 0, "cols": 3, "entries": []})
+        assert a.shape == (0, 3) and a.dtype == complex
+
+    def test_integer_and_boolean_entries_decode_as_numbers(self):
+        v = io.vector_from_dict({"dim": 3, "entries": [[1, 0], [True, False], [2**62 + 1, -3]]})
+        assert np.array_equal(bits(v), bits([complex(1, 0), complex(1, 0), complex(2**62 + 1, -3)]))
+
+    @pytest.mark.parametrize("entries", [
+        [[1, "a"]], [["1.5", 0]], [[1, 2, 3]], [[1]], [[]], [[1, 2], [3]],
+        [[[1, 2]]], [1, 2], "12", {"re": 1}, [[None, 0]], [[10**400, 0]],
+    ])
+    def test_malformed_entries_are_value_errors(self, entries):
+        with pytest.raises(ValueError):
+            io.vector_from_dict({"dim": 1, "entries": entries})
+        with pytest.raises(ValueError):
+            io.operator_from_dict({"rows": 1, "cols": 1, "entries": entries})
+
+    @pytest.mark.parametrize("loader", [
+        io.vector_from_dict, io.operator_from_dict, io.sequence_from_dict,
+        io.minimal_sum_from_dict, io.fsr_from_dict, io.window_from_dict,
+    ])
+    @pytest.mark.parametrize("top", [[1, 2], "text", 3, None])
+    def test_non_object_top_level_is_a_value_error(self, loader, top):
+        with pytest.raises(ValueError, match="JSON object"):
+            loader(top)
+
+
+# Entry lists of the wrong JSON shape, and the file layout each command reads.
+BAD_ENTRIES = {
+    "string_imag": '[[1, "a"]]',
+    "string_real": '[["1.5", 0]]',
+    "int_too_large_for_float": "[[1" + "0" * 400 + ", 0]]",
+}
+INPUT_LAYOUTS = {
+    "classify": ('{"space_dim": 1, "vectors": [{"dim": 1, "entries": %s}]}', ["frames", "classify"]),
+    "decompose": ('{"rows": 1, "cols": 1, "entries": %s}', ["schmidt", "decompose", "--shape", "1,1,1,1"]),
+}
+
+
+class TestLoaderBoundary:
+    @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
+    @pytest.mark.parametrize("case", ["top_level_list", *BAD_ENTRIES])
+    def test_wrong_shaped_json_exits_2(self, tmp_path, capsys, command, case):
+        layout, argv = INPUT_LAYOUTS[command]
+        path = tmp_path / "in.json"
+        path.write_text("[1, 2]" if case == "top_level_list" else layout % BAD_ENTRIES[case])
+        assert cli.main([*argv, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestSchmidtCommand:
     def write_operator(self, tmp_path, f):
         path = tmp_path / "F.json"
@@ -126,6 +250,26 @@ class TestSchmidtCommand:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("method", ["deflate", "svd"])
+    def test_planted_rank_128_end_to_end(self, tmp_path, method):
+        # 256x256 operator of Schmidt rank 128 on C^16 (x) C^16, as the CLI sees it
+        rng = np.random.default_rng(40)
+        r, (h1, h2, k1, k2) = 128, (16, 16, 16, 16)
+        a, b = crandom(rng, r, k1, h1), crandom(rng, r, k2, h2)
+        f = np.einsum("kac,kbd->abcd", a, b).reshape(k1 * k2, h1 * h2)
+        out = tmp_path / "D.json"
+        proc = run_cli(["schmidt", "decompose", "--input", self.write_operator(tmp_path, f),
+                        "--shape", "16,16,16,16", "--method", method, "--output", str(out)],
+                       timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        fields = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+        assert int(fields["rank"]) == r
+        assert float(fields["reconstruction_error"]) <= 1e-8
+        dec = io.fsr_from_dict(io.load_json(out))
+        assert dec.rank_bound == r
+        assert np.linalg.norm(dec.materialize() - f) <= 1e-8 * np.linalg.norm(f)
+
+
 class TestFramesCommands:
     def test_classify(self, tmp_path, capsys):
         seq = VectorSequence(np.eye(3, dtype=complex))
@@ -166,6 +310,41 @@ class TestFramesCommands:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    def test_verify_main_rank_too_large_draws_nothing(self, monkeypatch, capsys):
+        # 5 sequences of 2 vectors in C^2 are always dependent: fail before any draw
+        draws = []
+        monkeypatch.setattr(verify, "random_vector_sequence", lambda *a: draws.append(a))
+        assert cli.main(
+            ["frames", "verify-main", "--dims", "2", "--lens", "2", "--rank", "5", "--trials", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rank <= length * dim" in err
+        assert draws == []
+
+    def test_frame_draw_consumes_rng_as_retry_loop(self):
+        # the up-front checks draw nothing: a valid input gives the draw and
+        # the rng state of the plain retry loop
+        def retry_loop(rng, dims, lengths, r):
+            while True:
+                groups = [[verify.random_vector_sequence(rng, m, n) for _ in range(r)]
+                          for m, n in zip(dims, lengths)]
+                try:
+                    ms = build_minimal_sum(groups)
+                except DependentGroup:
+                    continue
+                if classify(materialize(ms)).is_frame:
+                    return ms
+
+        for dims, lengths, r in (([2, 2], [3, 3], 2), ([3], [3], 1), ([2, 3], [2, 3], 3)):
+            rng, oracle_rng = suite_rng(41, 0), suite_rng(41, 0)
+            ms = verify.random_frame_minimal_sum(rng, dims, lengths, r)
+            want = retry_loop(oracle_rng, dims, lengths, r)
+            for group, want_group in zip(ms.groups, want.groups, strict=True):
+                for seq, want_seq in zip(group, want_group, strict=True):
+                    assert np.array_equal(seq.vectors, want_seq.vectors)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestGaborCommands:

@@ -357,3 +357,81 @@ class TestRankOfLimits:
             fn = FSROperator(shape, g_terms).materialize()
             assert reshuffle_rank(fn, shape)[0] <= r
         assert reshuffle_rank(f, shape)[0] <= r
+
+
+def deflation_by_D_uv(f, shape, tol=1e-9):
+    """The unit-vector D_uv deflation loop: oracle for the slice-based route."""
+    norm0 = np.linalg.norm(f)
+    terms = []
+    if norm0 == 0.0:
+        return terms
+    residual = np.array(f, dtype=complex)
+    for _ in range(min(shape.k1 * shape.h1, shape.k2 * shape.h2)):
+        if np.linalg.norm(residual) <= tol * norm0:
+            break
+        i, j = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
+        i1, i2 = divmod(int(i), shape.k2)
+        j1, j2 = divmod(int(j), shape.h2)
+        u1 = np.eye(shape.h1, dtype=complex)[j1]
+        u2 = np.eye(shape.h2, dtype=complex)[j2]
+        v1 = np.eye(shape.k1, dtype=complex)[i1] * np.conj(1.0 / residual[i, j])
+        v2 = np.eye(shape.k2, dtype=complex)[i2]
+        a, b = D_uv(residual, u1, u2, v1, v2, shape)
+        residual = residual - np.kron(a, b)
+        terms.append((a, b))
+    return terms
+
+
+def materialize_by_kron_loop(fsr):
+    """One np.kron per term, summed in term order: oracle for FSROperator.materialize."""
+    out = np.zeros((fsr.shape.codomain_dim, fsr.shape.domain_dim), dtype=complex)
+    for a, b in fsr.terms:
+        out += np.kron(a, b)
+    return out
+
+
+def random_terms_cases(seed, count=20):
+    """Seeded (shape, terms) with factor dims 1..4, every third shape with a
+    dimension-1 factor, and r from 1 up to the full Schmidt rank (every fourth
+    case at full rank)."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        dims = [int(x) for x in rng.integers(1, 5, size=4)]
+        if t % 3 == 0:
+            dims[t % 4] = 1
+        shape = BipartiteShape(*dims)
+        full = min(shape.k1 * shape.h1, shape.k2 * shape.h2)
+        r = full if t % 4 == 0 else int(rng.integers(1, full + 1))
+        terms = tuple(
+            (crandom(rng, shape.k1, shape.h1), crandom(rng, shape.k2, shape.h2)) for _ in range(r)
+        )
+        yield shape, terms
+
+
+class TestStructuredRoutesMatchOracles:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deflation_matches_D_uv_loop(self, seed):
+        for shape, terms in random_terms_cases(seed):
+            f = materialize_by_kron_loop(FSROperator(shape, terms))
+            scale = np.abs(f).max()
+            got = schmidt_decompose_deflation(f, shape).terms
+            want = deflation_by_D_uv(f, shape)
+            assert len(got) == len(want) == len(terms)
+            for (a, b), (a0, b0) in zip(got, want):
+                assert np.abs(np.kron(a, b) - np.kron(a0, b0)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_materialize_matches_kron_loop(self, seed):
+        for shape, terms in random_terms_cases(seed):
+            fsr = FSROperator(shape, terms)
+            want = materialize_by_kron_loop(fsr)
+            got = fsr.materialize()
+            assert got.shape == want.shape and got.dtype == complex
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_materialize_without_terms_is_zero(self):
+        shape = BipartiteShape(2, 3, 1, 4)
+        got = FSROperator(shape, ()).materialize()
+        assert got.dtype == complex
+        assert np.array_equal(got, materialize_by_kron_loop(FSROperator(shape, ())))
+        assert got.shape == (4, 6) and not got.any()
