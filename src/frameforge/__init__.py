@@ -3,7 +3,6 @@ of sequences, operator Schmidt decompositions, and discrete Gabor systems."""
 
 from .linalg import (
     DEFAULT_RTOL,
-    SpaceShape,
     adjoint,
     inner,
     left_pseudo_inverse,

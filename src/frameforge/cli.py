@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a checked assertion fails (bad
-reconstruction, failed suite, density violation), 2 on usage or I/O errors.
-The FRAMEFORGE_TOL environment variable overrides the default tolerance.
+reconstruction, failed suite, density violation), 2 on usage, I/O or data
+errors.  ``main`` holds the only error boundary: an ``OSError``,
+``ValueError`` or ``FrameForgeError`` raised by any command becomes one
+``error:`` line on stderr and exit 2.  The FRAMEFORGE_TOL environment
+variable overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -43,15 +46,11 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def cmd_schmidt_decompose(args) -> int:
-    try:
-        f = io.operator_from_dict(io.load_json(args.input))
-        dims = _parse_ints(args.shape)
-        if len(dims) != 4:
-            raise ValueError("--shape needs h1,h2,k1,k2")
-        shape = schmidt.BipartiteShape(*dims)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    f = io.operator_from_dict(io.load_json(args.input))
+    dims = _parse_ints(args.shape)
+    if len(dims) != 4:
+        raise ValueError("--shape needs h1,h2,k1,k2")
+    shape = schmidt.BipartiteShape(*dims)
     tol = args.tol
     if args.method == "deflate":
         dec = schmidt.schmidt_decompose_deflation(f, shape, tol)
@@ -67,25 +66,17 @@ def cmd_schmidt_decompose(args) -> int:
 
 
 def cmd_frames_classify(args) -> int:
-    try:
-        seq = io.sequence_from_dict(io.load_json(args.input))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, FrameForgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    seq = io.sequence_from_dict(io.load_json(args.input))
     report = sequences.classify(seq).to_dict()
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_frames_verify_main(args) -> int:
-    try:
-        dims = _parse_ints(args.dims)
-        lens = _parse_ints(args.lens)
-        if len(dims) != len(lens) or args.rank < 1 or args.trials < 1:
-            raise ValueError("dims/lens must match; rank and trials must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    dims = _parse_ints(args.dims)
+    lens = _parse_ints(args.lens)
+    if len(dims) != len(lens) or args.rank < 1 or args.trials < 1:
+        raise ValueError("dims/lens must match; rank and trials must be >= 1")
     rng = verify.suite_rng(args.seed, 1000)
     all_ok = True
     reports = []
@@ -108,13 +99,9 @@ def _load_window(spec: str, n: int) -> gabor.ZNWindow:
 
 
 def cmd_gabor_sweep(args) -> int:
-    try:
-        if args.N > gabor.MAX_SWEEP_N or args.N < 1:
-            raise ValueError(f"N={args.N} out of the supported range 1..{gabor.MAX_SWEEP_N}")
-        w = _load_window(args.window, args.N)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.N > gabor.MAX_SWEEP_N or args.N < 1:
+        raise ValueError(f"N={args.N} out of the supported range 1..{gabor.MAX_SWEEP_N}")
+    w = _load_window(args.window, args.N)
     rows = gabor.density_sweep(w)
     if args.output:
         io.write_sweep_csv(args.output, rows)
@@ -125,21 +112,14 @@ def cmd_gabor_sweep(args) -> int:
 
 
 def cmd_gabor_perturb(args) -> int:
-    try:
-        lat = gabor.ZNLattice(args.N, args.a, args.b)
-        w = _load_window(args.window, args.N)
-        report = gabor.perturb_window(w, lat, args.alpha, args.beta, args.c_phase)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, FrameForgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lat = gabor.ZNLattice(args.N, args.a, args.b)
+    w = _load_window(args.window, args.N)
+    report = gabor.perturb_window(w, lat, args.alpha, args.beta, args.c_phase)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_verify_all(args) -> int:
-    if args.trials < 1:
-        print("error: trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     report = verify.run_all(args.seed, args.trials)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     if args.report:
@@ -211,7 +191,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return args.fn(args)
-    except FrameForgeError as exc:
+    except (OSError, ValueError, FrameForgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,9 +27,31 @@ def _fields(d, kind: str) -> dict:
     return d
 
 
+_JSON_NAMES = {int: "non-negative integer", list: "list", dict: "object"}
+
+
+def _field(d, kind: str, name: str, json_type: type):
+    """Field ``name`` of the ``kind`` object ``d``, of exactly ``json_type``.
+
+    ``json_type`` is ``int``, ``list`` or ``dict``.  A missing field or a
+    value of another JSON type is a data error; so is a negative integer.
+    ``true``, ``1.5``, ``1e400`` and ``"3"`` are not integers.
+    """
+    fields = _fields(d, kind)
+    if name not in fields:
+        raise ValueError(f"{kind} has no {name!r} field")
+    value = fields[name]
+    if type(value) is not json_type or (json_type is int and value < 0):
+        raise ValueError(
+            f"{kind} field {name!r} must be a JSON {_JSON_NAMES[json_type]}, "
+            f"got {type(value).__name__} {value!r:.40}"
+        )
+    return value
+
+
 def _finite_entries(d, kind: str) -> np.ndarray:
     """Complex entries of a vector or operator file; NaN and inf are data errors."""
-    pairs = np.asarray(_fields(d, kind)["entries"])
+    pairs = np.asarray(_field(d, kind, "entries", list))
     if pairs.shape == (0,):
         pairs = pairs.reshape(0, 2)
     if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -47,8 +69,9 @@ def vector_to_dict(x) -> dict:
 
 def vector_from_dict(d) -> np.ndarray:
     entries = _finite_entries(d, "vector")
-    if entries.shape[0] != int(d["dim"]):
-        raise ValueError(f"vector file declares dim {d['dim']} but has {entries.shape[0]} entries")
+    dim = _field(d, "vector", "dim", int)
+    if entries.shape[0] != dim:
+        raise ValueError(f"vector file declares dim {dim} but has {entries.shape[0]} entries")
     return entries
 
 
@@ -59,7 +82,7 @@ def operator_to_dict(a) -> dict:
 
 def operator_from_dict(d) -> np.ndarray:
     entries = _finite_entries(d, "operator")
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows, cols = _field(d, "operator", "rows", int), _field(d, "operator", "cols", int)
     if entries.shape[0] != rows * cols:
         raise ValueError(f"operator file declares {rows}x{cols} but has {entries.shape[0]} entries")
     return entries.reshape(rows, cols)
@@ -73,9 +96,9 @@ def sequence_to_dict(seq: VectorSequence) -> dict:
 
 
 def sequence_from_dict(d) -> VectorSequence:
-    vecs = [vector_from_dict(v) for v in _fields(d, "sequence")["vectors"]]
+    vecs = [vector_from_dict(v) for v in _field(d, "sequence", "vectors", list)]
     seq = VectorSequence.from_vectors(vecs)
-    if seq.space_dim != int(d["space_dim"]):
+    if seq.space_dim != _field(d, "sequence", "space_dim", int):
         raise ValueError("sequence file dimension mismatch")
     return seq
 
@@ -89,9 +112,11 @@ def minimal_sum_to_dict(ms: MinimalSumSequence) -> dict:
 
 
 def minimal_sum_from_dict(d) -> MinimalSumSequence:
-    groups = [[sequence_from_dict(s) for s in group] for group in _fields(d, "minimal sum")["groups"]]
-    ms = build_minimal_sum(groups)
-    if ms.d != int(d["d"]) or ms.r != int(d["r"]):
+    groups = _field(d, "minimal sum", "groups", list)
+    if not all(type(group) is list for group in groups):
+        raise ValueError("minimal sum file groups must be lists of sequences")
+    ms = build_minimal_sum([[sequence_from_dict(s) for s in group] for group in groups])
+    if ms.d != _field(d, "minimal sum", "d", int) or ms.r != _field(d, "minimal sum", "r", int):
         raise ValueError("minimal sum file d/r mismatch")
     return ms
 
@@ -104,12 +129,13 @@ def fsr_to_dict(f: FSROperator) -> dict:
 
 
 def fsr_from_dict(d) -> FSROperator:
-    s = _fields(_fields(d, "decomposition")["shape"], "decomposition shape")
-    shape = BipartiteShape(int(s["h1"]), int(s["h2"]), int(s["k1"]), int(s["k2"]))
-    terms = [_fields(t, "decomposition term") for t in d["terms"]]
-    return FSROperator(
-        shape, tuple((operator_from_dict(t["A"]), operator_from_dict(t["B"])) for t in terms)
-    )
+    s = _field(d, "decomposition", "shape", dict)
+    h1, h2, k1, k2 = (_field(s, "decomposition shape", n, int) for n in ("h1", "h2", "k1", "k2"))
+    terms = [
+        tuple(operator_from_dict(_field(t, "decomposition term", n, dict)) for n in ("A", "B"))
+        for t in _field(d, "decomposition", "terms", list)
+    ]
+    return FSROperator(BipartiteShape(h1, h2, k1, k2), tuple(terms))
 
 
 def window_to_dict(w: ZNWindow) -> dict:

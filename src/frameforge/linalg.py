@@ -14,7 +14,6 @@ realizes the tensor product of both vectors and operators.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,42 +36,6 @@ def as_coperator(a) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of shape {a.shape}")
     return a
-
-
-@dataclass(frozen=True)
-class SpaceShape:
-    """Tensor factorization of an ambient space: C^{d_1} (x) ... (x) C^{d_m}."""
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("factor dimensions must be positive")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.factor_dims))
-
-    def flatten(self, multi_index) -> int:
-        if len(multi_index) != len(self.factor_dims):
-            raise DimensionMismatch("multi-index length does not match factor count")
-        flat = 0
-        for i, d in zip(multi_index, self.factor_dims):
-            if not 0 <= i < d:
-                raise IndexError(f"index {i} out of range for factor of dimension {d}")
-            flat = flat * d + i
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.dim:
-            raise IndexError(f"flat index {flat} out of range for dimension {self.dim}")
-        out = []
-        for d in reversed(self.factor_dims):
-            out.append(flat % d)
-            flat //= d
-        return tuple(reversed(out))
 
 
 def inner(x, y) -> complex:

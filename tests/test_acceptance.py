@@ -1,30 +1,16 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
-line with its measured runtime."""
+line with its measured runtime.  Criteria 1-8 run the seeded suites of
+``frameforge.verify`` at their own seeds and trial counts."""
 
-import json
 import pathlib
 import time
 
-import numpy as np
 import pytest
 
-from frameforge import cli, gabor, io, schmidt, sequences
-from frameforge.linalg import inner, op_norm
-from frameforge.schmidt import BipartiteShape
-from frameforge.verify import (
-    branch1_minimal_sum,
-    branch3_minimal_sum,
-    random_fsr_operator,
-    random_frame_minimal_sum,
-    random_vector_sequence,
-    suite_rng,
-)
+from frameforge import cli, gabor, io, verify
+from frameforge.verify import suite_rng
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def crandom(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class Criterion:
@@ -44,205 +30,54 @@ class Criterion:
 
 def test_criterion_1_deflation_rank_law():
     c = Criterion(1, "deflation rank law on 100 random FSR operators", 10.0)
-    rng = suite_rng(1001, 0)
-    ok = True
-    for t in range(100):
-        dims = tuple(int(x) for x in rng.integers(2, 4, size=4))
-        shape = BipartiteShape(*dims)
-        r = 1 + t % min(shape.k1 * shape.h1, shape.k2 * shape.h2, 4)
-        f = random_fsr_operator(rng, shape, r).materialize()
-        norm_f = np.linalg.norm(f)
-        residual = f.copy()
-        rank = r
-        for _ in range(r):
-            dec = schmidt.schmidt_decompose_deflation(residual, shape)
-            a, b = dec.terms[0]
-            residual = residual - np.kron(a, b)
-            new_rank = schmidt.reshuffle_rank(residual, shape, tol=1e-7, scale=norm_f)[0]
-            ok = ok and new_rank == rank - 1
-            rank = new_rank
-        dec = schmidt.schmidt_decompose_deflation(f, shape)
-        ok = ok and dec.rank_bound == schmidt.reshuffle_rank(f, shape)[0] == r
-        ok = ok and np.linalg.norm(f - dec.materialize()) <= 1e-8 * norm_f
-    c.finish(ok)
+    c.finish(verify.suite_deflation_rank_law(suite_rng(1001, 0), 100)["passed"])
 
 
 def test_criterion_2_prop_identities():
     c = Criterion(2, "contraction norm identities, P/D inequalities, rank-one fixed point", 5.0)
     rng = suite_rng(1002, 0)
-    ok = True
-    for _ in range(100):
-        shape = BipartiteShape(*(int(x) for x in rng.integers(2, 4, size=4)))
-        v1, v2 = crandom(rng, shape.k1), crandom(rng, shape.k2)
-        cols = np.eye(shape.codomain_dim, dtype=complex)
-        m1 = np.array([schmidt.contract_V1(v1, col, shape) for col in cols]).T
-        m2 = np.array([schmidt.contract_V2(v2, col, shape) for col in cols]).T
-        ok = ok and abs(op_norm(m1) - np.linalg.norm(v1)) <= 1e-10
-        ok = ok and abs(op_norm(m2) - np.linalg.norm(v2)) <= 1e-10
-        u1, u2 = crandom(rng, shape.h1), crandom(rng, shape.h2)
-        f = crandom(rng, shape.codomain_dim, shape.domain_dim)
-        g = crandom(rng, shape.codomain_dim, shape.domain_dim)
-        cap = np.linalg.norm(u1) * np.linalg.norm(u2) * np.linalg.norm(v1) * np.linalg.norm(v2)
-        a, b = schmidt.P_uv(f, g, u1, u2, v1, v2, shape)
-        ok = ok and op_norm(np.kron(a, b)) <= cap * op_norm(f) * op_norm(g) + 1e-9
-        da = np.kron(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
-        db = np.kron(*schmidt.D_uv(g, u1, u2, v1, v2, shape))
-        ok = ok and op_norm(da - db) <= cap * (op_norm(f) + op_norm(g)) * op_norm(f - g) + 1e-9
-    # rank-one fixed point, both directions, 50 instances each
-    shape = BipartiteShape(2, 3, 2, 3)
-    for r in (1, 2):
-        for _ in range(50):
-            f = random_fsr_operator(rng, shape, r).materialize()
-            u1, u2 = crandom(rng, shape.h1), crandom(rng, shape.h2)
-            v1, v2 = crandom(rng, shape.k1), crandom(rng, shape.k2)
-            p = schmidt.pairing(f, u1, u2, v1, v2, shape)
-            d = np.kron(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
-            resid = np.linalg.norm(d - p * f) / np.linalg.norm(f)
-            ok = ok and ((resid <= 1e-9) if r == 1 else (resid > 1e-9))
-    c.finish(ok)
+    c.finish(
+        verify.suite_prop22_identities(rng, 100)["passed"]
+        and verify.suite_rank_one_fixed_point(rng, 100)["passed"]
+    )
 
 
 def test_criterion_3_inverse_factors():
     c = Criterion(3, "inverse factor identities on 50 invertible rank-2 operators", 5.0)
-    rng = suite_rng(1003, 0)
-    shape = BipartiteShape(2, 2, 2, 2)
-    ok = True
-    for _ in range(50):
-        while True:
-            fsr = random_fsr_operator(rng, shape, 2)
-            f = fsr.materialize()
-            if np.linalg.cond(f) < 1e6:
-                break
-        inv = np.linalg.inv(f)
-        u1, v1 = crandom(rng, 2), crandom(rng, 2)
-        v1 = v1 / np.conj(inner(u1, v1))
-        u2, v2 = crandom(rng, 2), crandom(rng, 2)
-        v2 = v2 / np.conj(inner(u2, v2))
-        left = schmidt.inverse_factors(fsr, inv, "left", u1, u2, v1, v2)
-        s1 = sum(l1 @ a for (l1, _), (a, _) in zip(left, fsr.terms))
-        s2 = sum(l2 @ b for (_, l2), (_, b) in zip(left, fsr.terms))
-        ok = ok and np.linalg.norm(s1 - np.eye(2)) <= 1e-8
-        ok = ok and np.linalg.norm(s2 - np.eye(2)) <= 1e-8
-        right = schmidt.inverse_factors(fsr, inv, "right", u1, u2, v1, v2)
-        s1 = sum(a @ r1 for (r1, _), (a, _) in zip(right, fsr.terms))
-        s2 = sum(b @ r2 for (_, r2), (_, b) in zip(right, fsr.terms))
-        ok = ok and np.linalg.norm(s1 - np.eye(2)) <= 1e-8
-        ok = ok and np.linalg.norm(s2 - np.eye(2)) <= 1e-8
-    c.finish(ok)
+    c.finish(verify.suite_inverse_factors(suite_rng(1003, 0), 50)["passed"])
 
 
 def test_criterion_4_span_uniqueness():
     c = Criterion(4, "span uniqueness of deflation vs reshuffle decompositions", 5.0)
-    rng = suite_rng(1004, 0)
-    ok = True
-    for t in range(50):
-        shape = BipartiteShape(2, 3, 2, 3)
-        r = 1 + t % 3
-        f = random_fsr_operator(rng, shape, r).materialize()
-        dec = schmidt.schmidt_decompose_deflation(f, shape)
-        _, canon = schmidt.reshuffle_rank(f, shape)
-        ok = ok and len(dec.terms) == len(canon.terms)
-        ok = ok and schmidt.spans_equal(dec.terms, canon.terms, 1)
-        ok = ok and schmidt.spans_equal(dec.terms, canon.terms, 2)
-    c.finish(ok)
+    c.finish(verify.suite_span_uniqueness(suite_rng(1004, 0), 50)["passed"])
 
 
 def test_criterion_5_tensor_and_minimal_sum():
     c = Criterion(5, "tensor bounds multiply; frame minimal sums concatenate to frames", 20.0)
     rng = suite_rng(1005, 0)
-    ok = True
-    for _ in range(50):
-        d = int(rng.integers(2, 4))
-        seqs = [
-            random_vector_sequence(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
-            for _ in range(d)
-        ]
-        prod = sequences.classify(sequences.tensor_sequences(seqs))
-        comps = [sequences.classify(s) for s in seqs]
-        a_exp = float(np.prod([x.lower_bound for x in comps]))
-        b_exp = float(np.prod([x.bessel_bound for x in comps]))
-        scale = max(1.0, b_exp)
-        ok = ok and abs(prod.lower_bound - a_exp) <= 1e-9 * scale
-        ok = ok and abs(prod.bessel_bound - b_exp) <= 1e-9 * scale
-    for t in range(100):
-        d = 2 + t % 2
-        r = 1 + t % 3
-        dims = [int(rng.integers(2, 5)) for _ in range(d)]
-        lens = [m + int(rng.integers(0, 3)) for m in dims]
-        ms = random_frame_minimal_sum(rng, dims, lens, r)
-        full = sequences.classify(sequences.materialize(ms))
-        for j in range(ms.d):
-            rep = sequences.classify(sequences.concatenate(list(ms.groups[j])))
-            ok = ok and rep.lower_bound > 1e-8 * rep.bessel_bound
-        cap = sum(
-            np.sqrt(np.prod([sequences.classify(ms.groups[j][k]).bessel_bound for j in range(ms.d)]))
-            for k in range(ms.r)
-        ) ** 2
-        ok = ok and full.bessel_bound <= cap + 1e-9 * max(1.0, cap)
-    c.finish(ok)
+    c.finish(
+        verify.suite_tensor_bounds_multiply(rng, 50)["passed"]
+        and verify.suite_minimal_sum_frames(rng, 100)["passed"]
+    )
 
 
 def test_criterion_6_two_term_disjunction():
     c = Criterion(6, "two-term disjunction on 50 constructed frame instances", 10.0)
-    rng = suite_rng(1006, 0)
-    ok = True
-    branch3 = 0
-    for t in range(50):
-        ms = branch3_minimal_sum(rng) if t % 2 == 0 else branch1_minimal_sum(rng)
-        report = sequences.two_term_disjunction_check(ms)
-        branch = report["branch"]
-        if branch in (None, 0):
-            ok = False
-            continue
-        if branch == 3:
-            branch3 += 1
-            i = report["dropped_index"]
-            ok = ok and all(
-                sequences.classify(ms.groups[j][k]).is_frame
-                for j in range(ms.d)
-                if j != i
-                for k in (0, 1)
-            )
-        else:
-            pure = sequences.build_minimal_sum([[ms.groups[j][branch - 1]] for j in range(ms.d)])
-            ok = ok and sequences.classify(sequences.materialize(pure)).is_frame
-    ok = ok and branch3 >= 5
-    c.finish(ok)
+    c.finish(verify.suite_two_term_disjunction(suite_rng(1006, 0), 50)["passed"])
+
+
+# The last two suites run fixed case lists and ignore their trial count.
 
 
 def test_criterion_7_discrete_density():
     c = Criterion(7, "discrete Gabor density law and full-lattice tightness", 30.0)
-    ok = True
-    for n in (4, 6, 8, 12):
-        for gen in ("gaussian", "twoexp", "sech"):
-            w = gabor.sample_window(gen, n)
-            for row in gabor.density_sweep(w):
-                ok = ok and not (row["is_frame"] and row["a"] * row["b"] > n)
-                ok = ok and row["is_riesz"] == (row["is_frame"] and row["a"] * row["b"] == n)
-            s = sequences.frame_operator(gabor.gabor_system(w, gabor.ZNLattice(n, 1, 1)))
-            ok = ok and np.linalg.norm(s - n * np.linalg.norm(w.g) ** 2 * np.eye(n)) <= 1e-10
-    c.finish(ok)
+    c.finish(verify.suite_gabor_density(suite_rng(1007, 0), 1)["passed"])
 
 
 def test_criterion_8_oversampling():
-    c = Criterion(8, "oversampling bound scaling on 20 refinement cases", 10.0)
-    rng = suite_rng(1008, 0)
-    cases = [
-        (8, a, b, u, v)
-        for a in (2, 4, 8)
-        for b in (2, 4)
-        for u in (1, 2)
-        for v in (1, 2)
-        if (u, v) != (1, 1) and a % u == 0 and b % v == 0
-    ]
-    cases += [(12, 4, 6, 2, 3), (12, 6, 6, 3, 2), (12, 4, 4, 2, 2), (12, 12, 2, 4, 2)]
-    assert len(cases) >= 20
-    ok = True
-    for n, a, b, u, v in cases:
-        w = gabor.ZNWindow(crandom(rng, n))
-        rep = gabor.oversample_check(w, gabor.ZNLattice(n, a, b), u, v, tol=1e-9)
-        ok = ok and rep["lower_ok"] and rep["upper_ok"]
-    c.finish(ok)
+    c = Criterion(8, "oversampling bound scaling on 372 refinement cases", 10.0)
+    result = verify.suite_oversampling(suite_rng(1008, 0), 1)
+    c.finish(result["passed"] and result["trials"] == 372)
 
 
 def test_criterion_9_perturbation_goldens():

@@ -1,15 +1,21 @@
+import contextlib
+import copy
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
 import time
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frameforge import cli, gabor, io, schmidt, verify
-from frameforge.errors import DependentGroup
+from frameforge.errors import DependentGroup, FrameForgeError
 from frameforge.schmidt import BipartiteShape, FSROperator
 from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
 from frameforge.verify import random_fsr_operator, suite_rng
@@ -90,6 +96,68 @@ SPECIAL = np.array(
 )
 
 
+# One small valid file of each kind, with the loader that reads it.  The
+# operator is 1x1 and the sequence lives in C^2, so both also suit the CLI.
+VALID_FILES = {
+    "vector": (io.vector_from_dict, io.vector_to_dict([1, 2j])),
+    "operator": (io.operator_from_dict, io.operator_to_dict([[2 + 1j]])),
+    "sequence": (io.sequence_from_dict, io.sequence_to_dict(VectorSequence(np.eye(2)))),
+    "minimal_sum": (io.minimal_sum_from_dict, io.minimal_sum_to_dict(
+        build_minimal_sum([[VectorSequence(np.eye(2))], [VectorSequence(np.eye(2))]]))),
+    "fsr": (io.fsr_from_dict, io.fsr_to_dict(
+        FSROperator(BipartiteShape(2, 1, 1, 1), (([[1, 2]], [[1j]]),)))),
+    "window": (io.window_from_dict, io.window_to_dict(gabor.sample_window("gaussian", 4))),
+}
+DELETE = object()
+
+
+def node_paths(value, path=()):
+    """The path (keys and indices) to every node of a JSON value, root first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, (*path, key))
+
+
+def mutated(value, path, new):
+    """A copy of ``value`` with the node at ``path`` set to ``new``, or deleted
+    when ``new`` is ``DELETE``; ``path`` is not the root."""
+    out = copy.deepcopy(value)
+    parent = functools.reduce(operator.getitem, path[:-1], out)
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return out
+
+
+# Header and container fields of the wrong JSON type, and missing fields.
+# A float field value is what json.load gives for 2.5 or 1e400.
+FIELD_ERRORS = [
+    ("vector", ("dim",), [1]),
+    ("vector", ("dim",), 2.5),
+    ("vector", ("dim",), True),
+    ("vector", ("dim",), "2"),
+    ("vector", ("dim",), DELETE),
+    ("vector", ("entries",), DELETE),
+    ("operator", ("rows",), float("inf")),
+    ("operator", ("cols",), -1),
+    ("sequence", ("vectors",), 5),
+    ("sequence", ("space_dim",), 2.0),
+    ("minimal_sum", ("groups",), [5]),
+    ("minimal_sum", ("r",), DELETE),
+    ("fsr", ("terms",), 5),
+    ("fsr", ("shape", "h2"), float("inf")),
+    ("fsr", ("terms", 0, "A"), DELETE),
+    ("window", ("dim",), None),
+]
+
+
 class TestEntryCodec:
     def test_vector_entries_match_per_scalar(self):
         x = np.concatenate([SPECIAL, crandom(np.random.default_rng(30), 9)])
@@ -168,6 +236,15 @@ class TestEntryCodec:
         with pytest.raises(ValueError, match="JSON object"):
             loader(top)
 
+    @pytest.mark.parametrize("kind, path, value", FIELD_ERRORS, ids=[
+        f"{kind}-{'.'.join(map(str, path))}-{'missing' if value is DELETE else json.dumps(value)}"
+        for kind, path, value in FIELD_ERRORS
+    ])
+    def test_bad_field_is_a_value_error(self, kind, path, value):
+        loader, valid = VALID_FILES[kind]
+        with pytest.raises(ValueError, match=str(path[-1])):
+            loader(mutated(valid, path, value))
+
 
 # Entry lists of the wrong JSON shape, and the file layout each command reads.
 BAD_ENTRIES = {
@@ -179,19 +256,88 @@ INPUT_LAYOUTS = {
     "classify": ('{"space_dim": 1, "vectors": [{"dim": 1, "entries": %s}]}', ["frames", "classify"]),
     "decompose": ('{"rows": 1, "cols": 1, "entries": %s}', ["schmidt", "decompose", "--shape", "1,1,1,1"]),
 }
+# Per command, a whole file with a header field that is not an integer.
+NON_INTEGER_HEADER = {
+    "classify": '{"space_dim": 1, "vectors": [{"dim": [1], "entries": [[1, 0]]}]}',
+    "decompose": '{"rows": 1e400, "cols": 1, "entries": [[1, 0]]}',
+}
 
 
 class TestLoaderBoundary:
     @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
-    @pytest.mark.parametrize("case", ["top_level_list", *BAD_ENTRIES])
+    @pytest.mark.parametrize("case", ["top_level_list", "non_integer_header", *BAD_ENTRIES])
     def test_wrong_shaped_json_exits_2(self, tmp_path, capsys, command, case):
         layout, argv = INPUT_LAYOUTS[command]
         path = tmp_path / "in.json"
-        path.write_text("[1, 2]" if case == "top_level_list" else layout % BAD_ENTRIES[case])
+        if case == "top_level_list":
+            path.write_text("[1, 2]")
+        elif case == "non_integer_header":
+            path.write_text(NON_INTEGER_HEADER[command])
+        else:
+            path.write_text(layout % BAD_ENTRIES[case])
         assert cli.main([*argv, "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["schmidt", "decompose", "--input", "F.json", "--shape", "1,1,1,1", "--output"],
+    ["gabor", "sweep", "--N", "12", "--output"],
+    ["verify", "all", "--trials", "1", "--report"],
+], ids=lambda argv: "_".join(argv[:2]))
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # every command writes its file before it prints, so stdout stays empty
+    monkeypatch.chdir(tmp_path)
+    io.save_json("F.json", VALID_FILES["operator"][1])
+    assert cli.main([*argv, "no_such_dir/out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Any JSON value, NaN, infinities and integers far outside the float range included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.integers()
+    | st.sampled_from([2**63, -(2**64), 10**400]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated_files(draw, kind):
+    """A valid file of ``kind`` with one node replaced by any JSON value, or deleted."""
+    valid = VALID_FILES[kind][1]
+    path = draw(st.sampled_from(list(node_paths(valid))))
+    if not path:
+        return draw(JSON_VALUES)
+    return mutated(valid, path, draw(JSON_VALUES | st.just(DELETE)))
+
+
+class TestFuzzedFiles:
+    @pytest.mark.parametrize("kind", sorted(VALID_FILES))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_loader_returns_or_raises_a_data_error(self, kind, data):
+        loader, _ = VALID_FILES[kind]
+        try:
+            loader(data.draw(mutated_files(kind)))
+        except (ValueError, FrameForgeError):
+            pass
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("sequence", ["frames", "classify"]),
+        ("operator", ["schmidt", "decompose", "--shape", "1,1,1,1"]),
+    ], ids=["frames_classify", "schmidt_decompose"])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cli_exits_0_1_or_2(self, tmp_path_factory, kind, argv, data):
+        path = tmp_path_factory.getbasetemp() / f"fuzzed_{kind}.json"
+        path.write_text(json.dumps(data.draw(mutated_files(kind))))
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            assert cli.main([*argv, "--input", str(path)]) in (0, 1, 2)
 
 
 class TestSchmidtCommand:

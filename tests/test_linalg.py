@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from frameforge import linalg
 from frameforge.errors import DimensionMismatch, NotInjective
 from frameforge.linalg import (
-    SpaceShape,
     adjoint,
     inner,
     left_pseudo_inverse,
@@ -43,6 +41,12 @@ class TestTensorVec:
 
     def test_direct_formula(self):
         np.testing.assert_allclose(tensor_vec([1, 1], [1, -1]), [1, -1, 1, -1])
+        # first factor most significant: index (i, j) -> i * 3 + j
+        x, y = np.arange(2) + 1.0, np.arange(3) + 10.0
+        t = tensor_vec(x, y)
+        for i in range(2):
+            for j in range(3):
+                assert t[i * 3 + j] == x[i] * y[j]
 
     def test_norm_multiplicative(self):
         rng = np.random.default_rng(3)
@@ -141,37 +145,6 @@ class TestLeftPseudoInverse:
     def test_wide_rejected(self):
         with pytest.raises(NotInjective):
             left_pseudo_inverse(np.ones((2, 3)))
-
-
-class TestSpaceShape:
-    @given(
-        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4).flatmap(
-            lambda dims: st.tuples(
-                st.just(tuple(dims)),
-                st.tuples(*(st.integers(min_value=0, max_value=d - 1) for d in dims)),
-            )
-        )
-    )
-    def test_flatten_round_trip(self, case):
-        dims, multi = case
-        shape = SpaceShape(dims)
-        assert shape.unflatten(shape.flatten(multi)) == multi
-
-    def test_flattening_matches_kron(self):
-        # first factor most significant: index (i, j) -> i * d2 + j
-        shape = SpaceShape((2, 3))
-        x, y = np.arange(2) + 1.0, np.arange(3) + 10.0
-        t = tensor_vec(x, y)
-        for i in range(2):
-            for j in range(3):
-                assert t[shape.flatten((i, j))] == x[i] * y[j]
-
-    def test_dim(self):
-        assert SpaceShape((2, 3, 4)).dim == 24
-
-    def test_bad_index(self):
-        with pytest.raises(IndexError):
-            SpaceShape((2, 2)).flatten((2, 0))
 
 
 class TestMatrixRank:
