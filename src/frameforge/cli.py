@@ -68,7 +68,7 @@ def cmd_schmidt_decompose(args) -> int:
 def cmd_frames_classify(args) -> int:
     seq = io.sequence_from_dict(io.load_json(args.input))
     report = sequences.classify(seq).to_dict()
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -85,7 +85,8 @@ def cmd_frames_verify_main(args) -> int:
         report = sequences.verify_main_theorem(ms)
         reports.append(report)
         all_ok = all_ok and report.get("all_groups_frames", True)
-    print(json.dumps({"trials": args.trials, "all_groups_frames": all_ok, "reports": reports}, indent=2))
+    out = {"trials": args.trials, "all_groups_frames": all_ok, "reports": reports}
+    print(json.dumps(out, indent=2, allow_nan=False))
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -115,7 +116,7 @@ def cmd_gabor_perturb(args) -> int:
     lat = gabor.ZNLattice(args.N, args.a, args.b)
     w = _load_window(args.window, args.N)
     report = gabor.perturb_window(w, lat, args.alpha, args.beta, args.c_phase)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return EXIT_OK
 
 

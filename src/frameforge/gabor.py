@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, sequences
+from . import sequences
 from .errors import (
     BadRefinement,
     ConditionViolated,
+    DependentGroup,
     DependentModulates,
     DimensionMismatch,
     NonDivisorLattice,
@@ -102,18 +103,24 @@ def sample_window(generator: str, N: int, scale: float | None = None) -> ZNWindo
 
 def translate(w: ZNWindow, a: int) -> ZNWindow:
     """Cyclic shift: result[t] = g[(t - a) mod N]; unitary."""
-    return ZNWindow(np.roll(w.g, a % w.N), w.generator)
+    return ZNWindow(gabor_atom(w, a, 0), w.generator)
 
 
 def modulate(w: ZNWindow, b: int) -> ZNWindow:
     """Phase ramp: result[t] = exp(2*pi*i*b*t/N) * g[t]; unitary."""
-    phase = np.exp(2j * np.pi * b * np.arange(w.N) / w.N)
-    return ZNWindow(phase * w.g, w.generator)
+    return ZNWindow(gabor_atom(w, 0, b), w.generator)
 
 
-def gabor_atom(w: ZNWindow, a_shift: int, b_mod: int) -> np.ndarray:
-    """Single atom M_{b_mod} T_{a_shift} g (modulation applied last)."""
-    return modulate(translate(w, a_shift), b_mod).g
+def gabor_atom(w: ZNWindow, a_shift, b_mod) -> np.ndarray:
+    """Atoms M_b T_a g = exp(2*pi*i*b*t/N) * g[(t - a) mod N], t on the last axis.
+
+    Integer or integer-array shifts broadcast; both are reduced mod N as
+    integers first, so negative shifts and Python ints of any size are exact.
+    """
+    t = np.arange(w.N)
+    a = np.asarray(a_shift % w.N)[..., None]
+    b = np.asarray(b_mod % w.N)[..., None]
+    return np.exp(2j * np.pi * b * t / w.N) * w.g[(t - a) % w.N]
 
 
 def _check_length(w: ZNWindow, lat: ZNLattice) -> None:
@@ -124,16 +131,13 @@ def _check_length(w: ZNWindow, lat: ZNLattice) -> None:
 def gabor_system(w: ZNWindow, lat: ZNLattice) -> VectorSequence:
     """Family {M_{n b} T_{m a} g} ordered lexicographically in (m, n).
 
-    Atom (m, n) is exp(2*pi*i*(n b)*t/N) * g[(t - m a) mod N], built for all
-    atoms in one broadcast; it equals ``gabor_atom(w, m * a, n * b)``.
+    Atom (m, n) is ``gabor_atom(w, m * a, n * b)``, built for all atoms in
+    one broadcast.
     """
     _check_length(w, lat)
-    N, a, b = lat.N, lat.a, lat.b
-    t = np.arange(N)
-    m = np.arange(N // a)[:, None, None]
-    n = np.arange(N // b)[None, :, None]
-    phase = np.exp(2j * np.pi * (n * b) * t / N)
-    return VectorSequence((phase * w.g[(t - m * a) % N]).reshape(-1, N))
+    m = lat.a * np.arange(lat.N // lat.a)[:, None]
+    n = lat.b * np.arange(lat.N // lat.b)[None, :]
+    return VectorSequence(gabor_atom(w, m, n).reshape(-1, lat.N))
 
 
 def gabor_frame_report(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> FrameReport:
@@ -229,29 +233,20 @@ class RankRWindowSpec:
 
     def modulated_translates(self, j: int) -> list[ZNWindow]:
         """The r windows M_{beta[j][k]} T_{alpha[j][k]} g_j of factor j."""
-        return [
-            modulate(translate(self.windows[j], self.alphas[j][k]), self.betas[j][k])
-            for k in range(self.r)
-        ]
+        w = self.windows[j]
+        return [ZNWindow(gabor_atom(w, a, b), w.generator) for a, b in zip(self.alphas[j], self.betas[j])]
 
 
 def build_rank_r_window(spec: RankRWindowSpec, tol: float = DEFAULT_RTOL) -> ZNWindow:
-    """Materialize the rank-r window on the product group.
-
-    Per-factor linear independence of the r modulated translates is checked
-    numerically (rank of the stacked r x N matrix).
-    """
-    factor_terms = []
-    for j in range(spec.d):
-        rows = np.array([w.g for w in spec.modulated_translates(j)])
-        s = np.linalg.svd(rows, compute_uv=False)
-        if s[0] == 0.0 or np.count_nonzero(s > tol * s[0]) < spec.r:
-            raise DependentModulates(f"modulated translates of factor {j} are dependent")
-        factor_terms.append(rows)
-    total = np.zeros(int(np.prod([w.N for w in spec.windows])), dtype=complex)
-    for k in range(spec.r):
-        total += linalg.kron_all([rows[k] for rows in factor_terms])
-    return ZNWindow(total, "rank_r")
+    """Materialize the rank-r window on the product group as the minimal sum
+    whose group j holds the r modulated translates of factor j as one-vector
+    sequences; building the sum checks their independence per factor."""
+    groups = [[VectorSequence(w.g[None]) for w in spec.modulated_translates(j)] for j in range(spec.d)]
+    try:
+        ms = sequences.build_minimal_sum(groups, tol)
+    except DependentGroup as exc:
+        raise DependentModulates(f"modulated translates of factor {exc.group_index} are dependent") from exc
+    return ZNWindow(sequences.materialize(ms).vectors[0], "rank_r")
 
 
 def rank_r_minimal_sum(spec: RankRWindowSpec, lattices: list[ZNLattice]) -> sequences.MinimalSumSequence:
@@ -262,9 +257,7 @@ def rank_r_minimal_sum(spec: RankRWindowSpec, lattices: list[ZNLattice]) -> sequ
     """
     if len(lattices) != spec.d:
         raise DimensionMismatch("need one lattice per factor")
-    groups = []
-    for j, lat in enumerate(lattices):
-        groups.append([gabor_system(w, lat) for w in spec.modulated_translates(j)])
+    groups = [[gabor_system(w, lat) for w in spec.modulated_translates(j)] for j, lat in enumerate(lattices)]
     return sequences.build_minimal_sum(groups)
 
 
@@ -328,7 +321,7 @@ def perturb_window(
             f"beta*a={beta * lat.a} mod {lat.N}"
         )
     c = np.exp(2j * np.pi * c_phase)
-    h = ZNWindow(w.g + c * modulate(translate(w, alpha), beta).g)
+    h = ZNWindow(w.g + c * gabor_atom(w, alpha, beta))
     rep = gabor_frame_report(h, lat, tol)
     lam_max = rep.bessel_bound
     lam_min = rep.lower_bound

@@ -153,10 +153,12 @@ def save_json(path, payload) -> None:
     """Write ``payload`` as compact one-line JSON.
 
     ``json.dumps`` without ``indent`` runs the C encoder; float text is the
-    same ``repr`` either way, so values round-trip bit for bit.
+    same ``repr`` either way, so values round-trip bit for bit.  NaN and
+    infinity raise ``ValueError`` before the file is opened.
     """
+    text = json.dumps(payload, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(text)
 
 
 def load_json(path):

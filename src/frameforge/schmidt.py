@@ -280,7 +280,8 @@ def inverse_factors(
         sum_k L_{1,k} A_k = I_{h1}   and   sum_k L_{2,k} B_k = I_{h2},
 
     where L_{1,k} = V^{v2} L U^{B_k(u2)} needs <u2, v2> = 1 and
-    L_{2,k} = V_{v1} L U_{A_k(u1)} needs <u1, v1> = 1.  The right case
+    L_{2,k} = V_{v1} L U_{A_k(u1)} needs <u1, v1> = 1; together they are
+    D_{(A_k u1, B_k u2), (v1, v2)}(L).  The right case
     mirrors sum_k A_k R_{1,k} = I via adjoints.
     """
     shape = fsr.shape
@@ -307,11 +308,4 @@ def inverse_factors(
         left = inverse_factors(adj_terms, inv.conj().T, "left", v1, v2, u1, u2, tol)
         return [(l1.conj().T, l2.conj().T) for l1, l2 in left]
 
-    out = []
-    for a_k, b_k in fsr.terms:
-        m1 = inv @ embed_U2(b_k @ u2, shape.h1)  # (h1*h2, h1)
-        l1 = np.einsum("j,ijc->ic", v2.conj(), m1.reshape(shape.h1, shape.h2, shape.h1))
-        m2 = inv @ embed_U1(a_k @ u1, shape.h2)  # (h1*h2, h2)
-        l2 = np.einsum("i,ijc->jc", v1.conj(), m2.reshape(shape.h1, shape.h2, shape.h2))
-        out.append((l1, l2))
-    return out
+    return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]

@@ -249,8 +249,7 @@ def two_term_disjunction_check(ms: MinimalSumSequence, tol: float = FRAME_TOL) -
         report["claim"] = "no claim"
         return report
     for k in (0, 1):
-        pure = build_minimal_sum([[ms.groups[j][k]] for j in range(ms.d)])
-        if classify(materialize(pure), tol).is_frame:
+        if classify(tensor_sequences([g[k] for g in ms.groups]), tol).is_frame:
             report["branch"] = k + 1
             return report
     for i in range(ms.d):

@@ -13,7 +13,7 @@ from . import gabor, schmidt, sequences
 from .errors import DependentGroup, DrawFailed
 from .linalg import inner, op_norm
 from .schmidt import BipartiteShape, FSROperator
-from .sequences import VectorSequence, build_minimal_sum, classify, concatenate, materialize
+from .sequences import VectorSequence, build_minimal_sum, classify, materialize
 
 
 def suite_rng(seed: int, key: int) -> np.random.Generator:
@@ -40,6 +40,16 @@ def random_vector_sequence(rng, dim: int, count: int) -> VectorSequence:
     return VectorSequence(_cnormal(rng, count, dim))
 
 
+def _frame_sum(groups):
+    """The minimal sum of ``groups``, or None when a group is dependent or
+    the materialized sum is not a frame."""
+    try:
+        ms = build_minimal_sum(groups)
+    except DependentGroup:
+        return None
+    return ms if classify(materialize(ms)).is_frame else None
+
+
 def random_frame_minimal_sum(rng, dims, lengths, r: int, max_tries: int = 50):
     """Random minimal sum whose materialization is a frame (retry until so).
 
@@ -61,11 +71,7 @@ def random_frame_minimal_sum(rng, dims, lengths, r: int, max_tries: int = 50):
             [random_vector_sequence(rng, m, n) for _ in range(r)]
             for m, n in zip(dims, lengths)
         ]
-        try:
-            ms = build_minimal_sum(groups)
-        except DependentGroup:
-            continue
-        if classify(materialize(ms)).is_frame:
+        if (ms := _frame_sum(groups)) is not None:
             return ms
     raise DrawFailed(
         f"no frame minimal sum found in {max_tries} draws with dims {list(dims)}, "
@@ -89,11 +95,7 @@ def branch3_minimal_sum(rng, m1: int = 3, n: int = 4):
         e1 = np.array([0.0, 1.0], dtype=complex)
         g20 = VectorSequence(np.outer(coeff0, e0))
         g21 = VectorSequence(np.outer(coeff1, e1))
-        try:
-            ms = build_minimal_sum([[g10, g11], [g20, g21]])
-        except DependentGroup:
-            continue
-        if classify(materialize(ms)).is_frame:
+        if (ms := _frame_sum([[g10, g11], [g20, g21]])) is not None:
             return ms
 
 
@@ -104,12 +106,8 @@ def branch1_minimal_sum(rng, m1: int = 2, m2: int = 2, n: int = 3, eps: float = 
             [random_vector_sequence(rng, m, n), VectorSequence(eps * _cnormal(rng, n, m))]
             for m in (m1, m2)
         ]
-        try:
-            ms = build_minimal_sum(groups)
-        except DependentGroup:
-            continue
-        pure = build_minimal_sum([[g[0]] for g in ms.groups])
-        if classify(materialize(ms)).is_frame and classify(materialize(pure)).is_frame:
+        ms = _frame_sum(groups)
+        if ms is not None and classify(sequences.tensor_sequences([g[0] for g in groups])).is_frame:
             return ms
 
 
@@ -291,17 +289,16 @@ def suite_minimal_sum_frames(rng, trials: int) -> dict:
         dims = [int(rng.integers(2, 5)) for _ in range(d)]
         lengths = [m + int(rng.integers(0, 3)) for m in dims]
         ms = random_frame_minimal_sum(rng, dims, lengths, r)
-        full = classify(materialize(ms))
-        for j in range(ms.d):
-            rep = classify(concatenate(list(ms.groups[j])))
-            ratio = rep.lower_bound / rep.bessel_bound
+        report = sequences.verify_main_theorem(ms)
+        for rep in report["per_group"]:
+            ratio = rep["A"] / rep["B"]
             worst_ratio = min(worst_ratio, ratio)
             ok = ok and ratio > 1e-8
         cap = sum(
             np.sqrt(np.prod([classify(ms.groups[j][k]).bessel_bound for j in range(ms.d)]))
             for k in range(ms.r)
         ) ** 2
-        ok = ok and full.bessel_bound <= cap + 1e-9 * max(1.0, cap)
+        ok = ok and report["full"]["B"] <= cap + 1e-9 * max(1.0, cap)
     return {"passed": bool(ok), "trials": trials, "worst_group_ratio": worst_ratio}
 
 
@@ -326,8 +323,7 @@ def suite_two_term_disjunction(rng, trials: int) -> dict:
             )
         else:
             k = report["branch"] - 1
-            pure = build_minimal_sum([[ms.groups[j][k]] for j in range(ms.d)])
-            ok = ok and classify(materialize(pure)).is_frame
+            ok = ok and classify(sequences.tensor_sequences([g[k] for g in ms.groups])).is_frame
     return {"passed": bool(ok and branch3 >= min(5, trials // 2)), "trials": trials, "branch3_count": branch3}
 
 

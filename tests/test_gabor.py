@@ -77,6 +77,22 @@ class TestTranslateModulate:
         rhs = np.exp(2j * np.pi * a * b / n) * translate(modulate(w, b), a).g
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_shifts_reduce_mod_n_exactly(self, n):
+        # negative shifts and Python ints beyond int64 give the atom of the
+        # shift reduced mod N, bit for bit
+        w = ZNWindow(crandom(np.random.default_rng(n), n))
+        shifts = [-n - 1, 2 * n + 3, np.int64(-3 * n + 2), *(10**20 + k for k in range(3))]
+        for s in shifts:
+            assert np.array_equal(translate(w, s).g, translate(w, s % n).g)
+            assert np.array_equal(modulate(w, s).g, modulate(w, s % n).g)
+            for t in shifts:
+                assert np.array_equal(gabor.gabor_atom(w, s, t), gabor.gabor_atom(w, s % n, t % n))
+        small = np.array([-n - 1, 2 * n + 3, -3 * n + 2])
+        assert np.array_equal(
+            gabor.gabor_atom(w, small[:, None], small), gabor.gabor_atom(w, small[:, None] % n, small % n)
+        )
+
 
 class TestGaborSystem:
     def test_delta_full_translation_gives_basis(self):
@@ -127,17 +143,25 @@ def divisor_lattices(n):
     return [ZNLattice(n, a, b) for a in gabor.divisors(n) for b in gabor.divisors(n)]
 
 
+def atom_by_roll(w, a, b):
+    """M_b T_a g as a cyclic roll times a phase ramp, for 0 <= a, b < N:
+    oracle for gabor_atom."""
+    return np.exp(2j * np.pi * b * np.arange(w.N) / w.N) * np.roll(w.g, a % w.N)
+
+
 class TestVectorisedSystem:
     @pytest.mark.parametrize("n", [12, 30, 36])
     def test_equals_stacked_atoms(self, n):
         for w in oracle_windows(n):
             for lat in divisor_lattices(n):
                 atoms = [
-                    gabor.gabor_atom(w, m * lat.a, k * lat.b)
+                    atom_by_roll(w, m * lat.a, k * lat.b)
                     for m in range(n // lat.a)
                     for k in range(n // lat.b)
                 ]
                 assert np.array_equal(gabor_system(w, lat).vectors, np.array(atoms))
+            every = np.array([[atom_by_roll(w, a, b) for b in range(n)] for a in range(n)])
+            assert np.array_equal(gabor.gabor_atom(w, np.arange(n)[:, None], np.arange(n)), every)
 
 
 class TestGaborFrameReport:
@@ -303,6 +327,45 @@ def test_rank_r_window_matches_term_loop(d, r):
             betas=tuple(tuple(int(p % n) for p in sh) for n, sh in zip(ns, shifts)),
         )
         assert np.array_equal(build_rank_r_window(spec).g, rank_r_window_by_terms(spec))
+
+
+def dependent_factor_by_svd(spec, tol=1e-9):
+    """First factor whose r modulated translates have numerical rank < r, by
+    the singular values of the stacked r x N matrix: oracle for the rank check
+    of build_rank_r_window.  None when every factor is independent."""
+    for j in range(spec.d):
+        rows = np.array([w.g for w in spec.modulated_translates(j)])
+        s = np.linalg.svd(rows, compute_uv=False)
+        if s[0] == 0.0 or np.count_nonzero(s > tol * s[0]) < spec.r:
+            return j
+    return None
+
+
+def test_dependent_modulates_match_svd_oracle():
+    rng = np.random.default_rng(300)
+    flat = ZNWindow(np.ones(4))
+    near_flat = [ZNWindow(np.ones(4) + eps * delta(4).g) for eps in (1e-6, 1e-12)]
+    rand = ZNWindow(crandom(rng, 4))
+    cases = [
+        ((rand, rand), ((0, 1), (0, 2)), ((0, 1), (1, 0))),  # independent
+        ((ZNWindow(np.zeros(4)), rand), ((0, 1), (0, 1)), ((0, 0), (0, 0))),  # zero window
+        ((rand, delta(4)), ((0, 1), (0, 0)), ((0, 0), (1, 3))),  # M_b delta = delta
+        ((flat, rand), ((0, 1), (0, 1)), ((0, 0), (0, 0))),  # T_a 1 = 1
+        ((rand, near_flat[0]), ((0, 1), (0, 1)), ((0, 0), (0, 0))),  # above the threshold
+        ((rand, near_flat[1]), ((0, 1), (0, 1)), ((0, 0), (0, 0))),  # below it
+        ((rand,), ((5, -3, 10**20),), ((2, 7, 1),)),
+    ]
+    seen = []
+    for windows, alphas, betas in cases:
+        spec = RankRWindowSpec(windows=windows, alphas=alphas, betas=betas)
+        j = dependent_factor_by_svd(spec)
+        seen.append(j)
+        if j is None:
+            build_rank_r_window(spec)
+        else:
+            with pytest.raises(DependentModulates, match=f"factor {j} "):
+                build_rank_r_window(spec)
+    assert seen == [None, 0, 1, 0, None, 1, None]
 
 
 class TestPerturbWindow:

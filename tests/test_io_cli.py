@@ -192,6 +192,14 @@ class TestEntryCodec:
         assert text == json.dumps(payload) + "\n"
         assert json.loads(text) == payload
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_save_json_refuses_non_finite_and_keeps_the_file(self, tmp_path, bad):
+        path = tmp_path / "x.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError):
+            io.save_json(path, {"A": bad})
+        assert path.read_text() == "kept\n"
+
     def test_indented_files_still_load(self, tmp_path):
         def write_indented(payload):  # the layout files were written in before
             path = tmp_path / "old.json"
@@ -388,7 +396,7 @@ class TestSchmidtCommand:
         # On this operator, np.linalg.svd does not return once entry 0 is inf.
         payload["entries"][0] = [float("inf"), 0.0]
         path = tmp_path / "F.json"
-        io.save_json(path, payload)
+        path.write_text(json.dumps(payload))
         proc = run_cli(["schmidt", "decompose", "--input", str(path),
                         "--shape", "2,2,2,2", "--method", method])
         assert proc.returncode == 2
@@ -443,11 +451,25 @@ class TestFramesCommands:
         payload = io.sequence_to_dict(VectorSequence(np.eye(3, dtype=complex)))
         payload["vectors"][1]["entries"][0] = [float("nan"), 0.0]
         path = tmp_path / "seq.json"
-        io.save_json(path, payload)
+        path.write_text(json.dumps(payload))
         assert cli.main(["frames", "classify", "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+    @pytest.mark.parametrize("vectors", [
+        [[[1e308, 0]]],
+        [[[1e308, 1e308], [1e200, 0]], [[1, 0], [1e-300, 0]]],
+    ])
+    def test_classify_prints_no_nan_json(self, tmp_path, capsys, vectors):
+        # finite entries whose frame operator overflows to inf or NaN bounds
+        payload = {"space_dim": len(vectors[0]), "vectors": [{"dim": len(v), "entries": v} for v in vectors]}
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["frames", "classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_verify_main_impossible_draw(self, capsys):
         # Two vectors can never span C^3, so no draw is a frame.
@@ -483,14 +505,53 @@ class TestFramesCommands:
                 if classify(materialize(ms)).is_frame:
                     return ms
 
-        for dims, lengths, r in (([2, 2], [3, 3], 2), ([3], [3], 1), ([2, 3], [2, 3], 3)):
-            rng, oracle_rng = suite_rng(41, 0), suite_rng(41, 0)
-            ms = verify.random_frame_minimal_sum(rng, dims, lengths, r)
-            want = retry_loop(oracle_rng, dims, lengths, r)
-            for group, want_group in zip(ms.groups, want.groups, strict=True):
-                for seq, want_seq in zip(group, want_group, strict=True):
-                    assert np.array_equal(seq.vectors, want_seq.vectors)
+        def branch3_loop(rng, m1=3, n=4):
+            while True:
+                g10 = verify.random_vector_sequence(rng, m1, n)
+                g11 = verify.random_vector_sequence(rng, m1, n)
+                coeff0 = verify._cnormal(rng, n)
+                coeff1 = verify._cnormal(rng, n)
+                g20 = VectorSequence(np.outer(coeff0, [1.0, 0.0]))
+                g21 = VectorSequence(np.outer(coeff1, [0.0, 1.0]))
+                try:
+                    ms = build_minimal_sum([[g10, g11], [g20, g21]])
+                except DependentGroup:
+                    continue
+                if classify(materialize(ms)).is_frame:
+                    return ms
+
+        def branch1_loop(rng, m1=2, m2=2, n=3, eps=1e-2):
+            while True:
+                groups = [
+                    [verify.random_vector_sequence(rng, m, n), VectorSequence(eps * verify._cnormal(rng, n, m))]
+                    for m in (m1, m2)
+                ]
+                try:
+                    ms = build_minimal_sum(groups)
+                except DependentGroup:
+                    continue
+                pure = build_minimal_sum([[g[0]] for g in ms.groups])
+                if classify(materialize(ms)).is_frame and classify(materialize(pure)).is_frame:
+                    return ms
+
+        def assert_same_draw(draw, oracle, key):
+            rng, oracle_rng = suite_rng(41, key), suite_rng(41, key)
+            for _ in range(5):
+                ms, want = draw(rng), oracle(oracle_rng)
+                for group, want_group in zip(ms.groups, want.groups, strict=True):
+                    for seq, want_seq in zip(group, want_group, strict=True):
+                        assert np.array_equal(seq.vectors, want_seq.vectors)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+        for dims, lengths, r in (([2, 2], [3, 3], 2), ([3], [3], 1), ([2, 3], [2, 3], 3)):
+            assert_same_draw(
+                lambda rng: verify.random_frame_minimal_sum(rng, dims, lengths, r),
+                lambda rng: retry_loop(rng, dims, lengths, r),
+                0,
+            )
+        for key in range(3):
+            assert_same_draw(verify.branch3_minimal_sum, branch3_loop, key)
+            assert_same_draw(verify.branch1_minimal_sum, branch1_loop, key)
 
 
 class TestGaborCommands:
@@ -535,7 +596,7 @@ class TestGaborCommands:
         payload = io.window_to_dict(gabor.sample_window("gaussian", 8))
         payload["entries"][3] = [bad, 0.0]
         wpath = tmp_path / "w.json"
-        io.save_json(wpath, payload)
+        wpath.write_text(json.dumps(payload))
         assert cli.main(["gabor", *command, "--window", f"file:{wpath}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
@@ -549,6 +610,20 @@ class TestGaborCommands:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["spectral_ratio"] < 1e-8
+
+    @pytest.mark.parametrize("flags", [("--alpha",), ("--beta",), ("--alpha", "--beta")])
+    @pytest.mark.parametrize("shift", [4 + 8 * 10**19, 4 + 8 * 10**12, -4])
+    def test_perturb_huge_and_negative_shifts_are_exact(self, capsys, flags, shift):
+        # shifts congruent to 4 mod 8 give the alpha = beta = 4 non-frame
+        argv = ["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2", "--alpha", "4", "--beta", "4"]
+        assert cli.main(argv) == 0
+        want = json.loads(capsys.readouterr().out)
+        for flag in flags:
+            argv[argv.index(flag) + 1] = str(shift)
+        assert cli.main(argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert want["A"] == 0.0
+        assert (got["A"], got["B"]) == (want["A"], want["B"])
 
     def test_perturb_bad_conditions(self, capsys):
         assert cli.main(["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2",

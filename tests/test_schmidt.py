@@ -341,6 +341,41 @@ class TestInverseFactors:
             inverse_factors(fsr, np.eye(4), "left", E2[0], E2[0], 2 * E2[0], E2[0])
 
 
+def inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2):
+    """Each L_{1,k}, L_{2,k} as L composed with an embedding, then contracted
+    by einsum; the right case through adjoints: oracle for inverse_factors."""
+    s = fsr.shape
+    if side == "right":
+        adj = FSROperator(s, tuple((a.conj().T, b.conj().T) for a, b in fsr.terms))
+        left = inverse_factors_by_embeddings(adj, inv.conj().T, "left", v1, v2, u1, u2)
+        return [(l1.conj().T, l2.conj().T) for l1, l2 in left]
+    out = []
+    for a_k, b_k in fsr.terms:
+        m1 = inv @ embed_U2(b_k @ u2, s.h1)
+        l1 = np.einsum("j,ijc->ic", v2.conj(), m1.reshape(s.h1, s.h2, s.h1))
+        m2 = inv @ embed_U1(a_k @ u1, s.h2)
+        l2 = np.einsum("i,ijc->jc", v1.conj(), m2.reshape(s.h1, s.h2, s.h2))
+        out.append((l1, l2))
+    return out
+
+
+@pytest.mark.parametrize("shape", [SHAPE22, BipartiteShape(2, 3, 2, 3)])
+def test_inverse_factors_match_embedding_oracle(shape):
+    rng = suite_rng(24, 0)
+    for _ in range(8):
+        fsr = random_fsr_operator(rng, shape, 2)
+        inv = np.linalg.inv(fsr.materialize())
+        u1, v1 = crandom(rng, shape.h1), crandom(rng, shape.h1)
+        v1 = v1 / np.conj(inner(u1, v1))
+        u2, v2 = crandom(rng, shape.h2), crandom(rng, shape.h2)
+        v2 = v2 / np.conj(inner(u2, v2))
+        for side in ("left", "right"):
+            got = inverse_factors(fsr, inv, side, u1, u2, v1, v2)
+            want = inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2)
+            for (l1, l2), (w1, w2) in zip(got, want, strict=True):
+                assert np.array_equal(l1, w1) and np.array_equal(l2, w2)
+
+
 class TestRankOfLimits:
     def test_limit_rank_bounded(self):
         # F_N = F + (1/N) G with rank <= r by construction; the limit F has
