@@ -3,9 +3,9 @@
 Exit codes: 0 on success, 1 when a checked assertion fails (bad
 reconstruction, failed suite, density violation), 2 on usage, I/O or data
 errors.  ``main`` holds the only error boundary: an ``OSError``,
-``ValueError`` or ``FrameForgeError`` raised by any command becomes one
-``error:`` line on stderr and exit 2.  The FRAMEFORGE_TOL environment
-variable overrides the default tolerance.
+``ValueError``, ``MemoryError`` or ``FrameForgeError`` raised by any
+command becomes one ``error:`` line on stderr and exit 2.  The
+FRAMEFORGE_TOL environment variable overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return args.fn(args)
-    except (OSError, ValueError, FrameForgeError) as exc:
+    except (OSError, ValueError, MemoryError, FrameForgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -249,18 +249,6 @@ def build_rank_r_window(spec: RankRWindowSpec, tol: float = DEFAULT_RTOL) -> ZNW
     return ZNWindow(sequences.materialize(ms).vectors[0], "rank_r")
 
 
-def rank_r_minimal_sum(spec: RankRWindowSpec, lattices: list[ZNLattice]) -> sequences.MinimalSumSequence:
-    """Minimal-sum view of the product-group Gabor system of a rank-r window.
-
-    Group (j, k) is the 1-d Gabor system of the k-th modulated translate of
-    g_j over lattice j; materializing reproduces the d-dimensional system.
-    """
-    if len(lattices) != spec.d:
-        raise DimensionMismatch("need one lattice per factor")
-    groups = [[gabor_system(w, lat) for w in spec.modulated_translates(j)] for j, lat in enumerate(lattices)]
-    return sequences.build_minimal_sum(groups)
-
-
 def verify_rank_r_frame_implication(
     spec: RankRWindowSpec, lattices: list[ZNLattice], tol: float = FRAME_TOL
 ) -> dict:
@@ -279,8 +267,9 @@ def verify_rank_r_frame_implication(
                     f"factor {j} term {k}: shifts ({spec.alphas[j][k]}, {spec.betas[j][k]}) "
                     f"are not multiples of (a, b)=({lat.a}, {lat.b})"
                 )
-    ms = rank_r_minimal_sum(spec, lattices)
-    full = classify(sequences.materialize(ms), tol)
+    # group (j, k): the 1-d Gabor system of the k-th modulated translate of g_j
+    groups = [[gabor_system(w, lat) for w in spec.modulated_translates(j)] for j, lat in enumerate(lattices)]
+    full = classify(sequences.materialize(sequences.build_minimal_sum(groups)), tol)
     report: dict = {"full": full.to_dict(), "d": spec.d, "r": spec.r}
     if not full.is_frame:
         report["claim"] = "no claim"

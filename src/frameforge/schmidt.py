@@ -282,30 +282,25 @@ def inverse_factors(
     where L_{1,k} = V^{v2} L U^{B_k(u2)} needs <u2, v2> = 1 and
     L_{2,k} = V_{v1} L U_{A_k(u1)} needs <u1, v1> = 1; together they are
     D_{(A_k u1, B_k u2), (v1, v2)}(L).  The right case
-    mirrors sum_k A_k R_{1,k} = I via adjoints.
+    mirrors sum_k A_k R_{1,k} = I via adjoints: R* is a left inverse of
+    F* = sum_k A_k* (x) B_k*, so R_{.,k} is the adjoint of
+    D_{(A_k* v1, B_k* v2), (u1, u2)}(R*).
     """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     shape = fsr.shape
     if shape.k1 != shape.h1 or shape.k2 != shape.h2:
         raise DimensionMismatch("inverse factors need a square bipartite shape")
     inv = as_coperator(inv)
     f = fsr.materialize()
     u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
-    eye = np.eye(shape.domain_dim)
-    if side == "left":
-        if np.linalg.norm(inv @ f - eye) > tol * max(1.0, np.linalg.norm(f)):
-            raise NotAnInverse("given matrix is not a left inverse of F")
-    elif side == "right":
-        if np.linalg.norm(f @ inv - eye) > tol * max(1.0, np.linalg.norm(f)):
-            raise NotAnInverse("given matrix is not a right inverse of F")
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    product = inv @ f if side == "left" else f @ inv
+    if np.linalg.norm(product - np.eye(shape.domain_dim)) > tol * max(1.0, np.linalg.norm(f)):
+        raise NotAnInverse(f"given matrix is not a {side} inverse of F")
     if abs(linalg.inner(u1, v1) - 1.0) > 1e-9 or abs(linalg.inner(u2, v2) - 1.0) > 1e-9:
         raise BadNormalization("need <u1, v1> = 1 and <u2, v2> = 1")
-
-    if side == "right":
-        # F R = I  <=>  R* is a left inverse of F* = sum A_k* (x) B_k*.
-        adj_terms = FSROperator(shape, tuple((a.conj().T, b.conj().T) for a, b in fsr.terms))
-        left = inverse_factors(adj_terms, inv.conj().T, "left", v1, v2, u1, u2, tol)
-        return [(l1.conj().T, l2.conj().T) for l1, l2 in left]
-
-    return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]
+    if side == "left":
+        return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]
+    inv_adj = inv.conj().T
+    pairs = [D_uv(inv_adj, a_k.conj().T @ v1, b_k.conj().T @ v2, u1, u2, shape) for a_k, b_k in fsr.terms]
+    return [(r1.conj().T, r2.conj().T) for r1, r2 in pairs]

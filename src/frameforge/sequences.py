@@ -16,7 +16,7 @@ where for each group j the r component sequences are linearly independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,18 +209,13 @@ def verify_main_theorem(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:
         report["claim"] = "no claim"
         return report
     report["claim"] = "every concatenated group must be a frame"
-    per_group = []
-    ok = True
-    for j in range(ms.d):
-        rep = classify(concatenate(list(ms.groups[j])), tol)
-        per_group.append(rep.to_dict())
-        ok = ok and rep.is_frame
-    report["per_group"] = per_group
-    report["all_groups_frames"] = ok
+    per_group = [classify(concatenate(list(g)), tol) for g in ms.groups]
+    report["per_group"] = [rep.to_dict() for rep in per_group]
+    report["all_groups_frames"] = all(rep.is_frame for rep in per_group)
     if ms.r == 1:
-        comps = [classify(ms.groups[j][0], tol) for j in range(ms.d)]
-        prod_a = float(np.prod([c.lower_bound for c in comps]))
-        prod_b = float(np.prod([c.bessel_bound for c in comps]))
+        # a one-sequence group concatenates to itself: per_group holds the component reports
+        prod_a = float(np.prod([c.lower_bound for c in per_group]))
+        prod_b = float(np.prod([c.bessel_bound for c in per_group]))
         report["rank_one_check"] = {
             "component_product_A": prod_a,
             "component_product_B": prod_b,
@@ -228,7 +223,7 @@ def verify_main_theorem(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:
                 abs(prod_a - full.lower_bound) <= 1e-9 * max(1.0, full.bessel_bound)
                 and abs(prod_b - full.bessel_bound) <= 1e-9 * max(1.0, full.bessel_bound)
             ),
-            "all_components_frames": all(c.is_frame for c in comps),
+            "all_components_frames": report["all_groups_frames"],
         }
     return report
 
@@ -252,16 +247,11 @@ def two_term_disjunction_check(ms: MinimalSumSequence, tol: float = FRAME_TOL) -
         if classify(tensor_sequences([g[k] for g in ms.groups]), tol).is_frame:
             report["branch"] = k + 1
             return report
-    for i in range(ms.d):
-        rest_ok = all(
-            classify(ms.groups[j][k], tol).is_frame
-            for j in range(ms.d)
-            if j != i
-            for k in (0, 1)
-        )
-        if rest_ok:
-            report["branch"] = 3
-            report["dropped_index"] = i
-            return report
-    report["branch"] = 0  # disjunction failed; callers treat this as an error
+    # index i can be dropped iff every other group has only frame components
+    bad = [j for j, g in enumerate(ms.groups) if not all(classify(s, tol).is_frame for s in g)]
+    if len(bad) <= 1:
+        report["branch"] = 3
+        report["dropped_index"] = bad[0] if bad else 0
+    else:
+        report["branch"] = 0  # disjunction failed; callers treat this as an error
     return report

@@ -301,6 +301,14 @@ class TestRankRWindow:
         with pytest.raises(ConditionViolated):
             verify_rank_r_frame_implication(spec, lats)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_lattice_count(self, count):
+        spec = RankRWindowSpec(
+            windows=(delta(4), delta(4)), alphas=((0,), (0,)), betas=((0,), (0,))
+        )
+        with pytest.raises(DimensionMismatch):
+            verify_rank_r_frame_implication(spec, [ZNLattice(4, 2, 2)] * count)
+
 
 def rank_r_window_by_terms(spec):
     """Reference: each of the r terms built by a chain of vector krons."""

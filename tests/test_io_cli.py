@@ -4,6 +4,7 @@ import functools
 import json
 import operator
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -28,12 +29,12 @@ def crandom(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def run_cli(args, timeout=30):
+def run_cli(args, timeout=30, **kwargs):
     """Run the CLI in a child process, so a hang fails the test instead of stalling it."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, "-m", "frameforge.cli", *args],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env, **kwargs,
     )
 
 
@@ -302,6 +303,25 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def cap_address_space():
+    """Limit the child to 4 GiB of address space, so a huge allocation fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # gabor_frame_report's index gather: 37.3 GiB
+    ["gabor", "perturb", "--N", "100000", "--a", "2", "--b", "2", "--alpha", "50000", "--beta", "50000"],
+    # materialize of a 90,000 x 90,000 family: 121 GiB
+    ["frames", "verify-main", "--dims", "300,300", "--lens", "300,300", "--rank", "1", "--trials", "1"],
+], ids=lambda argv: "_".join(argv[:2]))
+def test_allocation_failure_exits_2(argv):
+    proc = run_cli(argv, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "allocate" in proc.stderr
 
 
 # Any JSON value, NaN, infinities and integers far outside the float range included.

@@ -340,6 +340,16 @@ class TestInverseFactors:
         with pytest.raises(BadNormalization):
             inverse_factors(fsr, np.eye(4), "left", E2[0], E2[0], 2 * E2[0], E2[0])
 
+    def test_not_a_right_inverse(self):
+        fsr = FSROperator(SHAPE22, ((E2, E2), (X, X)))
+        with pytest.raises(NotAnInverse, match="right"):
+            inverse_factors(fsr, np.zeros((4, 4)), "right", E2[0], E2[0], E2[0], E2[0])
+
+    def test_unknown_side(self):
+        fsr = FSROperator(SHAPE22, ((E2, E2),))
+        with pytest.raises(ValueError, match="side"):
+            inverse_factors(fsr, np.eye(4), "up", E2[0], E2[0], E2[0], E2[0])
+
 
 def inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2):
     """Each L_{1,k}, L_{2,k} as L composed with an embedding, then contracted
@@ -470,3 +480,35 @@ class TestStructuredRoutesMatchOracles:
         assert got.dtype == complex
         assert np.array_equal(got, materialize_by_kron_loop(FSROperator(shape, ())))
         assert got.shape == (4, 6) and not got.any()
+
+
+def rank_law_by_replay(f, shape, r):
+    """Residuals after each of r steps, each step replayed as the first term
+    of a fresh deflation of the running residual: oracle for the rank-law
+    suite's walk over one deflation."""
+    residual = f.copy()
+    out = []
+    for _ in range(r):
+        a, b = schmidt_decompose_deflation(residual, shape).terms[0]
+        residual = residual - np.kron(a, b)
+        out.append(residual)
+    return out
+
+
+def test_rank_law_walk_matches_replay():
+    rng = suite_rng(25, 0)
+    ranks = set()
+    for t in range(40):
+        shape = BipartiteShape(*(int(x) for x in rng.integers(1, 5, size=4)))
+        r = 1 + t % min(shape.k1 * shape.h1, shape.k2 * shape.h2, 4)
+        f = random_fsr_operator(rng, shape, r).materialize()
+        residual = f
+        walked = []
+        for a, b in schmidt_decompose_deflation(f, shape).terms[:r]:
+            residual = residual - np.kron(a, b)
+            walked.append(residual)
+        replayed = rank_law_by_replay(f, shape, r)
+        assert len(walked) == len(replayed) == r
+        assert all(np.array_equal(w, p) for w, p in zip(walked, replayed))
+        ranks.add(r)
+    assert ranks == {1, 2, 3, 4}

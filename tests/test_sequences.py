@@ -342,6 +342,52 @@ class TestTwoTermDisjunction:
             two_term_disjunction_check(ms)
 
 
+def disjunction_by_drop_loop(ms, tol=sequences.FRAME_TOL):
+    """Branch and dropped index with every other group re-classified for each
+    candidate index: oracle for two_term_disjunction_check."""
+    if not classify(materialize(ms), tol).is_frame:
+        return None, None
+    for k in (0, 1):
+        if classify(tensor_sequences([g[k] for g in ms.groups]), tol).is_frame:
+            return k + 1, None
+    for i in range(ms.d):
+        if all(classify(ms.groups[j][k], tol).is_frame for j in range(ms.d) if j != i for k in (0, 1)):
+            return 3, i
+    return 0, None
+
+
+def reverifies(ms, report):
+    """The disjunction suite's old re-verification of a reported branch."""
+    if report["branch"] == 3:
+        i = report["dropped_index"]
+        return all(classify(ms.groups[j][k]).is_frame for j in range(ms.d) if j != i for k in (0, 1))
+    k = report["branch"] - 1
+    return classify(tensor_sequences([g[k] for g in ms.groups])).is_frame
+
+
+def disjunction_draws(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        yield branch1_minimal_sum(rng)
+        ms = branch3_minimal_sum(rng)
+        yield ms
+        yield build_minimal_sum(ms.groups[::-1])  # drops index 0 instead of 1
+        for d in (2, 3):
+            dims = [int(m) for m in rng.integers(2, 4, size=d)]
+            yield random_frame_minimal_sum(rng, dims, [m + int(rng.integers(0, 2)) for m in dims], 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_disjunction_matches_drop_loop(seed):
+    branches = set()
+    for ms in disjunction_draws(seed):
+        report = two_term_disjunction_check(ms)
+        assert (report["branch"], report.get("dropped_index")) == disjunction_by_drop_loop(ms)
+        assert report["branch"] in (1, 2, 3) and reverifies(ms, report)
+        branches.add((report["branch"], report.get("dropped_index")))
+    assert {(1, None), (3, 0), (3, 1)} <= branches
+
+
 class TestBesselSubadditivity:
     def test_triangle_bound_on_random_instances(self):
         rng = np.random.default_rng(13)
