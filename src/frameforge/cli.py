@@ -73,16 +73,14 @@ def cmd_frames_classify(args) -> int:
 
 
 def cmd_frames_verify_main(args) -> int:
-    dims = _parse_ints(args.dims)
-    lens = _parse_ints(args.lens)
-    if len(dims) != len(lens) or args.rank < 1 or args.trials < 1:
-        raise ValueError("dims/lens must match; rank and trials must be >= 1")
+    dims, lens = _parse_ints(args.dims), _parse_ints(args.lens)
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = verify.suite_rng(args.seed, 1000)
     all_ok = True
     reports = []
     for _ in range(args.trials):
-        ms = verify.random_frame_minimal_sum(rng, dims, lens, args.rank)
-        report = sequences.verify_main_theorem(ms)
+        _, report = verify.random_frame_minimal_sum(rng, dims, lens, args.rank)
         reports.append(report)
         all_ok = all_ok and report.get("all_groups_frames", True)
     out = {"trials": args.trials, "all_groups_frames": all_ok, "reports": reports}

@@ -20,27 +20,22 @@ def _entries_to_list(a) -> list:
     return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-def _fields(d, kind: str) -> dict:
-    """The JSON object holding a ``kind``; any other JSON value is a data error."""
-    if not isinstance(d, dict):
-        raise ValueError(f"expected a JSON object for the {kind}, got {type(d).__name__}")
-    return d
-
-
 _JSON_NAMES = {int: "non-negative integer", list: "list", dict: "object"}
 
 
 def _field(d, kind: str, name: str, json_type: type):
     """Field ``name`` of the ``kind`` object ``d``, of exactly ``json_type``.
 
-    ``json_type`` is ``int``, ``list`` or ``dict``.  A missing field or a
-    value of another JSON type is a data error; so is a negative integer.
-    ``true``, ``1.5``, ``1e400`` and ``"3"`` are not integers.
+    ``json_type`` is ``int``, ``list`` or ``dict``.  A ``d`` that is not a
+    JSON object, a missing field or a value of another JSON type is a data
+    error; so is a negative integer.  ``true``, ``1.5``, ``1e400`` and
+    ``"3"`` are not integers.
     """
-    fields = _fields(d, kind)
-    if name not in fields:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object for the {kind}, got {type(d).__name__}")
+    if name not in d:
         raise ValueError(f"{kind} has no {name!r} field")
-    value = fields[name]
+    value = d[name]
     if type(value) is not json_type or (json_type is int and value < 0):
         raise ValueError(
             f"{kind} field {name!r} must be a JSON {_JSON_NAMES[json_type]}, "

@@ -100,12 +100,16 @@ def left_pseudo_inverse(a, tol: float = DEFAULT_RTOL) -> np.ndarray:
     return np.linalg.pinv(a)
 
 
+def singular_value_rank(s, tol: float = DEFAULT_RTOL, scale: float = 0.0) -> int:
+    """Count of the descending singular values ``s`` above tol * max(s[0], scale).
+
+    With a magnitude ``scale`` >= 0 the threshold never falls below
+    tol * scale.  An empty or all-zero ``s`` has rank 0, and so does a NaN
+    ``s[0]``.
+    """
+    return int(np.count_nonzero(s > tol * max(s[0], scale))) if s.size else 0
+
+
 def matrix_rank(a, tol: float = DEFAULT_RTOL) -> int:
     """Rank by singular values above tol * sigma_max."""
-    a = as_coperator(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return singular_value_rank(np.linalg.svd(as_coperator(a), compute_uv=False), tol)

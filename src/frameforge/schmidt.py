@@ -219,9 +219,7 @@ def reshuffle_rank(
     """
     r = reshuffle(f, shape)
     u, s, vh = np.linalg.svd(r)
-    if s.size == 0 or s[0] <= tol * scale:
-        return 0, FSROperator(shape, ())
-    rank = int(np.count_nonzero(s > tol * max(s[0], scale)))
+    rank = linalg.singular_value_rank(s, tol, scale)
     terms = []
     for k in range(rank):
         root = np.sqrt(s[k])

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import gabor, schmidt, sequences
-from .errors import DependentGroup, DrawFailed
+from .errors import DependentGroup, DimensionMismatch, DrawFailed, WrongRank
 from .linalg import inner, op_norm
 from .schmidt import BipartiteShape, FSROperator
-from .sequences import VectorSequence, build_minimal_sum, classify, materialize
+from .sequences import VectorSequence, build_minimal_sum, classify
 
 
 def suite_rng(seed: int, key: int) -> np.random.Generator:
@@ -25,7 +25,10 @@ def _cnormal(rng, *shape) -> np.ndarray:
 
 
 def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> FSROperator:
-    """Random FSR operator whose oracle Schmidt rank is exactly r."""
+    """Random FSR operator whose oracle Schmidt rank is exactly r; raises
+    ``DrawFailed`` before drawing unless 0 <= r <= min(k1*h1, k2*h2)."""
+    if not 0 <= r <= min(shape.k1 * shape.h1, shape.k2 * shape.h2):
+        raise DrawFailed(f"no operator of {shape} has Schmidt rank {r}, outside 0..min(k1*h1, k2*h2)")
     while True:
         terms = tuple(
             (_cnormal(rng, shape.k1, shape.h1), _cnormal(rng, shape.k2, shape.h2))
@@ -40,75 +43,73 @@ def random_vector_sequence(rng, dim: int, count: int) -> VectorSequence:
     return VectorSequence(_cnormal(rng, count, dim))
 
 
-def _frame_sum(groups):
-    """The minimal sum of ``groups``, or None when a group is dependent or
-    the materialized sum is not a frame."""
+def _frame_sum(groups, check):
+    """The minimal sum of ``groups`` and ``check``'s report on it, or None
+    when a group is dependent or the report says the sum is not a frame."""
     try:
         ms = build_minimal_sum(groups)
     except DependentGroup:
         return None
-    return ms if classify(materialize(ms)).is_frame else None
+    report = check(ms)
+    return (ms, report) if report["full"]["is_frame"] else None
 
 
-def random_frame_minimal_sum(rng, dims, lengths, r: int, max_tries: int = 50):
-    """Random minimal sum whose materialization is a frame (retry until so).
+def random_frame_minimal_sum(rng, dims, lengths, r: int):
+    """Random minimal sum whose materialization is a frame (retry until so),
+    with its ``verify_main_theorem`` report: ``(ms, report)``.
 
-    Raises ``DrawFailed`` before drawing when no draw can succeed: when
-    prod(lengths) < prod(dims), or when r > m * n for some factor, since r
-    sequences of n vectors in C^m are then always dependent.
+    Raises ``DimensionMismatch`` unless there is one length per dim,
+    ``WrongRank`` when r < 1, and ``DrawFailed`` before drawing when no draw
+    can succeed: when prod(lengths) < prod(dims), or when r > m * n for some
+    factor, since r sequences of n vectors in C^m are then always dependent.
     """
-    conditions = (
-        "a frame needs prod(lengths) >= prod(dims), "
-        "and independent groups need rank <= length * dim in every factor"
+    if len(dims) != len(lengths):
+        raise DimensionMismatch(f"need one length per dim, got dims {list(dims)}, lengths {list(lengths)}")
+    if r < 1:
+        raise WrongRank(f"a minimal sum needs rank >= 1, got {r}")
+    case = (
+        f"dims {list(dims)}, lengths {list(lengths)} and rank {r}; a frame needs prod(lengths) >= "
+        "prod(dims), and independent groups need rank <= length * dim in every factor"
     )
     if np.prod(lengths) < np.prod(dims) or any(r > m * n for m, n in zip(dims, lengths)):
-        raise DrawFailed(
-            f"no frame minimal sum exists with dims {list(dims)}, lengths {list(lengths)} "
-            f"and rank {r}; {conditions}"
-        )
-    for _ in range(max_tries):
+        raise DrawFailed(f"no frame minimal sum exists with {case}")
+    for _ in range(50):
         groups = [
             [random_vector_sequence(rng, m, n) for _ in range(r)]
             for m, n in zip(dims, lengths)
         ]
-        if (ms := _frame_sum(groups)) is not None:
-            return ms
-    raise DrawFailed(
-        f"no frame minimal sum found in {max_tries} draws with dims {list(dims)}, "
-        f"lengths {list(lengths)} and rank {r}; {conditions}"
-    )
+        if drawn := _frame_sum(groups, sequences.verify_main_theorem):
+            return drawn
+    raise DrawFailed(f"no frame minimal sum found in 50 draws with {case}")
 
 
-def branch3_minimal_sum(rng, m1: int = 3, n: int = 4):
-    """r=2 frame instance forcing the cross-component branch.
+def branch3_minimal_sum(rng):
+    """r=2 frame instance on C^3 (x) C^2, 4 vectors per factor, forcing the
+    cross-component branch, with its ``two_term_disjunction_check`` report.
 
     Both second-factor component sequences live on a single line of C^2, so
     neither pure tensor family is a frame, yet the sum is; dropping the
     second factor leaves two first-factor frames.
     """
     while True:
-        g10 = random_vector_sequence(rng, m1, n)
-        g11 = random_vector_sequence(rng, m1, n)
-        coeff0 = _cnormal(rng, n)
-        coeff1 = _cnormal(rng, n)
-        e0 = np.array([1.0, 0.0], dtype=complex)
-        e1 = np.array([0.0, 1.0], dtype=complex)
-        g20 = VectorSequence(np.outer(coeff0, e0))
-        g21 = VectorSequence(np.outer(coeff1, e1))
-        if (ms := _frame_sum([[g10, g11], [g20, g21]])) is not None:
-            return ms
+        first = [random_vector_sequence(rng, 3, 4) for _ in range(2)]
+        second = [VectorSequence(np.outer(_cnormal(rng, 4), e)) for e in np.eye(2, dtype=complex)]
+        if drawn := _frame_sum([first, second], sequences.two_term_disjunction_check):
+            return drawn
 
 
-def branch1_minimal_sum(rng, m1: int = 2, m2: int = 2, n: int = 3, eps: float = 1e-2):
-    """r=2 frame instance where the first pure tensor family is a frame."""
+def branch1_minimal_sum(rng):
+    """r=2 frame instance on C^2 (x) C^2, 3 vectors per factor, where the
+    first pure tensor family is a frame and the second term is scaled by
+    1e-2, with its ``two_term_disjunction_check`` report."""
     while True:
         groups = [
-            [random_vector_sequence(rng, m, n), VectorSequence(eps * _cnormal(rng, n, m))]
-            for m in (m1, m2)
+            [random_vector_sequence(rng, 2, 3), VectorSequence(1e-2 * _cnormal(rng, 3, 2))]
+            for _ in range(2)
         ]
-        ms = _frame_sum(groups)
-        if ms is not None and classify(sequences.tensor_sequences([g[0] for g in groups])).is_frame:
-            return ms
+        drawn = _frame_sum(groups, sequences.two_term_disjunction_check)
+        if drawn and drawn[1]["branch"] == 1:
+            return drawn
 
 
 def suite_prop22_identities(rng, trials: int) -> dict:
@@ -193,10 +194,9 @@ def suite_deflation_rank_law(rng, trials: int) -> dict:
             if schmidt.reshuffle_rank(residual, shape, tol=1e-7, scale=norm_f)[0] != r - 1 - k:
                 ok = False
                 break
-        oracle_rank, _ = schmidt.reshuffle_rank(f, shape)
         recon = np.linalg.norm(f - dec.materialize()) / norm_f
         worst_recon = max(worst_recon, recon)
-        ok = ok and dec.rank_bound == oracle_rank == r and recon <= 1e-8
+        ok = ok and dec.rank_bound == r and recon <= 1e-8
     return {"passed": bool(ok), "trials": trials, "worst_reconstruction": worst_recon}
 
 
@@ -283,8 +283,7 @@ def suite_minimal_sum_frames(rng, trials: int) -> dict:
         r = 1 + t % 3
         dims = [int(rng.integers(2, 5)) for _ in range(d)]
         lengths = [m + int(rng.integers(0, 3)) for m in dims]
-        ms = random_frame_minimal_sum(rng, dims, lengths, r)
-        report = sequences.verify_main_theorem(ms)
+        ms, report = random_frame_minimal_sum(rng, dims, lengths, r)
         for rep in report["per_group"]:
             ratio = rep["A"] / rep["B"]
             worst_ratio = min(worst_ratio, ratio)
@@ -303,8 +302,8 @@ def suite_two_term_disjunction(rng, trials: int) -> dict:
     ok = True
     branch3 = 0
     for t in range(trials):
-        ms = branch3_minimal_sum(rng) if t % 2 == 0 else branch1_minimal_sum(rng)
-        branch = sequences.two_term_disjunction_check(ms)["branch"]
+        _, report = branch3_minimal_sum(rng) if t % 2 == 0 else branch1_minimal_sum(rng)
+        branch = report["branch"]
         ok = ok and branch in (1, 2, 3)
         branch3 += branch == 3
     return {"passed": bool(ok and branch3 >= min(5, trials // 2)), "trials": trials, "branch3_count": branch3}

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frameforge import cli, gabor, io, schmidt, verify
-from frameforge.errors import DependentGroup, FrameForgeError
+from frameforge import cli, gabor, io, schmidt, sequences, verify
+from frameforge.errors import DependentGroup, DimensionMismatch, FrameForgeError, WrongRank
 from frameforge.schmidt import BipartiteShape, FSROperator
 from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
 from frameforge.verify import random_fsr_operator, suite_rng
@@ -554,10 +554,12 @@ class TestFramesCommands:
                 if classify(materialize(ms)).is_frame and classify(materialize(pure)).is_frame:
                     return ms
 
-        def assert_same_draw(draw, oracle, key):
+        def assert_same_draw(draw, oracle, check, key):
+            # the returned report is the check's report on the returned sum
             rng, oracle_rng = suite_rng(41, key), suite_rng(41, key)
             for _ in range(5):
-                ms, want = draw(rng), oracle(oracle_rng)
+                (ms, report), want = draw(rng), oracle(oracle_rng)
+                assert report == check(ms)
                 for group, want_group in zip(ms.groups, want.groups, strict=True):
                     for seq, want_seq in zip(group, want_group, strict=True):
                         assert np.array_equal(seq.vectors, want_seq.vectors)
@@ -567,11 +569,48 @@ class TestFramesCommands:
             assert_same_draw(
                 lambda rng: verify.random_frame_minimal_sum(rng, dims, lengths, r),
                 lambda rng: retry_loop(rng, dims, lengths, r),
+                sequences.verify_main_theorem,
                 0,
             )
         for key in range(3):
-            assert_same_draw(verify.branch3_minimal_sum, branch3_loop, key)
-            assert_same_draw(verify.branch1_minimal_sum, branch1_loop, key)
+            assert_same_draw(verify.branch3_minimal_sum, branch3_loop, sequences.two_term_disjunction_check, key)
+            assert_same_draw(verify.branch1_minimal_sum, branch1_loop, sequences.two_term_disjunction_check, key)
+
+    @pytest.mark.parametrize("dims, lengths, r, error", [
+        ([2], [3, 3], 1, DimensionMismatch),
+        ([2, 2], [3], 1, DimensionMismatch),
+        ([2, 2], [3, 3], 0, WrongRank),
+    ])
+    def test_frame_draw_rejects_bad_args_before_drawing(self, dims, lengths, r, error):
+        # zip would silently drop the extra dims or lengths; r = 0 has no groups
+        rng = suite_rng(0, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            verify.random_frame_minimal_sum(rng, dims, lengths, r)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("dims, r", [((1, 1, 1, 1), 2), ((1, 1, 1, 1), -1), ((2, 3, 2, 3), 5)])
+    def test_fsr_draw_of_impossible_rank_fails_fast(self, dims, r):
+        # no operator of the shape has Schmidt rank r, so a retry loop never ends
+        code = (
+            "from frameforge.errors import DrawFailed\n"
+            "from frameforge.schmidt import BipartiteShape\n"
+            "from frameforge.verify import random_fsr_operator, suite_rng\n"
+            "try:\n"
+            f"    random_fsr_operator(suite_rng(0, 0), BipartiteShape(*{dims}), {r})\n"
+            "except DrawFailed:\n"
+            "    print('DrawFailed')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "DrawFailed\n"), proc.stderr
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_fsr_draw_of_extreme_rank(self, r):
+        # 0 and min(k1*h1, k2*h2) = 4 are the extreme ranks on this shape
+        shape = BipartiteShape(2, 3, 2, 3)
+        f = random_fsr_operator(suite_rng(0, 0), shape, r)
+        assert schmidt.reshuffle_rank(f.materialize(), shape)[0] == r
 
 
 class TestGaborCommands:

@@ -153,3 +153,32 @@ class TestMatrixRank:
 
     def test_rank_one(self):
         assert linalg.matrix_rank(np.outer([1, 2], [3, 4])) == 1
+
+    def test_empty(self):
+        assert linalg.matrix_rank(np.zeros((0, 3))) == linalg.matrix_rank(np.zeros((3, 0))) == 0
+
+
+def matrix_rank_rule(s, tol):
+    """matrix_rank's own count before the rule was shared: oracle."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
+def reshuffle_rank_rule(s, tol, scale):
+    """reshuffle_rank's own count before the rule was shared: oracle."""
+    if s.size == 0 or s[0] <= tol * scale:
+        return 0
+    return int(np.count_nonzero(s > tol * max(s[0], scale)))
+
+
+@pytest.mark.parametrize("s", [
+    [], [0.0], [0.0, 0.0], [1.0], [1.0, 1e-9, 1e-13], [3.0, 2.0, 1e-30, 0.0],
+    [1e-300, 1e-310], [np.nan, 1.0], [np.inf, 1.0], [1e-13, 1e-14],
+])
+@pytest.mark.parametrize("tol", [1e-12, 1e-7, 1.0, 2.0])
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1.0, 1e3])
+def test_singular_value_rank_keeps_both_rules(s, tol, scale):
+    s = np.array(s, dtype=float)
+    assert linalg.singular_value_rank(s, tol) == matrix_rank_rule(s, tol)
+    assert linalg.singular_value_rank(s, tol, scale) == reshuffle_rank_rule(s, tol, scale)

@@ -297,7 +297,7 @@ class TestConcatenate:
 class TestVerifyMainTheorem:
     def test_random_frame_instance(self):
         rng = np.random.default_rng(42)
-        ms = random_frame_minimal_sum(rng, [3, 3], [4, 4], 2)
+        ms, _ = random_frame_minimal_sum(rng, [3, 3], [4, 4], 2)
         report = verify_main_theorem(ms)
         assert report["full"]["is_frame"]
         assert report["all_groups_frames"]
@@ -305,7 +305,7 @@ class TestVerifyMainTheorem:
 
     def test_rank_one_bounds_multiply(self):
         rng = np.random.default_rng(43)
-        ms = random_frame_minimal_sum(rng, [2, 3], [3, 4], 1)
+        ms, _ = random_frame_minimal_sum(rng, [2, 3], [3, 4], 1)
         report = verify_main_theorem(ms)
         assert report["rank_one_check"]["bounds_multiply"]
         assert report["rank_one_check"]["all_components_frames"]
@@ -321,13 +321,13 @@ class TestVerifyMainTheorem:
 class TestTwoTermDisjunction:
     def test_branch_one(self):
         rng = np.random.default_rng(10)
-        ms = branch1_minimal_sum(rng)
+        ms, _ = branch1_minimal_sum(rng)
         report = two_term_disjunction_check(ms)
         assert report["branch"] == 1
 
     def test_branch_three(self):
         rng = np.random.default_rng(11)
-        ms = branch3_minimal_sum(rng)
+        ms, _ = branch3_minimal_sum(rng)
         report = two_term_disjunction_check(ms)
         assert report["branch"] == 3
         assert report["dropped_index"] == 1
@@ -337,7 +337,7 @@ class TestTwoTermDisjunction:
 
     def test_wrong_rank(self):
         rng = np.random.default_rng(12)
-        ms = random_frame_minimal_sum(rng, [2, 2], [3, 3], 3)
+        ms, _ = random_frame_minimal_sum(rng, [2, 2], [3, 3], 3)
         with pytest.raises(WrongRank):
             two_term_disjunction_check(ms)
 
@@ -368,13 +368,13 @@ def reverifies(ms, report):
 def disjunction_draws(seed):
     rng = np.random.default_rng(seed)
     for _ in range(6):
-        yield branch1_minimal_sum(rng)
-        ms = branch3_minimal_sum(rng)
+        yield branch1_minimal_sum(rng)[0]
+        ms, _ = branch3_minimal_sum(rng)
         yield ms
         yield build_minimal_sum(ms.groups[::-1])  # drops index 0 instead of 1
         for d in (2, 3):
             dims = [int(m) for m in rng.integers(2, 4, size=d)]
-            yield random_frame_minimal_sum(rng, dims, [m + int(rng.integers(0, 2)) for m in dims], 2)
+            yield random_frame_minimal_sum(rng, dims, [m + int(rng.integers(0, 2)) for m in dims], 2)[0]
 
 
 @pytest.mark.parametrize("seed", range(3))
