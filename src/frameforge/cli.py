@@ -4,40 +4,32 @@ Exit codes: 0 on success, 1 when a checked assertion fails (bad
 reconstruction, failed suite, density violation), 2 on usage, I/O or data
 errors.  ``main`` holds the only error boundary: an ``OSError``,
 ``ValueError``, ``MemoryError`` or ``FrameForgeError`` raised by any
-command becomes one ``error:`` line on stderr and exit 2.  The
-FRAMEFORGE_TOL environment variable overrides the default tolerance.
+command becomes one ``error:`` line on stderr and exit 2.  The only
+tolerance set here is ``schmidt decompose --tol``, a float in (0, 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import gabor, io, schmidt, sequences, verify
-from .errors import BadTolerance, FrameForgeError
-from .linalg import DEFAULT_RTOL
+from . import gabor, io, linalg, schmidt, sequences, verify
+from .errors import FrameForgeError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def default_tol() -> float:
-    env = os.environ.get("FRAMEFORGE_TOL")
-    if not env:
-        return DEFAULT_RTOL
-    try:
-        tol = float(env)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise BadTolerance(f"FRAMEFORGE_TOL must be a positive finite float, got {env!r}")
+def tolerance(text: str) -> float:
+    """argparse type of ``--tol``; at 0 or below every rank is full, at 1 or above every rank is 0."""
+    tol = float(text)
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"must be a float in (0, 1), got {text!r}")
     return tol
 
 
@@ -56,8 +48,9 @@ def cmd_schmidt_decompose(args) -> int:
         dec = schmidt.schmidt_decompose_deflation(f, shape, tol)
     else:
         _, dec = schmidt.reshuffle_rank(f, shape, tol)
-    norm_f = np.linalg.norm(f)
-    recon = np.linalg.norm(f - dec.materialize()) / norm_f if norm_f > 0 else 0.0
+    e = linalg.max_exponent(f)  # one exact power of two keeps both norms finite and nonzero
+    f_s, rec_s = (linalg.times_power_of_two(x, -e) for x in (f, dec.materialize()))
+    recon = np.linalg.norm(f_s - rec_s) / np.linalg.norm(f_s) if f_s.any() else 0.0
     if args.output:
         io.save_json(args.output, io.fsr_to_dict(dec))
     print(f"rank: {dec.rank_bound}")
@@ -138,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--input", required=True)
     dec.add_argument("--shape", required=True, help="h1,h2,k1,k2")
     dec.add_argument("--method", choices=["deflate", "svd"], default="deflate")
-    dec.add_argument("--tol", type=float, default=default_tol())
+    dec.add_argument("--tol", type=tolerance, default=linalg.DEFAULT_RTOL, help="float in (0, 1)")
     dec.add_argument("--output")
     dec.set_defaults(fn=cmd_schmidt_decompose)
 

@@ -69,7 +69,3 @@ class NonFiniteData(FrameForgeError):
 
 class DrawFailed(FrameForgeError):
     pass
-
-
-class BadTolerance(FrameForgeError):
-    pass

@@ -26,10 +26,15 @@ from .errors import (
     NonFiniteData,
     ZeroShift,
 )
-from .linalg import DEFAULT_RTOL, as_cvector
-from .sequences import FRAME_TOL, FrameReport, VectorSequence, classify, report_from_spectrum
+from .linalg import as_cvector
+from .sequences import FrameReport, VectorSequence, classify, report_from_spectrum
 
 WINDOW_GENERATORS = ("gaussian", "twoexp", "sech", "rational")
+
+# A sampled window covers WINDOW_SPAN units of its continuous profile; the
+# refined-bound inequalities of ``oversample_check`` have absolute slack OVERSAMPLE_TOL.
+WINDOW_SPAN = 8
+OVERSAMPLE_TOL = 1e-9
 
 # Largest N a density sweep accepts, in the library and on the command line.
 MAX_SWEEP_N = 256
@@ -78,14 +83,14 @@ class ZNWindow:
         return self.g.shape[0]
 
 
-def sample_window(generator: str, N: int, scale: float | None = None) -> ZNWindow:
+def sample_window(generator: str, N: int) -> ZNWindow:
     """Sample a window from the classical window class on Z_N.
 
     The continuous profile u is evaluated at (t - N/2) / s for t = 0..N-1
-    with s = N/8 by default, then cyclically centered at 0 and normalized to
+    with s = N / WINDOW_SPAN, then cyclically centered at 0 and normalized to
     unit norm.
     """
-    s = N / 8 if scale is None else scale
+    s = N / WINDOW_SPAN
     t = (np.arange(N) - N / 2) / s
     if generator == "gaussian":
         vals = np.exp(-np.abs(t) ** 2)
@@ -140,8 +145,8 @@ def gabor_system(w: ZNWindow, lat: ZNLattice) -> VectorSequence:
     return VectorSequence(gabor_atom(w, m, n).reshape(-1, lat.N))
 
 
-def gabor_frame_report(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> FrameReport:
-    """Same result as ``classify(gabor_system(w, lat), tol)`` without the atoms.
+def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
+    """Same result as ``classify(gabor_system(w, lat))`` without the atoms.
 
     Walnut's representation of the frame operator on aZ_N x bZ_N:
     S[j, l] = (N/b) sum_m g[j - m a] conj(g[l - m a]) when j = l mod N/b,
@@ -155,12 +160,12 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> F
     idx = np.arange(q)[:, None, None] + q * np.arange(b)[:, None] - a * np.arange(N // a)
     g = w.g[idx % N]
     blocks = q * (g @ g.conj().transpose(0, 2, 1))
-    return report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N, tol)
+    return report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N)
 
 
-def gabor_stats(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> dict:
+def gabor_stats(w: ZNWindow, lat: ZNLattice) -> dict:
     """Classification plus the discrete density bookkeeping for one lattice."""
-    rep = gabor_frame_report(w, lat, tol)
+    rep = gabor_frame_report(w, lat)
     ab = lat.a * lat.b
     stats = rep.to_dict()
     stats.update(
@@ -177,7 +182,7 @@ def gabor_stats(w: ZNWindow, lat: ZNLattice, tol: float = FRAME_TOL) -> dict:
     return stats
 
 
-def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int, tol: float = 1e-9) -> dict:
+def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
     """Frame-bound scaling under lattice refinement (a, b) -> (a/u, b/v).
 
     The refined system must admit u*v*A as a lower and u*v*B as an upper
@@ -194,8 +199,8 @@ def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int, tol: float = 1
         "fine": fine.to_dict(),
         "u": u,
         "v": v,
-        "lower_ok": fine.lower_bound >= uv * coarse.lower_bound - tol,
-        "upper_ok": fine.bessel_bound <= uv * coarse.bessel_bound + tol,
+        "lower_ok": fine.lower_bound >= uv * coarse.lower_bound - OVERSAMPLE_TOL,
+        "upper_ok": fine.bessel_bound <= uv * coarse.bessel_bound + OVERSAMPLE_TOL,
     }
 
 
@@ -237,21 +242,19 @@ class RankRWindowSpec:
         return [ZNWindow(gabor_atom(w, a, b), w.generator) for a, b in zip(self.alphas[j], self.betas[j])]
 
 
-def build_rank_r_window(spec: RankRWindowSpec, tol: float = DEFAULT_RTOL) -> ZNWindow:
+def build_rank_r_window(spec: RankRWindowSpec) -> ZNWindow:
     """Materialize the rank-r window on the product group as the minimal sum
     whose group j holds the r modulated translates of factor j as one-vector
     sequences; building the sum checks their independence per factor."""
     groups = [[VectorSequence(w.g[None]) for w in spec.modulated_translates(j)] for j in range(spec.d)]
     try:
-        ms = sequences.build_minimal_sum(groups, tol)
+        ms = sequences.build_minimal_sum(groups)
     except DependentGroup as exc:
         raise DependentModulates(f"modulated translates of factor {exc.group_index} are dependent") from exc
     return ZNWindow(sequences.materialize(ms).vectors[0], "rank_r")
 
 
-def verify_rank_r_frame_implication(
-    spec: RankRWindowSpec, lattices: list[ZNLattice], tol: float = FRAME_TOL
-) -> dict:
+def verify_rank_r_frame_implication(spec: RankRWindowSpec, lattices: list[ZNLattice]) -> dict:
     """Frame implication for rank-r windows with lattice-aligned shifts.
 
     Requires alpha[j][k] = 0 mod a_j and beta[j][k] = 0 mod b_j.  If the
@@ -269,7 +272,7 @@ def verify_rank_r_frame_implication(
                 )
     # group (j, k): the 1-d Gabor system of the k-th modulated translate of g_j
     groups = [[gabor_system(w, lat) for w in spec.modulated_translates(j)] for j, lat in enumerate(lattices)]
-    full = classify(sequences.materialize(sequences.build_minimal_sum(groups)), tol)
+    full = classify(sequences.materialize(sequences.build_minimal_sum(groups)))
     report: dict = {"full": full.to_dict(), "d": spec.d, "r": spec.r}
     if not full.is_frame:
         report["claim"] = "no claim"
@@ -277,7 +280,7 @@ def verify_rank_r_frame_implication(
     per_factor = []
     ok = True
     for j, lat in enumerate(lattices):
-        rep = gabor_frame_report(spec.windows[j], lat, tol)
+        rep = gabor_frame_report(spec.windows[j], lat)
         density_ok = lat.a * lat.b <= lat.N
         per_factor.append({**rep.to_dict(), "ab_over_N": lat.density_ratio, "density_ok": density_ok})
         ok = ok and rep.is_frame and density_ok
@@ -286,14 +289,7 @@ def verify_rank_r_frame_implication(
     return report
 
 
-def perturb_window(
-    w: ZNWindow,
-    lat: ZNLattice,
-    alpha: int,
-    beta: int,
-    c_phase: float = 0.0,
-    tol: float = FRAME_TOL,
-) -> dict:
+def perturb_window(w: ZNWindow, lat: ZNLattice, alpha: int, beta: int, c_phase: float = 0.0) -> dict:
     """Classify the perturbed window g + c M_beta T_alpha g.
 
     Conditions from the continuous statement, discretized: (alpha, beta)
@@ -311,7 +307,7 @@ def perturb_window(
         )
     c = np.exp(2j * np.pi * c_phase)
     h = ZNWindow(w.g + c * gabor_atom(w, alpha, beta))
-    rep = gabor_frame_report(h, lat, tol)
+    rep = gabor_frame_report(h, lat)
     lam_max = rep.bessel_bound
     lam_min = rep.lower_bound
     return {
@@ -329,7 +325,7 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def density_sweep(w: ZNWindow, tol: float = FRAME_TOL) -> list[dict]:
+def density_sweep(w: ZNWindow) -> list[dict]:
     """Classification over every divisor lattice (a, b) of Z_N.
 
     One row per pair, in lexicographic divisor order; rows carry the fields
@@ -339,5 +335,5 @@ def density_sweep(w: ZNWindow, tol: float = FRAME_TOL) -> list[dict]:
         raise ValueError(f"N={w.N} exceeds the supported sweep size {MAX_SWEEP_N}")
     rows = []
     for a, b in itertools.product(divisors(w.N), repeat=2):
-        rows.append(gabor_stats(w, ZNLattice(w.N, a, b), tol))
+        rows.append(gabor_stats(w, ZNLattice(w.N, a, b)))
     return rows

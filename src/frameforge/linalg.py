@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotInjective
 
 # Relative tolerance for all rank / invertibility decisions, as a multiple of
-# the largest singular value.  Overridable per call.
+# the largest singular value.
 DEFAULT_RTOL = 1e-9
 
 
@@ -84,16 +84,16 @@ def op_norm(a) -> float:
     return op_norm_extremes(a)[0]
 
 
-def left_pseudo_inverse(a, tol: float = DEFAULT_RTOL) -> np.ndarray:
+def left_pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose left inverse L with L @ A = I; requires A injective.
 
-    Injectivity is decided by sigma_min > tol * sigma_max with tall shape.
+    Injectivity is decided by sigma_min > DEFAULT_RTOL * sigma_max with tall shape.
     The returned L has operator norm 1 / sigma_min(A).
     """
     a = as_coperator(a)
     rows, cols = a.shape
     smax, smin = op_norm_extremes(a)
-    if rows < cols or smin <= tol * smax:
+    if rows < cols or smin <= DEFAULT_RTOL * smax:
         raise NotInjective(
             f"matrix of shape {rows}x{cols} with sigma_min={smin:.3e}, sigma_max={smax:.3e} is not injective"
         )
@@ -110,6 +110,17 @@ def singular_value_rank(s, tol: float = DEFAULT_RTOL, scale: float = 0.0) -> int
     return int(np.count_nonzero(s > tol * max(s[0], scale))) if s.size else 0
 
 
-def matrix_rank(a, tol: float = DEFAULT_RTOL) -> int:
-    """Rank by singular values above tol * sigma_max."""
-    return singular_value_rank(np.linalg.svd(as_coperator(a), compute_uv=False), tol)
+def matrix_rank(a) -> int:
+    """Rank by singular values above DEFAULT_RTOL * sigma_max."""
+    return singular_value_rank(np.linalg.svd(as_coperator(a), compute_uv=False))
+
+
+def max_exponent(a) -> int:
+    """The e with the largest real or imaginary part of 2**-e * a in [0.5, 1); 0 for a zero ``a``."""
+    return int(np.frexp(np.abs(np.ascontiguousarray(a, dtype=complex).view(float)).max())[1])
+
+
+def times_power_of_two(a, e: int) -> np.ndarray:
+    """A new complex array 2**e * a, exact while no part leaves the normal
+    range; ``e`` may lie beyond the float exponent range, where 2.0**e overflows."""
+    return np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), e).view(complex)

@@ -27,6 +27,11 @@ from .errors import (
 )
 from .linalg import DEFAULT_RTOL, as_coperator, as_cvector
 
+# Largest accepted |pairing - 1| in ``deflate`` and ``inverse_factors``, and
+# ||product - I|| / max(1, ||F||) of an inverse given to ``inverse_factors``.
+PAIRING_TOL = 1e-9
+INVERSE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BipartiteShape:
@@ -148,15 +153,15 @@ def pairing(f, u1, u2, v1, v2, shape: BipartiteShape) -> complex:
     return linalg.inner(f @ np.kron(as_cvector(u1), as_cvector(u2)), np.kron(as_cvector(v1), as_cvector(v2)))
 
 
-def deflate(f, u1, u2, v1, v2, shape: BipartiteShape, pairing_tol: float = 1e-9) -> np.ndarray:
+def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
     """Subtract D_{u,v}(F) from F; drops the Schmidt rank by exactly one.
 
     Requires the pairing <F(u1 (x) u2), v1 (x) v2> to equal 1 up to
-    ``pairing_tol``.
+    ``PAIRING_TOL``.
     """
     f = _check_operator(f, shape)
     p = pairing(f, u1, u2, v1, v2, shape)
-    if abs(p - 1.0) > pairing_tol:
+    if abs(p - 1.0) > PAIRING_TOL:
         raise PairingNotOne(f"pairing is {p}, expected 1")
     a, b = D_uv(f, u1, u2, v1, v2, shape)
     return f - np.kron(a, b)
@@ -173,13 +178,17 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     With unit vectors, D_uv(residual) reduces to two slices of the residual
     R viewed as R4[i1, i2, j1, j2]: A = R4[:, i2, :, j2] and
     B = R4[i1, :, j1, :] / R[i, j], read here without forming D_uv.
+
+    The loop runs on 2**-e * F, e = ``linalg.max_exponent(F)``, and scales
+    each A back by 2**e: exact scaling, but no norm overflows or underflows.
     """
     f = _check_operator(f, shape)
-    norm0 = np.linalg.norm(f)
+    e = linalg.max_exponent(f)
+    residual = linalg.times_power_of_two(f, -e)
+    norm0 = np.linalg.norm(residual)
     terms: list[tuple[np.ndarray, np.ndarray]] = []
     if norm0 == 0.0:
         return FSROperator(shape, ())
-    residual = f.copy()
     r4 = residual.reshape(shape.k1, shape.k2, shape.h1, shape.h2)  # a view of residual
     max_steps = min(shape.k1 * shape.h1, shape.k2 * shape.h2)
     for _ in range(max_steps):
@@ -191,7 +200,7 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
         a = r4[:, i2, :, j2].copy()
         b = r4[i1, :, j1, :] / residual[i, j]
         residual -= np.kron(a, b)
-        terms.append((a, b))
+        terms.append((linalg.times_power_of_two(a, e), b))
     return FSROperator(shape, tuple(terms))
 
 
@@ -229,7 +238,7 @@ def reshuffle_rank(
     return rank, FSROperator(shape, tuple(terms))
 
 
-def is_fms(terms, tol: float = DEFAULT_RTOL) -> bool:
+def is_fms(terms) -> bool:
     """Finite minimal system test: both factor families linearly independent."""
     terms = list(terms)
     if not terms:
@@ -237,10 +246,10 @@ def is_fms(terms, tol: float = DEFAULT_RTOL) -> bool:
     first = np.array([as_coperator(a).ravel() for a, _ in terms])
     second = np.array([as_coperator(b).ravel() for _, b in terms])
     r = len(terms)
-    return linalg.matrix_rank(first, tol) == r and linalg.matrix_rank(second, tol) == r
+    return linalg.matrix_rank(first) == r and linalg.matrix_rank(second) == r
 
 
-def spans_equal(terms_a, terms_b, side: int, tol: float = DEFAULT_RTOL) -> bool:
+def spans_equal(terms_a, terms_b, side: int) -> bool:
     """Whether the factor spans of two decompositions coincide on one side.
 
     ``side`` is 1 (first factors) or 2 (second factors).  Both term lists
@@ -255,22 +264,13 @@ def spans_equal(terms_a, terms_b, side: int, tol: float = DEFAULT_RTOL) -> bool:
     idx = side - 1
     fa = np.array([as_coperator(t[idx]).ravel() for t in terms_a])
     fb = np.array([as_coperator(t[idx]).ravel() for t in terms_b])
-    ra, rb = linalg.matrix_rank(fa, tol), linalg.matrix_rank(fb, tol)
+    ra, rb = linalg.matrix_rank(fa), linalg.matrix_rank(fb)
     if ra != rb:
         return False
-    return linalg.matrix_rank(np.vstack([fa, fb]), tol) == ra
+    return linalg.matrix_rank(np.vstack([fa, fb])) == ra
 
 
-def inverse_factors(
-    fsr: FSROperator,
-    inv,
-    side: str,
-    u1,
-    u2,
-    v1,
-    v2,
-    tol: float = 1e-8,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def inverse_factors(fsr: FSROperator, inv, side: str, u1, u2, v1, v2) -> list[tuple[np.ndarray, np.ndarray]]:
     """Factor-wise inverse identities from a left or right inverse of F.
 
     For ``side="left"`` with L @ F = I, returns pairs (L_{1,k}, L_{2,k}) with
@@ -293,9 +293,9 @@ def inverse_factors(
     f = fsr.materialize()
     u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
     product = inv @ f if side == "left" else f @ inv
-    if np.linalg.norm(product - np.eye(shape.domain_dim)) > tol * max(1.0, np.linalg.norm(f)):
+    if np.linalg.norm(product - np.eye(shape.domain_dim)) > INVERSE_TOL * max(1.0, np.linalg.norm(f)):
         raise NotAnInverse(f"given matrix is not a {side} inverse of F")
-    if abs(linalg.inner(u1, v1) - 1.0) > 1e-9 or abs(linalg.inner(u2, v2) - 1.0) > 1e-9:
+    if abs(linalg.inner(u1, v1) - 1.0) > PAIRING_TOL or abs(linalg.inner(u2, v2) - 1.0) > PAIRING_TOL:
         raise BadNormalization("need <u1, v1> = 1 and <u2, v2> = 1")
     if side == "left":
         return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DependentGroup, DimensionMismatch, EmptySequence, WrongRank
-from .linalg import DEFAULT_RTOL
 
-# Frame decision threshold: lower bound counts as positive when A > tol * B.
+# Frame decision threshold: lower bound counts as positive when A > FRAME_TOL * B.
 FRAME_TOL = 1e-10
 
 
@@ -87,19 +86,19 @@ def frame_operator(seq: VectorSequence) -> np.ndarray:
     return a.conj().T @ a
 
 
-def classify(seq: VectorSequence, tol: float = FRAME_TOL) -> FrameReport:
+def classify(seq: VectorSequence) -> FrameReport:
     """Optimal frame bounds and Bessel/frame/Riesz classification.
 
     B is the squared operator norm of the analysis operator and A is the
     smallest eigenvalue of the frame operator.  The sequence is a frame when
-    A > tol * B and a Riesz basis when additionally the analysis operator is
+    A > FRAME_TOL * B and a Riesz basis when additionally the analysis operator is
     square (count = space_dim), hence invertible.
     """
     eig = np.linalg.eigvalsh(frame_operator(seq))
-    return report_from_spectrum(eig, len(seq), seq.space_dim, tol)
+    return report_from_spectrum(eig, len(seq), seq.space_dim)
 
 
-def report_from_spectrum(eig, count: int, space_dim: int, tol: float = FRAME_TOL) -> FrameReport:
+def report_from_spectrum(eig, count: int, space_dim: int) -> FrameReport:
     """Frame bounds and classification from the frame operator's eigenvalues.
 
     ``eig`` holds the whole spectrum in any shape and order, for instance
@@ -109,7 +108,7 @@ def report_from_spectrum(eig, count: int, space_dim: int, tol: float = FRAME_TOL
     """
     a_bound = float(max(eig.min(), 0.0))
     b_bound = float(eig.max())
-    is_frame = a_bound > tol * b_bound
+    is_frame = a_bound > FRAME_TOL * b_bound
     is_riesz = is_frame and count == space_dim
     return FrameReport(a_bound, b_bound, is_frame, is_riesz)
 
@@ -159,12 +158,12 @@ class MinimalSumSequence:
         return tuple(g[0].space_dim for g in self.groups)
 
 
-def build_minimal_sum(groups, tol: float = DEFAULT_RTOL) -> MinimalSumSequence:
+def build_minimal_sum(groups) -> MinimalSumSequence:
     """Validate group shapes and per-group linear independence.
 
     Group j must hold r sequences of equal length N_j in dimension m_j, and
     the r sequences, flattened to vectors of length m_j * N_j, must have
-    rank r.
+    rank r by ``linalg.matrix_rank``.
     """
     groups = tuple(tuple(g) for g in groups)
     if not groups or any(not g for g in groups):
@@ -178,7 +177,7 @@ def build_minimal_sum(groups, tol: float = DEFAULT_RTOL) -> MinimalSumSequence:
             if len(seq) != n or seq.space_dim != m:
                 raise DimensionMismatch(f"sequences of group {j} must share length and dimension")
         flat = np.array([seq.vectors.ravel() for seq in group])
-        if linalg.matrix_rank(flat, tol) < r:
+        if linalg.matrix_rank(flat) < r:
             raise DependentGroup(j)
     return MinimalSumSequence(groups)
 
@@ -195,7 +194,7 @@ def materialize(ms: MinimalSumSequence) -> VectorSequence:
     return VectorSequence(out)
 
 
-def verify_main_theorem(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:
+def verify_main_theorem(ms: MinimalSumSequence) -> dict:
     """Check the frame implication for a minimal sum of tensor products.
 
     Classifies the materialized family.  If it is a frame, every group's
@@ -203,13 +202,13 @@ def verify_main_theorem(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:
     reported.  For r = 1 the product bounds must equal the products of the
     component bounds (both directions of the rank-one equivalence).
     """
-    full = classify(materialize(ms), tol)
+    full = classify(materialize(ms))
     report: dict = {"full": full.to_dict(), "r": ms.r, "d": ms.d}
     if not full.is_frame:
         report["claim"] = "no claim"
         return report
     report["claim"] = "every concatenated group must be a frame"
-    per_group = [classify(concatenate(list(g)), tol) for g in ms.groups]
+    per_group = [classify(concatenate(list(g))) for g in ms.groups]
     report["per_group"] = [rep.to_dict() for rep in per_group]
     report["all_groups_frames"] = all(rep.is_frame for rep in per_group)
     if ms.r == 1:
@@ -228,7 +227,7 @@ def verify_main_theorem(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:
     return report
 
 
-def two_term_disjunction_check(ms: MinimalSumSequence, tol: float = FRAME_TOL) -> dict:
+def two_term_disjunction_check(ms: MinimalSumSequence) -> dict:
     """For r = 2 frame sums, verify the three-branch disjunction.
 
     Either the first pure tensor family is a frame (branch 1), or the second
@@ -237,18 +236,18 @@ def two_term_disjunction_check(ms: MinimalSumSequence, tol: float = FRAME_TOL) -
     """
     if ms.r != 2:
         raise WrongRank(f"disjunction check needs r = 2, got r = {ms.r}")
-    full = classify(materialize(ms), tol)
+    full = classify(materialize(ms))
     report: dict = {"full": full.to_dict()}
     if not full.is_frame:
         report["branch"] = None
         report["claim"] = "no claim"
         return report
     for k in (0, 1):
-        if classify(tensor_sequences([g[k] for g in ms.groups]), tol).is_frame:
+        if classify(tensor_sequences([g[k] for g in ms.groups])).is_frame:
             report["branch"] = k + 1
             return report
     # index i can be dropped iff every other group has only frame components
-    bad = [j for j, g in enumerate(ms.groups) if not all(classify(s, tol).is_frame for s in g)]
+    bad = [j for j, g in enumerate(ms.groups) if not all(classify(s).is_frame for s in g)]
     if len(bad) <= 1:
         report["branch"] = 3
         report["dropped_index"] = bad[0] if bad else 0

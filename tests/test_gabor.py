@@ -175,12 +175,13 @@ class TestGaborFrameReport:
                 assert abs(rep.lower_bound - ref.lower_bound) <= 1e-12 * ref.bessel_bound
                 assert abs(rep.bessel_bound - ref.bessel_bound) <= 1e-12 * ref.bessel_bound
 
-    def test_tolerance_is_passed_on(self):
-        w = sample_window("gaussian", 12)
-        lat = ZNLattice(12, 3, 2)
-        rep = gabor_frame_report(w, lat)
-        assert rep.is_frame
-        assert not gabor_frame_report(w, lat, tol=2 * rep.lower_bound / rep.bessel_bound).is_frame
+    @pytest.mark.parametrize("ratio, is_frame", [(2 * sequences.FRAME_TOL, True), (sequences.FRAME_TOL / 2, False)])
+    def test_frame_threshold_is_frame_tol(self, ratio, is_frame):
+        # planted spectrum with A / B = ratio, as a stack of two 2x2 block spectra
+        b = 4.0
+        rep = sequences.report_from_spectrum(np.array([[ratio * b, 1.0], [2.0, b]]), 4, 4)
+        assert (rep.lower_bound, rep.bessel_bound) == (ratio * b, b)
+        assert (rep.is_frame, rep.is_riesz) == (is_frame, is_frame)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from frameforge import cli, gabor, io, schmidt, sequences, verify
 from frameforge.errors import DependentGroup, DimensionMismatch, FrameForgeError, WrongRank
+from frameforge.linalg import DEFAULT_RTOL
 from frameforge.schmidt import BipartiteShape, FSROperator
 from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
 from frameforge.verify import random_fsr_operator, suite_rng
@@ -424,6 +426,40 @@ class TestSchmidtCommand:
         assert "Traceback" not in proc.stderr
 
 
+    def test_tol_default_and_override(self):
+        def parse(*extra):
+            return cli.build_parser().parse_args(["schmidt", "decompose", "--input", "F.json",
+                                                  "--shape", "2,2,2,2", *extra])
+        assert parse().tol == DEFAULT_RTOL
+        assert parse("--tol", "1e-7").tol == 1e-7
+
+    @pytest.mark.parametrize("method", ["deflate", "svd"])
+    @pytest.mark.parametrize("value", ["abc", "-1e-9", "-1", "0", "1e-400", "1", "inf", "nan"])
+    def test_tol_outside_unit_interval_exits_2(self, tmp_path, capsys, value, method):
+        # tol <= 0 kept rank 4 and tol >= 1 ranked 0, both with exit 0
+        f = random_fsr_operator(suite_rng(6, 0), BipartiteShape(2, 2, 2, 2), 2).materialize()
+        code = cli.main(["schmidt", "decompose", "--input", self.write_operator(tmp_path, f),
+                         "--shape", "2,2,2,2", "--method", method, "--tol", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--tol" in errors[0]
+
+    @pytest.mark.parametrize("method", ["deflate", "svd"])
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [5e-324, 0.0]], ids=["1e308", "5e-324"])
+    def test_extreme_magnitudes_rank_one(self, tmp_path, capsys, entries, method):
+        # deflation ranked both 0 and the norms of 1e308 turned the reconstruction error into NaN
+        path = self.write_operator(tmp_path, np.array([entries], dtype=complex))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["schmidt", "decompose", "--input", path, "--shape", "1,2,1,1", "--method", method])
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert int(fields["rank"]) == 1
+        assert np.isfinite(float(fields["reconstruction_error"]))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("method", ["deflate", "svd"])
     def test_planted_rank_128_end_to_end(self, tmp_path, method):
         # 256x256 operator of Schmidt rank 128 on C^16 (x) C^16, as the CLI sees it
@@ -701,18 +737,6 @@ class TestVerifyCommand:
 
     def test_zero_trials(self):
         assert cli.main(["verify", "all", "--seed", "3", "--trials", "0"]) == 2
-
-    @pytest.mark.parametrize("value", ["abc", "-1e-9", "0", "inf", "nan"])
-    def test_bad_tolerance_env(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("FRAMEFORGE_TOL", value)
-        assert cli.main(["verify", "all", "--trials", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: FRAMEFORGE_TOL ")
-
-    def test_tolerance_env_override(self, monkeypatch):
-        monkeypatch.setenv("FRAMEFORGE_TOL", "1e-7")
-        args = cli.build_parser().parse_args(["schmidt", "decompose", "--input", "F.json",
-                                              "--shape", "2,2,2,2"])
-        assert args.tol == 1e-7
 
     def test_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

@@ -158,6 +158,24 @@ class TestMatrixRank:
         assert linalg.matrix_rank(np.zeros((0, 3))) == linalg.matrix_rank(np.zeros((3, 0))) == 0
 
 
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("x, e", [(1.0, 1), (0.75j, 0), (-3e-3, -8), (1e308, 1024), (5e-324, -1073)])
+    def test_max_exponent(self, x, e):
+        a = np.array([[x, x / 4]], dtype=complex)
+        assert linalg.max_exponent(a) == e
+        assert 0.5 <= np.abs(linalg.times_power_of_two(a, -e).view(float)).max() < 1
+
+    def test_zero_has_exponent_zero(self):
+        assert linalg.max_exponent(np.zeros((2, 3))) == 0
+
+    def test_scaling_is_exact_beyond_the_float_exponent_range(self):
+        a = np.array([5e-324, 1e-310j, 0.0])
+        assert np.array_equal(linalg.times_power_of_two(a, 1073), a * 2.0**1000 * 2.0**73)
+        rng = np.random.default_rng(3)
+        b = crandom(rng, 3, 4).T  # not contiguous
+        assert np.array_equal(linalg.times_power_of_two(linalg.times_power_of_two(b, -40), 40), b)
+
+
 def matrix_rank_rule(s, tol):
     """matrix_rank's own count before the rule was shared: oracle."""
     if s.size == 0 or s[0] == 0.0:

@@ -8,7 +8,7 @@ from frameforge.errors import (
     NotAnInverse,
     PairingNotOne,
 )
-from frameforge.linalg import inner, op_norm, tensor_vec
+from frameforge.linalg import DEFAULT_RTOL, inner, op_norm, tensor_vec
 from frameforge.schmidt import (
     BipartiteShape,
     FSROperator,
@@ -427,6 +427,34 @@ def deflation_by_D_uv(f, shape, tol=1e-9):
     return terms
 
 
+def deflation_unscaled(f, shape, tol=DEFAULT_RTOL):
+    """The slice-based deflation loop on F itself, without the power-of-two
+    scaling: oracle for schmidt_decompose_deflation on ordinary magnitudes."""
+    norm0 = np.linalg.norm(f)
+    terms = []
+    if norm0 == 0.0:
+        return terms
+    residual = np.array(f, dtype=complex)
+    r4 = residual.reshape(shape.k1, shape.k2, shape.h1, shape.h2)
+    for _ in range(min(shape.k1 * shape.h1, shape.k2 * shape.h2)):
+        if np.linalg.norm(residual) <= tol * norm0:
+            break
+        i, j = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
+        i1, i2 = divmod(int(i), shape.k2)
+        j1, j2 = divmod(int(j), shape.h2)
+        a = r4[:, i2, :, j2].copy()
+        b = r4[i1, :, j1, :] / residual[i, j]
+        residual -= np.kron(a, b)
+        terms.append((a, b))
+    return terms
+
+
+def assert_terms_equal(got, want):
+    assert len(got) == len(want)
+    for (a, b), (a0, b0) in zip(got, want):
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
 def materialize_by_kron_loop(fsr):
     """One np.kron per term, summed in term order: oracle for FSROperator.materialize."""
     out = np.zeros((fsr.shape.codomain_dim, fsr.shape.domain_dim), dtype=complex)
@@ -464,6 +492,31 @@ class TestStructuredRoutesMatchOracles:
             assert len(got) == len(want) == len(terms)
             for (a, b), (a0, b0) in zip(got, want):
                 assert np.abs(np.kron(a, b) - np.kron(a0, b0)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("r", [8, 32, 128])
+    def test_scaled_deflation_is_exact_on_planted_ranks(self, r):
+        rng = np.random.default_rng(r)
+        shape = BipartiteShape(16, 16, 16, 16)
+        a, b = crandom(rng, r, 16, 16), crandom(rng, r, 16, 16)
+        f = np.einsum("kac,kbd->abcd", a, b).reshape(256, 256)
+        assert_terms_equal(schmidt_decompose_deflation(f, shape).terms, deflation_unscaled(f, shape))
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e5])
+    def test_scaled_deflation_is_exact_on_small_shapes(self, magnitude):
+        for shape, terms in random_terms_cases(7):
+            f = magnitude * materialize_by_kron_loop(FSROperator(shape, terms))
+            assert_terms_equal(schmidt_decompose_deflation(f, shape).terms, deflation_unscaled(f, shape))
+
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [5e-324, 0.0], [-1e-310, 3e-320j]])
+    def test_extreme_magnitudes_deflate_to_rank_one(self, entries):
+        # the unscaled loop ranks these 0: its norms overflow to inf or underflow to 0
+        f = np.array([entries], dtype=complex)
+        shape = BipartiteShape(1, 2, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert deflation_unscaled(f, shape) == []
+        dec = schmidt_decompose_deflation(f, shape)
+        assert dec.rank_bound == 1
+        assert np.array_equal(dec.materialize(), f)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_materialize_matches_kron_loop(self, seed):

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from frameforge import sequences
 from frameforge.errors import DependentGroup, DimensionMismatch, WrongRank
 from frameforge.sequences import (
     VectorSequence,
@@ -342,16 +341,16 @@ class TestTwoTermDisjunction:
             two_term_disjunction_check(ms)
 
 
-def disjunction_by_drop_loop(ms, tol=sequences.FRAME_TOL):
+def disjunction_by_drop_loop(ms):
     """Branch and dropped index with every other group re-classified for each
     candidate index: oracle for two_term_disjunction_check."""
-    if not classify(materialize(ms), tol).is_frame:
+    if not classify(materialize(ms)).is_frame:
         return None, None
     for k in (0, 1):
-        if classify(tensor_sequences([g[k] for g in ms.groups]), tol).is_frame:
+        if classify(tensor_sequences([g[k] for g in ms.groups])).is_frame:
             return k + 1, None
     for i in range(ms.d):
-        if all(classify(ms.groups[j][k], tol).is_frame for j in range(ms.d) if j != i for k in (0, 1)):
+        if all(classify(ms.groups[j][k]).is_frame for j in range(ms.d) if j != i for k in (0, 1)):
             return 3, i
     return 0, None
 
