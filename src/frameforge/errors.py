@@ -67,5 +67,9 @@ class NonFiniteData(FrameForgeError):
     pass
 
 
+class OutOfFloatRange(FrameForgeError):
+    pass
+
+
 class DrawFailed(FrameForgeError):
     pass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frameforge import gabor, sequences
 from frameforge.errors import (
@@ -8,6 +9,7 @@ from frameforge.errors import (
     DimensionMismatch,
     NonDivisorLattice,
     NonFiniteData,
+    OutOfFloatRange,
     ZeroShift,
 )
 from frameforge.gabor import (
@@ -164,6 +166,33 @@ class TestVectorisedSystem:
             assert np.array_equal(gabor.gabor_atom(w, np.arange(n)[:, None], np.arange(n)), every)
 
 
+def walnut_blocks_report(w, lat):
+    """All N/b Walnut blocks S_r = (N/b) G_r G_r^*, G_r[s, m] = g[r + (N/b) s - m a],
+    solved as dense b x b eigenproblems: oracle for gabor_frame_report."""
+    N, a, b = lat.N, lat.a, lat.b
+    q = N // b
+    idx = np.arange(q)[:, None, None] + q * np.arange(b)[:, None] - a * np.arange(N // a)
+    g = w.g[idx % N]
+    blocks = q * (g @ g.conj().transpose(0, 2, 1))
+    return sequences.report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N)
+
+
+def assert_same_report(rep, ref, rtol):
+    assert (rep.is_frame, rep.is_riesz) == (ref.is_frame, ref.is_riesz)
+    assert abs(rep.lower_bound - ref.lower_bound) <= rtol * ref.bessel_bound
+    assert abs(rep.bessel_bound - ref.bessel_bound) <= rtol * ref.bessel_bound
+
+
+@st.composite
+def windows_and_lattices(draw):
+    n = draw(st.integers(1, 64))
+    a, b = draw(st.sampled_from(gabor.divisors(n))), draw(st.sampled_from(gabor.divisors(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = crandom(rng, n) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    support = draw(st.integers(1, n))  # short windows make sparse blocks
+    return ZNWindow(np.where(np.arange(n) < support, g, 0)), ZNLattice(n, a, b)
+
+
 class TestGaborFrameReport:
     @pytest.mark.parametrize("n", [12, 30, 36])
     def test_matches_dense_oracle(self, n):
@@ -174,6 +203,54 @@ class TestGaborFrameReport:
                 assert (rep.is_frame, rep.is_riesz) == (ref.is_frame, ref.is_riesz)
                 assert abs(rep.lower_bound - ref.lower_bound) <= 1e-12 * ref.bessel_bound
                 assert abs(rep.bessel_bound - ref.bessel_bound) <= 1e-12 * ref.bessel_bound
+
+    @pytest.mark.parametrize("n", [12, 30, 36, 60, 64, 120])
+    def test_matches_walnut_blocks(self, n):
+        for w in oracle_windows(n):
+            for lat in divisor_lattices(n):
+                assert_same_report(gabor_frame_report(w, lat), walnut_blocks_report(w, lat), 1e-13)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=windows_and_lattices())
+    def test_matches_walnut_blocks_on_random_windows(self, case):
+        w, lat = case
+        assert_same_report(gabor_frame_report(w, lat), walnut_blocks_report(w, lat), 1e-13)
+
+    @pytest.mark.parametrize("k", [-300, -3, -1, 1, 5, 300])
+    def test_power_of_two_window_scales_bounds_exactly(self, k):
+        # the blocks are built from 2**-e g, so 2**k g gives the same scaled spectrum
+        for w in oracle_windows(12):
+            wk = ZNWindow(np.ldexp(w.g.view(float), k).view(complex))
+            for lat in divisor_lattices(12):
+                rep, ref = gabor_frame_report(wk, lat), gabor_frame_report(w, lat)
+                assert (rep.is_frame, rep.is_riesz) == (ref.is_frame, ref.is_riesz)
+                assert rep.lower_bound == np.ldexp(ref.lower_bound, 2 * k)
+                assert rep.bessel_bound == np.ldexp(ref.bessel_bound, 2 * k)
+
+    @pytest.mark.parametrize("value", [1e308, 1e200, 1e-200, 5e-324])
+    def test_bounds_outside_float_range_raise(self, value):
+        # B = (N/b) |value|**2 overflows or underflows to 0 on every lattice
+        g = np.zeros(12, dtype=complex)
+        g[0] = value
+        for lat in divisor_lattices(12):
+            with pytest.raises(OutOfFloatRange):
+                gabor_frame_report(ZNWindow(g), lat)
+
+    @pytest.mark.parametrize("value", [1e150, 1e-150])
+    def test_extreme_but_representable_delta(self, value):
+        # a delta window: S = (N/b) |value|**2 on the multiples of a, 0 elsewhere
+        g = np.zeros(12, dtype=complex)
+        g[0] = value
+        for lat in divisor_lattices(12):
+            rep = gabor_frame_report(ZNWindow(g), lat)
+            assert rep.bessel_bound == pytest.approx(12 // lat.b * value**2, rel=1e-15)
+            assert rep.is_frame == (lat.a == 1)
+            assert rep.lower_bound == (rep.bessel_bound if lat.a == 1 else 0.0)
+
+    def test_zero_window_is_not_a_frame(self):
+        for lat in divisor_lattices(12):
+            rep = gabor_frame_report(ZNWindow(np.zeros(12)), lat)
+            assert (rep.lower_bound, rep.bessel_bound, rep.is_frame) == (0.0, 0.0, False)
 
     @pytest.mark.parametrize("ratio, is_frame", [(2 * sequences.FRAME_TOL, True), (sequences.FRAME_TOL / 2, False)])
     def test_frame_threshold_is_frame_tol(self, ratio, is_frame):
@@ -416,7 +493,7 @@ class TestDensitySweep:
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
-            density_sweep(ZNWindow(np.ones(300)))
+            density_sweep(ZNWindow(np.ones(1025)))
 
 
 class TestSampleWindow:

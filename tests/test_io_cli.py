@@ -313,8 +313,8 @@ def cap_address_space():
 
 
 @pytest.mark.parametrize("argv", [
-    # gabor_frame_report's index gather: 37.3 GiB
-    ["gabor", "perturb", "--N", "100000", "--a", "2", "--b", "2", "--alpha", "50000", "--beta", "50000"],
+    # gabor_frame_report's index gather of shape (1, 100000, 100000): 74.5 GiB
+    ["gabor", "perturb", "--N", "100000", "--a", "1", "--b", "100000", "--alpha", "50000", "--beta", "0"],
     # materialize of a 90,000 x 90,000 family: 121 GiB
     ["frames", "verify-main", "--dims", "300,300", "--lens", "300,300", "--rank", "1", "--trials", "1"],
 ], ids=lambda argv: "_".join(argv[:2]))
@@ -324,6 +324,21 @@ def test_allocation_failure_exits_2(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "allocate" in proc.stderr
+
+
+def test_large_perturb_within_address_cap():
+    # gathering all 50000 Walnut blocks takes 37.3 GiB, the 2 orbit representatives a few MB
+    argv = ["gabor", "perturb", "--N", "100000", "--a", "2", "--b", "2", "--alpha", "50000", "--beta", "50000"]
+    proc = run_cli(argv, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["spectral_ratio"] < 1e-8
+
+
+def test_sweep_n840_within_address_cap():
+    # 840 has 32 divisors, so 1024 lattices
+    proc = run_cli(["gabor", "sweep", "--N", "840"], timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "rows: 1024"
 
 
 # Any JSON value, NaN, infinities and integers far outside the float range included.
@@ -344,6 +359,21 @@ def mutated_files(draw, kind):
     if not path:
         return draw(JSON_VALUES)
     return mutated(valid, path, draw(JSON_VALUES | st.just(DELETE)))
+
+
+# Magnitudes at the ends of the float range: the largest float, huge, tiny,
+# the smallest normal, subnormals and 1.
+EXTREME_SCALES = [1.7976931348623157e308, 1e300, 1.0, 1e-300, 2.2250738585072014e-308, 1e-310, 5e-324]
+
+
+@st.composite
+def extreme_windows(draw, n):
+    """A length-n complex window whose parts are multiples in [-1, 1] of up to
+    three extreme scales, so one window may mix scales."""
+    scales = draw(st.lists(st.sampled_from(EXTREME_SCALES), min_size=1, max_size=3))
+    factor = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
+    part = st.builds(operator.mul, factor, st.sampled_from(scales))
+    return np.array([complex(draw(part), draw(part)) for _ in range(n)])
 
 
 class TestFuzzedFiles:
@@ -368,6 +398,42 @@ class TestFuzzedFiles:
         path.write_text(json.dumps(data.draw(mutated_files(kind))))
         with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
             assert cli.main([*argv, "--input", str(path)]) in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["gabor", "sweep", "--N", "12"],
+        ["gabor", "perturb", "--N", "12", "--a", "2", "--b", "2", "--alpha", "6", "--beta", "6"],
+    ], ids=["gabor_sweep", "gabor_perturb"])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(entries=extreme_windows(12))
+    def test_gabor_cli_at_extreme_magnitudes(self, tmp_path_factory, argv, entries):
+        path = tmp_path_factory.getbasetemp() / "extreme_window.json"
+        io.save_json(path, io.window_to_dict(gabor.ZNWindow(entries)))
+        csv_path = tmp_path_factory.getbasetemp() / "extreme_sweep.csv"
+        extra = ["--output", str(csv_path)] if argv[1] == "sweep" else []
+        code, out, err, caught = run_main_capturing([*argv, "--window", f"file:{path}", *extra])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "float range" in err, err
+        elif argv[1] == "sweep":
+            assert all(np.isfinite([r["A"], r["B"]]).all() for r in io.read_sweep_csv(csv_path))
+        else:
+            json.loads(out, parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+def run_main_capturing(argv):
+    """cli.main(argv) in process: exit code, stdout, stderr and the warnings it raised."""
+    out, err = StringIO(), StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
 
 
 class TestSchmidtCommand:
@@ -696,8 +762,26 @@ class TestGaborCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
 
+    @pytest.mark.parametrize("value", [1e308, 1e200, 1e-200, 5e-324])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--N", "12"],
+        ["perturb", "--N", "12", "--a", "2", "--b", "2", "--alpha", "6", "--beta", "6"],
+    ], ids=["sweep", "perturb"])
+    def test_delta_window_beyond_float_range_exits_2(self, tmp_path, command, value):
+        # B = (N/b) value**2: 1e308 warned of overflow in matmul, 1e200 failed to
+        # converge, 1e-200 and 5e-324 reported A = B = 0 on every lattice with exit 0
+        g = np.zeros(12, dtype=complex)
+        g[0] = value
+        wpath = tmp_path / "w.json"
+        io.save_json(wpath, io.window_to_dict(gabor.ZNWindow(g)))
+        code, out, err, caught = run_main_capturing(["gabor", *command, "--window", f"file:{wpath}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_sweep_oversize(self):
-        assert cli.main(["gabor", "sweep", "--N", "300"]) == 2
+        assert cli.main(["gabor", "sweep", "--N", "1025"]) == 2
 
     def test_perturb(self, capsys):
         code = cli.main(["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2",
