@@ -35,8 +35,6 @@ from .schmidt import (
     contract_V1,
     contract_V2,
     deflate,
-    embed_U1,
-    embed_U2,
     inverse_factors,
     is_fms,
     reshuffle_rank,

@@ -30,7 +30,7 @@ from .errors import (
     ZeroShift,
 )
 from .linalg import as_cvector
-from .sequences import FrameReport, VectorSequence, classify, report_from_spectrum
+from .sequences import FrameReport, VectorSequence, _scaled_back, classify, report_from_spectrum
 
 WINDOW_GENERATORS = ("gaussian", "twoexp", "sech", "rational")
 
@@ -134,11 +134,16 @@ def gabor_atom(w: ZNWindow, a_shift, b_mod) -> np.ndarray:
 
     Integer or integer-array shifts broadcast; both are reduced mod N as
     integers first, so negative shifts and Python ints of any size are exact.
+    An atom that leaves the float range raises ``NonFiniteData``.
     """
     t = np.arange(w.N)
     a = np.asarray(a_shift % w.N)[..., None]
     b = np.asarray(b_mod % w.N)[..., None]
-    return np.exp(2j * np.pi * b * t / w.N) * w.g[(t - a) % w.N]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        atoms = np.exp(2j * np.pi * b * t / w.N) * w.g[(t - a) % w.N]
+    if not np.isfinite(atoms).all():
+        raise NonFiniteData("a time-frequency shift of the window has non-finite entries: it leaves the float range")
+    return atoms
 
 
 def _check_length(w: ZNWindow, lat: ZNLattice) -> None:
@@ -176,7 +181,8 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
       Z_b.  With s = g u + i, S_r is block circulant over u in Z_p, p = b/g,
       and its g x g blocks B_u form its first block row q G_r[:g] G_r^*.
       Its spectrum is that of the p Hermitian matrices
-      sum_u B_u exp(-2 pi i u k / p), k in Z_p: one FFT over u.
+      sum_u B_u exp(-2 pi i u k / p), k in Z_p: one FFT over u, skipped
+      when p = 1, where it is the identity.
 
     The eigen cost per representative drops from b^3 to b g^2.  The blocks
     are built from ``w.scaled`` = 2**-e w, e = ``w.exponent``, so the
@@ -192,20 +198,11 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     # r + q s - m a lies in (-N, N), and numpy reads a negative index i as i + N
     idx = np.arange(c)[:, None, None] + np.arange(0, N, q)[:, None] - np.arange(0, N, a)
     rows = w.scaled[idx]
-    first = rows[:, :g] @ rows.conj().transpose(0, 2, 1)
-    blocks = np.fft.fft(first.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
+    blocks = rows[:, :g] @ rows.conj().transpose(0, 2, 1)
+    if g < b:
+        blocks = np.fft.fft(blocks.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
     rep = report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N)
-    e2 = 2 * w.exponent
-    try:
-        upper = math.ldexp(q * rep.bessel_bound, e2)
-    except OverflowError:
-        upper = math.inf
-    if math.isinf(upper) or (upper == 0.0 and rep.bessel_bound != 0.0):
-        raise OutOfFloatRange(
-            f"the frame bounds on (a, b)=({a}, {b}) of a window with largest part ~2**{w.exponent} "
-            "leave the float range"
-        )
-    return FrameReport(math.ldexp(q * rep.lower_bound, e2), upper, rep.is_frame, rep.is_riesz)
+    return _scaled_back(rep, q, w.exponent, f"on (a, b)=({a}, {b}) of a window")
 
 
 def gabor_stats(w: ZNWindow, lat: ZNLattice) -> dict:

@@ -99,18 +99,6 @@ def _check_operator(f, shape: BipartiteShape) -> np.ndarray:
     return f
 
 
-def embed_U1(u1, h2: int) -> np.ndarray:
-    """Embedding x2 -> u1 (x) x2; operator norm equals ||u1||."""
-    u1 = as_cvector(u1)
-    return np.kron(u1.reshape(-1, 1), np.eye(h2))
-
-
-def embed_U2(u2, h1: int) -> np.ndarray:
-    """Embedding x1 -> x1 (x) u2; operator norm equals ||u2||."""
-    u2 = as_cvector(u2)
-    return np.kron(np.eye(h1), u2.reshape(-1, 1))
-
-
 def contract_V1(v1, h, shape: BipartiteShape) -> np.ndarray:
     """Contraction of the first factor: y1 (x) y2 -> <y1, v1> y2."""
     v1, h = as_cvector(v1), as_cvector(h)
@@ -132,13 +120,12 @@ def P_uv(f, g, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.nd
 
     A acts on the first factor: A x1 = contract_V2(v2, F(x1 (x) u2)).
     B acts on the second:       B x2 = contract_V1(v1, G(u1 (x) x2)).
+    On the view F4[i1, i2, j1, j2]: A = sum conj(v2[i2]) F4[:, i2, :, j2] u2[j2].
     """
     f, g = _check_operator(f, shape), _check_operator(g, shape)
     u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
-    fa = f @ embed_U2(u2, shape.h1)  # (k1*k2, h1)
-    a = np.einsum("j,ijc->ic", v2.conj(), fa.reshape(shape.k1, shape.k2, shape.h1))
-    gb = g @ embed_U1(u1, shape.h2)  # (k1*k2, h2)
-    b = np.einsum("i,ijc->jc", v1.conj(), gb.reshape(shape.k1, shape.k2, shape.h2))
+    a = np.einsum("j,ijcd,d->ic", v2.conj(), f.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u2)
+    b = np.einsum("i,ijcd,c->jd", v1.conj(), g.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u1)
     return a, b
 
 
@@ -150,7 +137,7 @@ def D_uv(f, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.ndarr
 def pairing(f, u1, u2, v1, v2, shape: BipartiteShape) -> complex:
     """<F(u1 (x) u2), v1 (x) v2>."""
     f = _check_operator(f, shape)
-    return linalg.inner(f @ np.kron(as_cvector(u1), as_cvector(u2)), np.kron(as_cvector(v1), as_cvector(v2)))
+    return linalg.inner(f @ linalg.tensor_vec(u1, u2), linalg.tensor_vec(v1, v2))
 
 
 def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
@@ -164,7 +151,7 @@ def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
     if abs(p - 1.0) > PAIRING_TOL:
         raise PairingNotOne(f"pairing is {p}, expected 1")
     a, b = D_uv(f, u1, u2, v1, v2, shape)
-    return f - np.kron(a, b)
+    return f - linalg.tensor_op(a, b)
 
 
 def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_RTOL) -> FSROperator:
@@ -199,7 +186,7 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
         j1, j2 = divmod(int(j), shape.h2)
         a = r4[:, i2, :, j2].copy()
         b = r4[i1, :, j1, :] / residual[i, j]
-        residual -= np.kron(a, b)
+        residual -= linalg.tensor_op(a, b)
         terms.append((linalg.times_power_of_two(a, e), b))
     return FSROperator(shape, tuple(terms))
 

@@ -16,12 +16,13 @@ where for each group j the r component sequences are linearly independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DependentGroup, DimensionMismatch, EmptySequence, WrongRank
+from .errors import DependentGroup, DimensionMismatch, EmptySequence, OutOfFloatRange, WrongRank
 
 # Frame decision threshold: lower bound counts as positive when A > FRAME_TOL * B.
 FRAME_TOL = 1e-10
@@ -81,9 +82,9 @@ def synthesis_operator(seq: VectorSequence) -> np.ndarray:
 
 
 def frame_operator(seq: VectorSequence) -> np.ndarray:
-    """S = F* F, Hermitian positive semidefinite on the ambient space."""
-    a = analysis_operator(seq)
-    return a.conj().T @ a
+    """S = F* F, Hermitian positive semidefinite on the ambient space; with
+    the vectors as rows V, F = conj(V) and F* is the view V^T."""
+    return seq.vectors.T @ analysis_operator(seq)
 
 
 def classify(seq: VectorSequence) -> FrameReport:
@@ -93,9 +94,12 @@ def classify(seq: VectorSequence) -> FrameReport:
     smallest eigenvalue of the frame operator.  The sequence is a frame when
     A > FRAME_TOL * B and a Riesz basis when additionally the analysis operator is
     square (count = space_dim), hence invertible.
+    The spectrum is taken on 2**-e f_n, e = ``linalg.max_exponent``, so the
+    vectors' own scale cannot over- or underflow it; A and B are scaled back.
     """
-    eig = np.linalg.eigvalsh(frame_operator(seq))
-    return report_from_spectrum(eig, len(seq), seq.space_dim)
+    e = linalg.max_exponent(seq.vectors)
+    eig = np.linalg.eigvalsh(frame_operator(VectorSequence(linalg.times_power_of_two(seq.vectors, -e))))
+    return _scaled_back(report_from_spectrum(eig, len(seq), seq.space_dim), 1, e, "of a sequence")
 
 
 def report_from_spectrum(eig, count: int, space_dim: int) -> FrameReport:
@@ -111,6 +115,18 @@ def report_from_spectrum(eig, count: int, space_dim: int) -> FrameReport:
     is_frame = a_bound > FRAME_TOL * b_bound
     is_riesz = is_frame and count == space_dim
     return FrameReport(a_bound, b_bound, is_frame, is_riesz)
+
+
+def _scaled_back(rep: FrameReport, factor: int, e: int, what: str) -> FrameReport:
+    """The report on S from ``rep``, a report on 2**-2e S / factor.  A B that
+    overflows, or a nonzero B that underflows to 0, raises ``OutOfFloatRange``."""
+    try:
+        upper = math.ldexp(factor * rep.bessel_bound, 2 * e)
+    except OverflowError:
+        upper = math.inf
+    if math.isinf(upper) or (upper == 0.0 and rep.bessel_bound != 0.0):
+        raise OutOfFloatRange(f"the frame bounds {what} with largest part ~2**{e} leave the float range")
+    return FrameReport(math.ldexp(factor * rep.lower_bound, 2 * e), upper, rep.is_frame, rep.is_riesz)
 
 
 def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:

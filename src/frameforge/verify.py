@@ -11,7 +11,7 @@ import numpy as np
 
 from . import gabor, schmidt, sequences
 from .errors import DependentGroup, DimensionMismatch, DrawFailed, WrongRank
-from .linalg import inner, op_norm
+from .linalg import inner, op_norm, tensor_op
 from .schmidt import BipartiteShape, FSROperator
 from .sequences import VectorSequence, build_minimal_sum, classify
 
@@ -120,14 +120,9 @@ def suite_prop22_identities(rng, trials: int) -> dict:
         shape = BipartiteShape(*rng.integers(2, 4, size=4))
         v1, v2 = _cnormal(rng, shape.k1), _cnormal(rng, shape.k2)
         u1, u2 = _cnormal(rng, shape.h1), _cnormal(rng, shape.h2)
-        m1 = np.array([
-            schmidt.contract_V1(v1, np.eye(shape.codomain_dim, dtype=complex)[:, c], shape)
-            for c in range(shape.codomain_dim)
-        ]).T
-        m2 = np.array([
-            schmidt.contract_V2(v2, np.eye(shape.codomain_dim, dtype=complex)[:, c], shape)
-            for c in range(shape.codomain_dim)
-        ]).T
+        basis = np.eye(shape.codomain_dim, dtype=complex)
+        m1 = np.array([schmidt.contract_V1(v1, e, shape) for e in basis]).T
+        m2 = np.array([schmidt.contract_V2(v2, e, shape) for e in basis]).T
         worst_norm = max(
             worst_norm,
             abs(op_norm(m1) - np.linalg.norm(v1)),
@@ -139,10 +134,10 @@ def suite_prop22_identities(rng, trials: int) -> dict:
         cap = (
             np.linalg.norm(u1) * np.linalg.norm(u2) * np.linalg.norm(v1) * np.linalg.norm(v2)
         )
-        if op_norm(np.kron(a, b)) > cap * op_norm(f) * op_norm(g) + 1e-9:
+        if op_norm(tensor_op(a, b)) > cap * op_norm(f) * op_norm(g) + 1e-9:
             bound_ok = False
-        da = np.kron(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
-        db = np.kron(*schmidt.D_uv(g, u1, u2, v1, v2, shape))
+        da = tensor_op(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
+        db = tensor_op(*schmidt.D_uv(g, u1, u2, v1, v2, shape))
         lip = cap * (op_norm(f) + op_norm(g)) * op_norm(f - g)
         if op_norm(da - db) > lip + 1e-9:
             bound_ok = False
@@ -165,7 +160,7 @@ def suite_rank_one_fixed_point(rng, trials: int) -> dict:
         u1, u2 = _cnormal(rng, shape.h1), _cnormal(rng, shape.h2)
         v1, v2 = _cnormal(rng, shape.k1), _cnormal(rng, shape.k2)
         p = schmidt.pairing(f, u1, u2, v1, v2, shape)
-        d = np.kron(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
+        d = tensor_op(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
         resid = np.linalg.norm(d - p * f) / np.linalg.norm(f)
         if r == 1:
             worst = max(worst, resid)
@@ -190,7 +185,7 @@ def suite_deflation_rank_law(rng, trials: int) -> dict:
         # walk the deflation's terms to watch the rank drop by one per step
         residual = f
         for k, (a, b) in enumerate(dec.terms[:r]):
-            residual = residual - np.kron(a, b)
+            residual = residual - tensor_op(a, b)
             if schmidt.reshuffle_rank(residual, shape, tol=1e-7, scale=norm_f)[0] != r - 1 - k:
                 ok = False
                 break

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,17 @@ class TestTranslateModulate:
         lhs = modulate(translate(w, a), b).g
         rhs = np.exp(2j * np.pi * a * b / n) * translate(modulate(w, b), a).g
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    def test_shift_beyond_float_range_raises_without_warning(self):
+        # the phase ramp times parts near the float maximum overflows
+        w = ZNWindow(np.full(8, 1.7e308 * (1 + 1j)))
+        spec = RankRWindowSpec((w,), ((0, 2),), ((1, 3),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shift in (lambda: modulate(w, 1), lambda: spec.modulated_translates(0)):
+                with pytest.raises(NonFiniteData, match="float range"):
+                    shift()
+            assert np.array_equal(translate(w, 3).g, w.g)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_shifts_reduce_mod_n_exactly(self, n):

@@ -422,6 +422,21 @@ class TestFuzzedFiles:
             json.loads(out, parse_constant=reject_constant)
 
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(vectors=st.lists(extreme_windows(3), min_size=1, max_size=4))
+    def test_classify_cli_at_extreme_magnitudes(self, tmp_path_factory, vectors):
+        path = tmp_path_factory.getbasetemp() / "extreme_sequence.json"
+        io.save_json(path, io.sequence_to_dict(VectorSequence(np.array(vectors))))
+        code, out, err, caught = run_main_capturing(["frames", "classify", "--input", str(path)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "float range" in err, err
+        else:
+            json.loads(out, parse_constant=reject_constant)
+
+
 def reject_constant(name):
     raise AssertionError(f"{name} in JSON output")
 
@@ -588,10 +603,11 @@ class TestFramesCommands:
         payload = {"space_dim": len(vectors[0]), "vectors": [{"dim": len(v), "entries": v} for v in vectors]}
         path = tmp_path / "seq.json"
         path.write_text(json.dumps(payload))
-        assert cli.main(["frames", "classify", "--input", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        code, out, err, caught = run_main_capturing(["frames", "classify", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_verify_main_impossible_draw(self, capsys):
         # Two vectors can never span C^3, so no draw is a frame.

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,38 @@ class TestTensorOp:
         np.testing.assert_allclose(
             adjoint(tensor_op(a, b)), tensor_op(adjoint(a), adjoint(b)), atol=1e-12
         )
+
+
+# (shape of a, shape of b): vectors, and matrices of mixed shapes with 1 x n and n x 1 factors
+KRON_SHAPES = [
+    ((3,), (2,)), ((1,), (4,)), ((5,), (1,)),
+    ((3, 3), (2, 3)), ((1, 4), (3, 1)), ((4, 1), (1, 3)), ((1, 1), (2, 2)), ((2, 5), (1, 4)), ((3, 1), (3, 1)),
+]
+
+
+class TestKron:
+    @pytest.mark.parametrize("sa, sb", KRON_SHAPES)
+    def test_equals_np_kron(self, sa, sb):
+        rng = np.random.default_rng(12)
+        a, b = crandom(rng, *sa), crandom(rng, *sb)
+        want = np.kron(a, b)
+        assert np.array_equal(linalg._kron(a, b), want)
+        assert np.array_equal(linalg.kron_all([a, b]), want)
+        public = tensor_vec if a.ndim == 1 else tensor_op
+        assert np.array_equal(public(a, b), want)
+
+    @pytest.mark.parametrize("dims, lens", [
+        ((2, 3, 2), (3, 4, 2)), ((1, 4), (5, 1)), ((3,), (4,)), ((2, 2, 2, 2), (1, 2, 3, 1)),
+    ])
+    def test_chain_of_row_matrices_equals_np_kron(self, dims, lens):
+        rng = np.random.default_rng(13)
+        rows = [crandom(rng, n, m) for m, n in zip(dims, lens)]
+        assert np.array_equal(linalg.kron_all(rows), functools.reduce(np.kron, rows))
+
+    def test_chain_of_vectors_equals_np_kron(self):
+        rng = np.random.default_rng(14)
+        vecs = [crandom(rng, n) for n in (2, 1, 3, 2)]
+        assert np.array_equal(linalg.kron_all(vecs), functools.reduce(np.kron, vecs))
 
 
 class TestOpNormExtremes:

@@ -17,8 +17,6 @@ from frameforge.schmidt import (
     contract_V1,
     contract_V2,
     deflate,
-    embed_U1,
-    embed_U2,
     inverse_factors,
     is_fms,
     reshuffle_rank,
@@ -35,6 +33,32 @@ def crandom(rng, *shape):
 E2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SHAPE22 = BipartiteShape(2, 2, 2, 2)
+
+
+def embed_U1(u1, h2: int) -> np.ndarray:
+    """Embedding x2 -> u1 (x) x2 as a (h1*h2) x h2 matrix; operator norm ||u1||."""
+    return np.kron(np.asarray(u1, dtype=complex).reshape(-1, 1), np.eye(h2))
+
+
+def embed_U2(u2, h1: int) -> np.ndarray:
+    """Embedding x1 -> x1 (x) u2 as a (h1*h2) x h1 matrix; operator norm ||u2||."""
+    return np.kron(np.eye(h1), np.asarray(u2, dtype=complex).reshape(-1, 1))
+
+
+def P_uv_by_embeddings(f, g, u1, u2, v1, v2, shape):
+    """F and G composed with the embeddings, then contracted by einsum:
+    oracle for P_uv on the 4-index view."""
+    fa = f @ embed_U2(u2, shape.h1)
+    a = np.einsum("j,ijc->ic", v2.conj(), fa.reshape(shape.k1, shape.k2, shape.h1))
+    gb = g @ embed_U1(u1, shape.h2)
+    b = np.einsum("i,ijc->jc", v1.conj(), gb.reshape(shape.k1, shape.k2, shape.h2))
+    return a, b
+
+
+def assert_close_to_oracle(got, want, rel=1e-13):
+    """Largest entrywise difference at most ``rel`` times the oracle's largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
 
 
 class TestEmbeddings:
@@ -164,6 +188,31 @@ class TestPandD:
                 * np.linalg.norm(v2)
             )
             assert op_norm(da - db) <= cap * (op_norm(f) + op_norm(g)) * op_norm(f - g) + 1e-9
+
+    def test_standard_basis_gives_residual_slices(self):
+        # with u = (e_j1, e_j2) and v = (e_i1, e_i2): A = F4[:, i2, :, j2], B = G4[i1, :, j1, :]
+        rng = np.random.default_rng(16)
+        shape = BipartiteShape(2, 3, 4, 2)
+        f, g = crandom(rng, 8, 6), crandom(rng, 8, 6)
+        f4, g4 = f.reshape(4, 2, 2, 3), g.reshape(4, 2, 2, 3)
+        for i1, i2, j1, j2 in np.ndindex(4, 2, 2, 3):
+            u1, u2 = np.eye(2)[j1], np.eye(3)[j2]
+            v1, v2 = np.eye(4)[i1], np.eye(2)[i2]
+            a, b = P_uv(f, g, u1, u2, v1, v2, shape)
+            assert np.array_equal(a, f4[:, i2, :, j2]) and np.array_equal(b, g4[i1, :, j1, :])
+
+    def test_matches_embedding_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            shape = BipartiteShape(*rng.integers(1, 5, size=4))
+            f = crandom(rng, shape.codomain_dim, shape.domain_dim)
+            g = crandom(rng, shape.codomain_dim, shape.domain_dim)
+            u1, u2 = crandom(rng, shape.h1), crandom(rng, shape.h2)
+            v1, v2 = crandom(rng, shape.k1), crandom(rng, shape.k2)
+            a, b = P_uv(f, g, u1, u2, v1, v2, shape)
+            a0, b0 = P_uv_by_embeddings(f, g, u1, u2, v1, v2, shape)
+            assert_close_to_oracle(a, a0)
+            assert_close_to_oracle(b, b0)
 
     def test_D_of_zero(self):
         rng = np.random.default_rng(11)
@@ -382,8 +431,10 @@ def test_inverse_factors_match_embedding_oracle(shape):
         for side in ("left", "right"):
             got = inverse_factors(fsr, inv, side, u1, u2, v1, v2)
             want = inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2)
+            # the 4-index contraction sums in another order than the embeddings
             for (l1, l2), (w1, w2) in zip(got, want, strict=True):
-                assert np.array_equal(l1, w1) and np.array_equal(l2, w2)
+                assert_close_to_oracle(l1, w1)
+                assert_close_to_oracle(l2, w2)
 
 
 class TestRankOfLimits:

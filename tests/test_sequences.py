@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from frameforge.errors import DependentGroup, DimensionMismatch, WrongRank
+from frameforge.errors import DependentGroup, DimensionMismatch, OutOfFloatRange, WrongRank
 from frameforge.sequences import (
     VectorSequence,
     analysis_operator,
@@ -121,6 +121,30 @@ class TestClassify:
             f /= np.linalg.norm(f)
         best = float(np.sum(np.abs(a @ f) ** 2))
         assert best == pytest.approx(rep.bessel_bound, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [-520, -3, 5, 500])
+    def test_power_of_two_sequence_scales_bounds_exactly(self, k):
+        # the spectrum is taken on 2**-e f_n, so 2**k f_n gives the same scaled
+        # spectrum; at k = -520 the unscaled frame operator has subnormal entries
+        rng = np.random.default_rng(6)
+        for count, dim in [(5, 3), (3, 3), (2, 4)]:
+            seq = VectorSequence(crandom(rng, count, dim))
+            rep = classify(VectorSequence(np.ldexp(seq.vectors.view(float), k).view(complex)))
+            ref = classify(seq)
+            assert (rep.is_frame, rep.is_riesz) == (ref.is_frame, ref.is_riesz)
+            assert rep.lower_bound == np.ldexp(ref.lower_bound, 2 * k)
+            assert rep.bessel_bound == np.ldexp(ref.bessel_bound, 2 * k)
+
+    @pytest.mark.parametrize("vectors", [
+        [[1e308, 0]],
+        [[1e308 + 1e308j, 1e200], [1, 1e-300]],
+        [[5e-324, 0], [0, 5e-324]],
+    ])
+    def test_bounds_outside_float_range_raise(self, vectors):
+        # the frame operator of these finite vectors overflowed to inf or NaN,
+        # or underflowed to 0 for a frame
+        with pytest.raises(OutOfFloatRange, match="float range"):
+            classify(VectorSequence(np.array(vectors, dtype=complex)))
 
     def test_left_inverse_lower_bound_is_valid(self):
         # 1 / ||L||^2 <= A with equality for the Moore-Penrose left inverse
