@@ -1,26 +1,25 @@
-"""Regenerate the golden perturbation instances under tests/golden/.
+"""Regenerate the golden perturbation instances, as committed under tests/golden/.
 
 Each instance records a window, lattice, shift pair and phase satisfying the
 divisibility conditions, together with the oracle-computed spectral extremes
 of the perturbed system.  Instances are kept only when the oracle confirms
-the loss of the lower frame bound.
+the loss of the lower frame bound.  Run as
+``python scripts/make_goldens.py OUT_DIR``.
 """
 
+import argparse
+import json
 import pathlib
 import sys
-
-import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from frameforge import gabor, io  # noqa: E402
 from frameforge.verify import PERTURB_INSTANCES  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 
-
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(out: pathlib.Path):
+    out.mkdir(parents=True, exist_ok=True)
     generators = ["gaussian", "twoexp", "sech", "rational"]
     kept = 0
     for idx, (n, a, b, alpha, beta, c_phase) in enumerate(PERTURB_INSTANCES):
@@ -41,10 +40,13 @@ def main():
             "lambda_max": rep["lambda_max"],
             "spectral_ratio": rep["spectral_ratio"],
         }
-        io.save_json(OUT / f"perturb_{kept:02d}.json", payload)
+        # the committed layout: indented, one trailing newline
+        (out / f"perturb_{kept:02d}.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         kept += 1
-    print(f"wrote {kept} golden instances to {OUT}")
+    print(f"wrote {kept} golden instances to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Write the golden perturbation instances to OUT_DIR.")
+    parser.add_argument("out_dir", type=pathlib.Path, metavar="OUT_DIR")
+    main(parser.parse_args().out_dir)

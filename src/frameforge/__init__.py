@@ -3,7 +3,6 @@ of sequences, operator Schmidt decompositions, and discrete Gabor systems."""
 
 from .linalg import (
     DEFAULT_RTOL,
-    adjoint,
     inner,
     left_pseudo_inverse,
     op_norm,
@@ -22,7 +21,6 @@ from .sequences import (
     concatenate,
     frame_operator,
     materialize,
-    synthesis_operator,
     tensor_sequences,
     two_term_disjunction_check,
     verify_main_theorem,

@@ -92,10 +92,11 @@ def sequence_to_dict(seq: VectorSequence) -> dict:
 
 def sequence_from_dict(d) -> VectorSequence:
     vecs = [vector_from_dict(v) for v in _field(d, "sequence", "vectors", list)]
-    seq = VectorSequence.from_vectors(vecs)
-    if seq.space_dim != _field(d, "sequence", "space_dim", int):
-        raise ValueError("sequence file dimension mismatch")
-    return seq
+    dim = _field(d, "sequence", "space_dim", int)
+    for n, v in enumerate(vecs):
+        if v.shape[0] != dim:
+            raise ValueError(f"sequence file vector {n} has dim {v.shape[0]}, but space_dim is {dim}")
+    return VectorSequence(np.array(vecs))
 
 
 def minimal_sum_to_dict(ms: MinimalSumSequence) -> dict:
@@ -157,8 +158,12 @@ def save_json(path, payload) -> None:
 
 
 def load_json(path):
+    """The JSON value in file ``path``; nesting too deep to parse is a ``ValueError``."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def write_sweep_csv(path, rows) -> None:

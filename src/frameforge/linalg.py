@@ -74,10 +74,6 @@ def kron_all(arrays) -> np.ndarray:
     return functools.reduce(_kron, arrays)
 
 
-def adjoint(a) -> np.ndarray:
-    return as_coperator(a).conj().T
-
-
 def op_norm_extremes(a) -> tuple[float, float]:
     """Largest and smallest singular values of a nonempty matrix."""
     a = as_coperator(a)

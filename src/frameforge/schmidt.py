@@ -124,9 +124,13 @@ def P_uv(f, g, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.nd
     """
     f, g = _check_operator(f, shape), _check_operator(g, shape)
     u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
-    a = np.einsum("j,ijcd,d->ic", v2.conj(), f.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u2)
     b = np.einsum("i,ijcd,c->jd", v1.conj(), g.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u1)
-    return a, b
+    return _first_factor(f, u2, v2, shape), b
+
+
+def _first_factor(f, u2, v2, shape: BipartiteShape) -> np.ndarray:
+    """The A of ``P_uv``: sum conj(v2[i2]) F4[:, i2, :, j2] u2[j2]."""
+    return np.einsum("j,ijcd,d->ic", v2.conj(), f.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u2)
 
 
 def D_uv(f, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
@@ -135,22 +139,23 @@ def D_uv(f, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.ndarr
 
 
 def pairing(f, u1, u2, v1, v2, shape: BipartiteShape) -> complex:
-    """<F(u1 (x) u2), v1 (x) v2>."""
+    """<F(u1 (x) u2), v1 (x) v2>, read as <A u1, v1> with A the first factor of ``P_uv``."""
     f = _check_operator(f, shape)
-    return linalg.inner(f @ linalg.tensor_vec(u1, u2), linalg.tensor_vec(v1, v2))
+    u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
+    return linalg.inner(_first_factor(f, u2, v2, shape) @ u1, v1)
 
 
 def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
     """Subtract D_{u,v}(F) from F; drops the Schmidt rank by exactly one.
 
-    Requires the pairing <F(u1 (x) u2), v1 (x) v2> to equal 1 up to
-    ``PAIRING_TOL``.
+    Requires the pairing <F(u1 (x) u2), v1 (x) v2>, read off D_{u,v}(F) = (A, B)
+    as <A u1, v1>, to equal 1 up to ``PAIRING_TOL``.
     """
     f = _check_operator(f, shape)
-    p = pairing(f, u1, u2, v1, v2, shape)
+    a, b = D_uv(f, u1, u2, v1, v2, shape)
+    p = linalg.inner(a @ u1, v1)
     if abs(p - 1.0) > PAIRING_TOL:
         raise PairingNotOne(f"pairing is {p}, expected 1")
-    a, b = D_uv(f, u1, u2, v1, v2, shape)
     return f - linalg.tensor_op(a, b)
 
 

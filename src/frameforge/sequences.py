@@ -1,4 +1,4 @@
-"""Vector sequences: analysis/synthesis/frame operators, Bessel/frame/Riesz
+"""Vector sequences: analysis and frame operators, Bessel/frame/Riesz
 classification, tensor products of sequences, and minimal sums.
 
 A :class:`VectorSequence` is a finite indexed family {f_n} in C^m.  Its
@@ -40,10 +40,6 @@ class VectorSequence:
             raise EmptySequence("a sequence needs at least one vector in a positive-dimensional space")
         object.__setattr__(self, "vectors", v)
 
-    @classmethod
-    def from_vectors(cls, vecs) -> "VectorSequence":
-        return cls(np.array([linalg.as_cvector(v) for v in vecs]))
-
     @property
     def space_dim(self) -> int:
         return self.vectors.shape[1]
@@ -76,15 +72,14 @@ def analysis_operator(seq: VectorSequence) -> np.ndarray:
     return seq.vectors.conj()
 
 
-def synthesis_operator(seq: VectorSequence) -> np.ndarray:
-    """Adjoint of the analysis operator; maps the n-th basis vector to f_n."""
-    return analysis_operator(seq).conj().T
-
-
 def frame_operator(seq: VectorSequence) -> np.ndarray:
-    """S = F* F, Hermitian positive semidefinite on the ambient space; with
-    the vectors as rows V, F = conj(V) and F* is the view V^T."""
-    return seq.vectors.T @ analysis_operator(seq)
+    """S = F* F, Hermitian positive semidefinite; with the vectors as rows V,
+    F = conj(V) and F* is the view V^T.  A non-finite S raises ``OutOfFloatRange``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = seq.vectors.T @ analysis_operator(seq)
+    if not np.isfinite(s).all():
+        raise OutOfFloatRange("the frame operator of a sequence leaves the float range")
+    return s
 
 
 def classify(seq: VectorSequence) -> FrameReport:

@@ -1,8 +1,12 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line with its measured runtime.  Criteria 1-8 run the seeded suites of
-``frameforge.verify`` at their own seeds and trial counts."""
+``frameforge.verify`` at their own seeds and trial counts; criterion 9's
+goldens are also regenerated by ``scripts/make_goldens.py``."""
 
+import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -94,6 +98,23 @@ def test_criterion_9_perturbation_goldens():
         ok = ok and rep["lambda_max"] == pytest.approx(data["lambda_max"], rel=1e-9)
         ok = ok and abs(rep["lambda_min"] - data["lambda_min"]) <= 1e-9 * data["lambda_max"]
     c.finish(ok)
+
+
+def test_make_goldens_reproduces_the_goldens(tmp_path):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "make_goldens.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True, capture_output=True, timeout=120)
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        want_text, got_text = (GOLDEN / name).read_text(), (tmp_path / name).read_text()
+        want, got = json.loads(want_text), json.loads(got_text)
+        for text, data in ((want_text, want), (got_text, got)):  # the same indented layout
+            assert text == json.dumps(data, indent=2) + "\n"
+        for key in ("window", "N", "a", "b", "alpha", "beta", "c_phase"):
+            assert got[key] == want[key], (name, key)
+        # criterion 9's tolerances
+        assert got["lambda_max"] == pytest.approx(want["lambda_max"], rel=1e-9)
+        assert abs(got["lambda_min"] - want["lambda_min"]) <= 1e-9 * want["lambda_max"]
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -152,6 +152,8 @@ FIELD_ERRORS = [
     ("operator", ("cols",), -1),
     ("sequence", ("vectors",), 5),
     ("sequence", ("space_dim",), 2.0),
+    ("sequence", ("space_dim",), 3),
+    ("sequence", ("vectors", 0), {"dim": 1, "entries": [[1, 0]]}),
     ("minimal_sum", ("groups",), [5]),
     ("minimal_sum", ("r",), DELETE),
     ("fsr", ("terms",), 5),
@@ -276,7 +278,7 @@ NON_INTEGER_HEADER = {
 
 class TestLoaderBoundary:
     @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
-    @pytest.mark.parametrize("case", ["top_level_list", "non_integer_header", *BAD_ENTRIES])
+    @pytest.mark.parametrize("case", ["top_level_list", "non_integer_header", "deeply_nested", *BAD_ENTRIES])
     def test_wrong_shaped_json_exits_2(self, tmp_path, capsys, command, case):
         layout, argv = INPUT_LAYOUTS[command]
         path = tmp_path / "in.json"
@@ -284,12 +286,15 @@ class TestLoaderBoundary:
             path.write_text("[1, 2]")
         elif case == "non_integer_header":
             path.write_text(NON_INTEGER_HEADER[command])
+        elif case == "deeply_nested":
+            path.write_text("[" * 200_000 + "]" * 200_000)
         else:
             path.write_text(layout % BAD_ENTRIES[case])
         assert cli.main([*argv, "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert case != "deeply_nested" or str(path) in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -55,6 +55,34 @@ def P_uv_by_embeddings(f, g, u1, u2, v1, v2, shape):
     return a, b
 
 
+def pairing_on_flat_operator(f, u1, u2, v1, v2):
+    """<F(u1 (x) u2), v1 (x) v2> from the flat operator: oracle for pairing."""
+    return inner(f @ tensor_vec(u1, u2), tensor_vec(v1, v2))
+
+
+def deflate_pairing_first(f, u1, u2, v1, v2, shape):
+    """The pairing checked on the flat operator before D_uv is formed:
+    oracle for deflate, which reads the pairing off D_uv's first factor."""
+    p = pairing_on_flat_operator(f, u1, u2, v1, v2)
+    if abs(p - 1.0) > schmidt.PAIRING_TOL:
+        raise PairingNotOne(f"pairing is {p}, expected 1")
+    a, b = D_uv(f, u1, u2, v1, v2, shape)
+    return f - np.kron(a, b)
+
+
+def random_pairing_cases(seed, count):
+    """(shape, F, u1, u2, v1, v2) with factor dims 1-4, every third shape
+    with a 1-dimensional factor, and F scaled by 10**e, |e| <= 100."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        dims = [int(x) for x in rng.integers(1, 5, size=4)]
+        if t % 3 == 0:
+            dims[t % 4] = 1
+        shape = BipartiteShape(*dims)
+        f = 10.0 ** int(rng.integers(-100, 101)) * crandom(rng, shape.codomain_dim, shape.domain_dim)
+        yield shape, f, crandom(rng, shape.h1), crandom(rng, shape.h2), crandom(rng, shape.k1), crandom(rng, shape.k2)
+
+
 def assert_close_to_oracle(got, want, rel=1e-13):
     """Largest entrywise difference at most ``rel`` times the oracle's largest entry."""
     assert got.shape == want.shape
@@ -220,7 +248,31 @@ class TestPandD:
         np.testing.assert_allclose(np.kron(a, b), 0, atol=1e-12)
 
 
+class TestPairing:
+    def test_matches_flat_operator_oracle(self):
+        for shape, f, u1, u2, v1, v2 in random_pairing_cases(19, 1000):
+            cap = op_norm(f) * np.prod([np.linalg.norm(x) for x in (u1, u2, v1, v2)])
+            got = schmidt.pairing(f, u1, u2, v1, v2, shape)
+            assert abs(got - pairing_on_flat_operator(f, u1, u2, v1, v2)) <= 1e-13 * cap
+
+
 class TestDeflate:
+    # pairings on both sides of PAIRING_TOL, then one far from 1
+    TARGETS = [1.0, 1 + 3e-10j, 1 - 8e-10, 1 + 2e-9, 1 - 5e-9j, 0.5 + 0.5j]
+
+    def test_matches_pairing_first_oracle(self):
+        for shape, f, u1, u2, v1, v2 in random_pairing_cases(20, 200):
+            p0 = pairing_on_flat_operator(f, u1, u2, v1, v2)
+            for target in self.TARGETS:
+                w1 = v1 * np.conj(target / p0)  # the pairing is conjugate-linear in v1
+                try:
+                    want = deflate_pairing_first(f, u1, u2, w1, v2, shape)
+                except PairingNotOne:
+                    with pytest.raises(PairingNotOne):
+                        deflate(f, u1, u2, w1, v2, shape)
+                    continue
+                assert np.array_equal(deflate(f, u1, u2, w1, v2, shape), want)
+
     def test_rank_one_to_zero(self):
         rng = np.random.default_rng(12)
         f = np.kron(crandom(rng, 2, 2), crandom(rng, 2, 2))

@@ -12,7 +12,6 @@ from frameforge.sequences import (
     concatenate,
     frame_operator,
     materialize,
-    synthesis_operator,
     tensor_sequences,
     two_term_disjunction_check,
     verify_main_theorem,
@@ -56,7 +55,7 @@ class TestOperators:
     def test_synthesis_maps_basis_to_vectors(self):
         rng = np.random.default_rng(1)
         seq = VectorSequence(crandom(rng, 4, 3))
-        syn = synthesis_operator(seq)
+        syn = analysis_operator(seq).conj().T
         for n in range(4):
             np.testing.assert_allclose(syn @ np.eye(4)[n], seq[n], atol=1e-12)
 
@@ -64,8 +63,14 @@ class TestOperators:
         rng = np.random.default_rng(2)
         seq = VectorSequence(crandom(rng, 5, 3))
         np.testing.assert_allclose(
-            synthesis_operator(seq) @ analysis_operator(seq), frame_operator(seq), atol=1e-12
+            analysis_operator(seq).conj().T @ analysis_operator(seq), frame_operator(seq), atol=1e-12
         )
+
+    @pytest.mark.parametrize("vectors", [[[1e308, 0]], [[1e308 + 1e308j, 1e200], [1, 1e-300]]])
+    def test_frame_operator_outside_float_range_raises(self, vectors):
+        # S overflows to inf or NaN; numpy's overflow warning would be an error here
+        with pytest.raises(OutOfFloatRange, match="float range"):
+            frame_operator(VectorSequence(np.array(vectors, dtype=complex)))
 
     def test_frame_operator_of_onb(self):
         np.testing.assert_allclose(frame_operator(onb(3)), np.eye(3))
