@@ -184,9 +184,19 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
       sum_u B_u exp(-2 pi i u k / p), k in Z_p: one FFT over u, skipped
       when p = 1, where it is the identity.
 
-    The eigen cost per representative drops from b^3 to b g^2.  The blocks
-    are built from ``w.scaled`` = 2**-e w, e = ``w.exponent``, so the
-    window's own scale cannot over- or underflow them.  The frame decision
+    Gram side.  When ab > N, G_r has N/a < b columns, so S_r has rank at
+    most N/a, A = 0 exactly, and the system is neither a frame nor a Riesz
+    basis (its N^2/(ab) atoms cannot span C^N).  The nonzero spectrum of
+    G_r G_r^* is that of the smaller q G_r^* G_r on Z_{N/a}, solved instead
+    with X = G_r^* in place of G_r.  Since G_r[s, m + q/c] = G_r[s - a/c, m],
+    G_r^* G_r commutes with the cyclic shift by h = gcd(N/a, q/c) on
+    Z_{N/a}, and the same gather, first block row X[:h] X^* and FFT over u
+    apply with h in place of g; a 0 joins the spectrum for A.
+
+    The eigen cost per representative drops from b^3 to b g^2, or to
+    (N/a) h^2 on the Gram side.  The blocks are built from ``w.scaled`` =
+    2**-e w, e = ``w.exponent``, so the window's own scale cannot over- or
+    underflow them.  The frame decision
     is made on their spectrum, that of 2**-2e S / q, and A and B are scaled
     back by q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
     """
@@ -194,14 +204,20 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     N, a, b = lat.N, lat.a, lat.b
     q = N // b
     c = math.gcd(a, q)
-    g = math.gcd(a // c, b)
     # r + q s - m a lies in (-N, N), and numpy reads a negative index i as i + N
     idx = np.arange(c)[:, None, None] + np.arange(0, N, q)[:, None] - np.arange(0, N, a)
-    rows = w.scaled[idx]
-    blocks = rows[:, :g] @ rows.conj().transpose(0, 2, 1)
-    if g < b:
-        blocks = np.fft.fft(blocks.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
-    rep = report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N)
+    x, g = w.scaled[idx], math.gcd(a // c, b)  # G_r for r = 0..c-1
+    undercomplete = a * b > N  # rank S_r <= N/a < b: solve the Gram side
+    if undercomplete:
+        x, g = x.conj().transpose(0, 2, 1), math.gcd(N // a, q // c)
+    n = x.shape[1]
+    blocks = x[:, :g] @ x.conj().transpose(0, 2, 1)
+    if g < n:
+        blocks = np.fft.fft(blocks.reshape(c, g, n // g, g), axis=2).swapaxes(1, 2)
+    eig = np.linalg.eigvalsh(blocks)
+    if undercomplete:
+        eig = np.append(eig, 0.0)
+    rep = report_from_spectrum(eig, lat.count, N)
     return _scaled_back(rep, q, w.exponent, f"on (a, b)=({a}, {b}) of a window")
 
 

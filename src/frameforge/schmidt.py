@@ -99,6 +99,15 @@ def _check_operator(f, shape: BipartiteShape) -> np.ndarray:
     return f
 
 
+def _check_vectors(u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, ...]:
+    """u1, u2, v1, v2 as vectors, which must have lengths h1, h2, k1, k2."""
+    vectors = tuple(map(as_cvector, (u1, u2, v1, v2)))
+    lengths, want = tuple(len(x) for x in vectors), (shape.h1, shape.h2, shape.k1, shape.k2)
+    if lengths != want:
+        raise DimensionMismatch(f"vector lengths (u1, u2, v1, v2) = {lengths} do not match (h1, h2, k1, k2) = {want}")
+    return vectors
+
+
 def contract_V1(v1, h, shape: BipartiteShape) -> np.ndarray:
     """Contraction of the first factor: y1 (x) y2 -> <y1, v1> y2."""
     v1, h = as_cvector(v1), as_cvector(h)
@@ -123,7 +132,7 @@ def P_uv(f, g, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.nd
     On the view F4[i1, i2, j1, j2]: A = sum conj(v2[i2]) F4[:, i2, :, j2] u2[j2].
     """
     f, g = _check_operator(f, shape), _check_operator(g, shape)
-    u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
+    u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
     b = np.einsum("i,ijcd,c->jd", v1.conj(), g.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u1)
     return _first_factor(f, u2, v2, shape), b
 
@@ -141,7 +150,7 @@ def D_uv(f, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.ndarr
 def pairing(f, u1, u2, v1, v2, shape: BipartiteShape) -> complex:
     """<F(u1 (x) u2), v1 (x) v2>, read as <A u1, v1> with A the first factor of ``P_uv``."""
     f = _check_operator(f, shape)
-    u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
+    u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
     return linalg.inner(_first_factor(f, u2, v2, shape) @ u1, v1)
 
 
@@ -283,7 +292,7 @@ def inverse_factors(fsr: FSROperator, inv, side: str, u1, u2, v1, v2) -> list[tu
         raise DimensionMismatch("inverse factors need a square bipartite shape")
     inv = as_coperator(inv)
     f = fsr.materialize()
-    u1, u2, v1, v2 = map(as_cvector, (u1, u2, v1, v2))
+    u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
     product = inv @ f if side == "left" else f @ inv
     if np.linalg.norm(product - np.eye(shape.domain_dim)) > INVERSE_TOL * max(1.0, np.linalg.norm(f)):
         raise NotAnInverse(f"given matrix is not a {side} inverse of F")

@@ -159,8 +159,9 @@ def suite_rank_one_fixed_point(rng, trials: int) -> dict:
         f = random_fsr_operator(rng, shape, r).materialize()
         u1, u2 = _cnormal(rng, shape.h1), _cnormal(rng, shape.h2)
         v1, v2 = _cnormal(rng, shape.k1), _cnormal(rng, shape.k2)
-        p = schmidt.pairing(f, u1, u2, v1, v2, shape)
-        d = tensor_op(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
+        a, b = schmidt.D_uv(f, u1, u2, v1, v2, shape)
+        p = inner(a @ u1, v1)  # the pairing <F(u1 (x) u2), v1 (x) v2>
+        d = tensor_op(a, b)
         resid = np.linalg.norm(d - p * f) / np.linalg.norm(f)
         if r == 1:
             worst = max(worst, resid)
@@ -306,7 +307,9 @@ def suite_two_term_disjunction(rng, trials: int) -> dict:
 
 def suite_gabor_density(rng, trials: int) -> dict:
     """Exhaustive divisor sweeps obey the discrete density law; the full
-    lattice is tight with bound N * ||g||^2."""
+    lattice is tight with bound N * ||g||^2.  The sweep decides ab > N
+    lattices on the Gram side, where A = 0 by construction, so on those the
+    dense classification of the atoms must also find no frame."""
     ok = True
     worst_tight = 0.0
     for n in (4, 6, 8, 12):
@@ -314,6 +317,9 @@ def suite_gabor_density(rng, trials: int) -> dict:
             w = gabor.sample_window(gen, n)
             for row in gabor.density_sweep(w):
                 ok = ok and row["density_ok"]
+                if row["a"] * row["b"] > n:  # fewer than n atoms: the dense route must agree
+                    lat = gabor.ZNLattice(n, row["a"], row["b"])
+                    ok = ok and not classify(gabor.gabor_system(w, lat)).is_frame
             s = sequences.frame_operator(gabor.gabor_system(w, gabor.ZNLattice(n, 1, 1)))
             tight_err = np.linalg.norm(s - n * np.linalg.norm(w.g) ** 2 * np.eye(n))
             worst_tight = max(worst_tight, tight_err)

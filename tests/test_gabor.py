@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frameforge import gabor, sequences
+from frameforge import gabor, sequences, verify
 from frameforge.errors import (
     ConditionViolated,
     DependentModulates,
@@ -248,6 +248,44 @@ class TestGaborFrameReport:
         for lat in divisor_lattices(12):
             with pytest.raises(OutOfFloatRange):
                 gabor_frame_report(ZNWindow(g), lat)
+
+    @pytest.mark.parametrize("n", [12, 30, 36, 120])
+    def test_undercomplete_lower_bound_is_exactly_zero(self, n):
+        for w in oracle_windows(n):
+            for lat in divisor_lattices(n):
+                if lat.a * lat.b > n:
+                    rep = gabor_frame_report(w, lat)
+                    assert (rep.lower_bound, rep.is_frame, rep.is_riesz) == (0.0, False, False)
+
+    @pytest.mark.parametrize("n", [840, 1024])
+    def test_gram_side_matches_walnut_blocks_at_large_n(self, n):
+        for w in (sample_window("gaussian", n), ZNWindow(crandom(np.random.default_rng(n), n))):
+            for a, b in ((n, n), (n // 2, n), (n, n // 2), (n // 2, n // 2)):
+                lat = ZNLattice(n, a, b)
+                assert_same_report(gabor_frame_report(w, lat), walnut_blocks_report(w, lat), 1e-13)
+
+    def test_a_equals_b_equals_n_solves_one_by_one_blocks(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            shapes.append(m.shape[-2:])
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for n in (1, 12, 120, 1024):
+            gabor_frame_report(sample_window("sech", n), ZNLattice(n, n, n))
+        assert shapes == [(1, 1)] * 4
+
+    @pytest.mark.parametrize("value", [1e308, 5e-324])
+    def test_undercomplete_bounds_outside_float_range_raise(self, value):
+        for n in (120, 1024):
+            g = np.zeros(n, dtype=complex)
+            g[0] = value
+            for lat in divisor_lattices(n):
+                if lat.a * lat.b > n:
+                    with pytest.raises(OutOfFloatRange):
+                        gabor_frame_report(ZNWindow(g), lat)
 
     @pytest.mark.parametrize("value", [1e150, 1e-150])
     def test_extreme_but_representable_delta(self, value):
@@ -507,6 +545,30 @@ class TestDensitySweep:
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
             density_sweep(ZNWindow(np.ones(1025)))
+
+
+class TestDensitySuite:
+    def test_dense_route_checks_every_undercomplete_lattice(self, monkeypatch):
+        counts = []
+
+        def counting_classify(seq):
+            counts.append((len(seq), seq.space_dim))
+            return classify(seq)
+
+        monkeypatch.setattr(verify, "classify", counting_classify)
+        assert verify.suite_gabor_density(verify.suite_rng(0, 8), 1)["passed"]
+        want = [
+            (lat.count, n)
+            for n in (4, 6, 8, 12)
+            for _ in range(3)
+            for lat in divisor_lattices(n)
+            if lat.a * lat.b > n
+        ]
+        assert counts == want
+
+    def test_a_dense_frame_fails_the_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "classify", lambda seq: sequences.FrameReport(1.0, 1.0, True, False))
+        assert not verify.suite_gabor_density(verify.suite_rng(0, 8), 1)["passed"]
 
 
 class TestSampleWindow:

@@ -4,6 +4,7 @@ import pytest
 from frameforge import schmidt
 from frameforge.errors import (
     BadNormalization,
+    DimensionMismatch,
     LengthMismatch,
     NotAnInverse,
     PairingNotOne,
@@ -291,6 +292,44 @@ class TestDeflate:
         f = 0.5 * np.kron(E2, E2)
         with pytest.raises(PairingNotOne):
             deflate(f, E2[0], E2[0], E2[0], E2[0], SHAPE22)
+
+
+class TestVectorLengths:
+    """A vector whose length does not match the shape raises ``DimensionMismatch``."""
+
+    SHAPE = BipartiteShape(2, 3, 4, 5)  # u1, u2, v1, v2 have lengths 2, 3, 4, 5
+
+    def cases(self):
+        rng = np.random.default_rng(23)
+        f = crandom(rng, self.SHAPE.codomain_dim, self.SHAPE.domain_dim)
+        lengths = (2, 3, 4, 5)
+        for wrong in range(4):
+            yield f, [crandom(rng, n + (i == wrong)) for i, n in enumerate(lengths)]
+
+    def test_P_uv(self):
+        for f, vectors in self.cases():
+            with pytest.raises(DimensionMismatch, match="vector lengths"):
+                P_uv(f, f, *vectors, self.SHAPE)
+
+    def test_D_uv(self):
+        for f, vectors in self.cases():
+            with pytest.raises(DimensionMismatch, match="vector lengths"):
+                D_uv(f, *vectors, self.SHAPE)
+
+    def test_pairing(self):
+        for f, vectors in self.cases():
+            with pytest.raises(DimensionMismatch, match="vector lengths"):
+                schmidt.pairing(f, *vectors, self.SHAPE)
+
+    def test_deflate(self):
+        for f, vectors in self.cases():
+            with pytest.raises(DimensionMismatch, match="vector lengths"):
+                deflate(f, *vectors, self.SHAPE)
+
+    def test_inverse_factors(self):
+        fsr = FSROperator(SHAPE22, ((E2, E2),))
+        with pytest.raises(DimensionMismatch, match="vector lengths"):
+            inverse_factors(fsr, np.eye(4), "left", np.ones(3), E2[0], E2[0], E2[0])
 
 
 class TestDecomposition:
