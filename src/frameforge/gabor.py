@@ -30,7 +30,7 @@ from .errors import (
     ZeroShift,
 )
 from .linalg import as_cvector
-from .sequences import FrameReport, VectorSequence, _scaled_back, classify, report_from_spectrum
+from .sequences import FrameReport, VectorSequence, _report_from_bounds, _scaled_back, classify
 
 WINDOW_GENERATORS = ("gaussian", "twoexp", "sech", "rational")
 
@@ -184,46 +184,74 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
       sum_u B_u exp(-2 pi i u k / p), k in Z_p: one FFT over u, skipped
       when p = 1, where it is the identity.
 
-    Gram side.  When ab > N, G_r has N/a < b columns, so S_r has rank at
-    most N/a, A = 0 exactly, and the system is neither a frame nor a Riesz
-    basis (its N^2/(ab) atoms cannot span C^N).  The nonzero spectrum of
-    G_r G_r^* is that of the smaller q G_r^* G_r on Z_{N/a}, solved instead
-    with X = G_r^* in place of G_r.  Since G_r[s, m + q/c] = G_r[s - a/c, m],
-    G_r^* G_r commutes with the cyclic shift by h = gcd(N/a, q/c) on
-    Z_{N/a}, and the same gather, first block row X[:h] X^* and FFT over u
-    apply with h in place of g; a 0 joins the spectrum for A.
+    Adjoint lattice.  When ab > N, the N^2/(ab) < N atoms cannot span C^N,
+    so A = 0 exactly and the system is neither a frame nor a Riesz basis.
+    The adjoint lattice (N/b, N/a) has blocks G'_r[s, m] = G_r[-m, -s]
+    (the finite form of Ron-Shen and Janssen duality), so G'_r G'_r^* and
+    G_r^* G_r share one spectrum, and the nonzero spectrum of S is that of
+    the adjoint's frame operator times N/(ab).  B is read off the adjoint,
+    whose blocks have the same sizes (c' = c, g' = gcd(q/c, N/a), b' = N/a).
+    ``gabor_frame_reports`` solves a batch of lattices, each adjoint at
+    most once, with one ``eigvalsh`` per block size g.
 
-    The eigen cost per representative drops from b^3 to b g^2, or to
-    (N/a) h^2 on the Gram side.  The blocks are built from ``w.scaled`` =
-    2**-e w, e = ``w.exponent``, so the window's own scale cannot over- or
-    underflow them.  The frame decision
+    The eigen cost per representative drops from b^3 to b g^2.  The blocks
+    are built from ``w.scaled`` = 2**-e w, e = ``w.exponent``, so the
+    window's own scale cannot over- or underflow them.  The frame decision
     is made on their spectrum, that of 2**-2e S / q, and A and B are scaled
     back by q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
     """
-    _check_length(w, lat)
-    N, a, b = lat.N, lat.a, lat.b
+    return gabor_frame_reports(w, [lat])[0]
+
+
+def _walnut_blocks(w: ZNWindow, a: int, b: int) -> np.ndarray:
+    """The (c p, g, g) stack whose spectra make up that of 2**-2e S / q on
+    (a, b), ab <= N: the FFT over u of each representative's first block row."""
+    N = w.N
     q = N // b
     c = math.gcd(a, q)
     # r + q s - m a lies in (-N, N), and numpy reads a negative index i as i + N
     idx = np.arange(c)[:, None, None] + np.arange(0, N, q)[:, None] - np.arange(0, N, a)
     x, g = w.scaled[idx], math.gcd(a // c, b)  # G_r for r = 0..c-1
-    undercomplete = a * b > N  # rank S_r <= N/a < b: solve the Gram side
-    if undercomplete:
-        x, g = x.conj().transpose(0, 2, 1), math.gcd(N // a, q // c)
-    n = x.shape[1]
     blocks = x[:, :g] @ x.conj().transpose(0, 2, 1)
-    if g < n:
-        blocks = np.fft.fft(blocks.reshape(c, g, n // g, g), axis=2).swapaxes(1, 2)
-    eig = np.linalg.eigvalsh(blocks)
-    if undercomplete:
-        eig = np.append(eig, 0.0)
-    rep = report_from_spectrum(eig, lat.count, N)
-    return _scaled_back(rep, q, w.exponent, f"on (a, b)=({a}, {b}) of a window")
+    if g < b:
+        blocks = np.fft.fft(blocks.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
+    return blocks.reshape(-1, g, g)
 
 
-def gabor_stats(w: ZNWindow, lat: ZNLattice) -> dict:
-    """Classification plus the discrete density bookkeeping for one lattice."""
-    rep = gabor_frame_report(w, lat)
+def gabor_frame_reports(w: ZNWindow, lattices: list[ZNLattice]) -> list[FrameReport]:
+    """``gabor_frame_report`` of each lattice, in order, solved together.
+
+    Each lattice is solved on itself when ab <= N, else on its adjoint
+    (N/b, N/a); each solved lattice is built once, and the stacks of one
+    block size go to one ``eigvalsh``.  An error names the first failing
+    lattice in input order.
+    """
+    for lat in lattices:
+        _check_length(w, lat)
+    N = w.N
+    solved = [(lat.a, lat.b) if lat.a * lat.b <= N else (N // lat.b, N // lat.a) for lat in lattices]
+    by_size: dict[int, list] = {}
+    for key in dict.fromkeys(solved):
+        blocks = _walnut_blocks(w, *key)
+        by_size.setdefault(blocks.shape[-1], []).append((key, blocks))
+    bounds = {}
+    for group in by_size.values():
+        keys, stacks = zip(*group)
+        eig = np.linalg.eigvalsh(np.concatenate(stacks))
+        starts = list(itertools.accumulate(map(len, stacks[:-1]), initial=0))
+        lo = np.minimum.reduceat(eig.min(axis=1), starts).tolist()
+        hi = np.maximum.reduceat(eig.max(axis=1), starts).tolist()
+        bounds.update(zip(keys, zip(lo, hi)))
+    reports = []
+    for lat, key in zip(lattices, solved):
+        lo, hi = bounds[key]
+        rep = _report_from_bounds(lo if lat.a * lat.b <= N else 0.0, hi, lat.count, N)
+        reports.append(_scaled_back(rep, N // lat.b, w.exponent, f"on (a, b)=({lat.a}, {lat.b}) of a window"))
+    return reports
+
+
+def _density_stats(lat: ZNLattice, rep: FrameReport) -> dict:
+    """``rep`` plus the discrete density bookkeeping for ``lat``."""
     ab = lat.a * lat.b
     stats = rep.to_dict()
     stats.update(
@@ -240,6 +268,11 @@ def gabor_stats(w: ZNWindow, lat: ZNLattice) -> dict:
     return stats
 
 
+def gabor_stats(w: ZNWindow, lat: ZNLattice) -> dict:
+    """Classification plus the discrete density bookkeeping for one lattice."""
+    return _density_stats(lat, gabor_frame_report(w, lat))
+
+
 def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
     """Frame-bound scaling under lattice refinement (a, b) -> (a/u, b/v).
 
@@ -249,8 +282,7 @@ def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
     """
     if u < 1 or v < 1 or lat.a % u or lat.b % v:
         raise BadRefinement(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
-    coarse = gabor_frame_report(w, lat)
-    fine = gabor_frame_report(w, ZNLattice(lat.N, lat.a // u, lat.b // v))
+    coarse, fine = gabor_frame_reports(w, [lat, ZNLattice(lat.N, lat.a // u, lat.b // v)])
     uv = u * v
     return {
         "coarse": coarse.to_dict(),
@@ -393,7 +425,5 @@ def density_sweep(w: ZNWindow) -> list[dict]:
     """
     if w.N > MAX_SWEEP_N:
         raise ValueError(f"N={w.N} exceeds the supported sweep size {MAX_SWEEP_N}")
-    rows = []
-    for a, b in itertools.product(divisors(w.N), repeat=2):
-        rows.append(gabor_stats(w, ZNLattice(w.N, a, b)))
-    return rows
+    lattices = [ZNLattice(w.N, a, b) for a, b in itertools.product(divisors(w.N), repeat=2)]
+    return [_density_stats(lat, rep) for lat, rep in zip(lattices, gabor_frame_reports(w, lattices))]

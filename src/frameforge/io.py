@@ -168,10 +168,9 @@ def load_json(path):
 
 def write_sweep_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in SWEEP_FIELDS})
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_FIELDS)
+        writer.writerows([row[k] for k in SWEEP_FIELDS] for row in rows)
 
 
 def read_sweep_csv(path) -> list[dict]:

@@ -105,11 +105,14 @@ def report_from_spectrum(eig, count: int, space_dim: int) -> FrameReport:
     operator.  ``count`` is the number of vectors in the family; the frame
     is a Riesz basis when it equals ``space_dim``.
     """
-    a_bound = float(max(eig.min(), 0.0))
-    b_bound = float(eig.max())
-    is_frame = a_bound > FRAME_TOL * b_bound
-    is_riesz = is_frame and count == space_dim
-    return FrameReport(a_bound, b_bound, is_frame, is_riesz)
+    return _report_from_bounds(float(eig.min()), float(eig.max()), count, space_dim)
+
+
+def _report_from_bounds(lo: float, hi: float, count: int, space_dim: int) -> FrameReport:
+    """``report_from_spectrum`` of a spectrum with least eigenvalue ``lo`` and greatest ``hi``."""
+    a_bound = max(lo, 0.0)
+    is_frame = a_bound > FRAME_TOL * hi
+    return FrameReport(a_bound, hi, is_frame, is_frame and count == space_dim)
 
 
 def _scaled_back(rep: FrameReport, factor: int, e: int, what: str) -> FrameReport:

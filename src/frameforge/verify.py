@@ -308,8 +308,8 @@ def suite_two_term_disjunction(rng, trials: int) -> dict:
 def suite_gabor_density(rng, trials: int) -> dict:
     """Exhaustive divisor sweeps obey the discrete density law; the full
     lattice is tight with bound N * ||g||^2.  The sweep decides ab > N
-    lattices on the Gram side, where A = 0 by construction, so on those the
-    dense classification of the atoms must also find no frame."""
+    lattices from their adjoint lattices, where A = 0 by construction, so on
+    those the dense classification of the atoms must also find no frame."""
     ok = True
     worst_tight = 0.0
     for n in (4, 6, 8, 12):

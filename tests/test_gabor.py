@@ -21,6 +21,7 @@ from frameforge.gabor import (
     build_rank_r_window,
     density_sweep,
     gabor_frame_report,
+    gabor_frame_reports,
     gabor_stats,
     gabor_system,
     modulate,
@@ -314,6 +315,67 @@ class TestGaborFrameReport:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             gabor_frame_report(sample_window("gaussian", 8), ZNLattice(12, 2, 2))
+
+
+class TestBatchedReports:
+    @pytest.mark.parametrize("n", [12, 120, 840])
+    def test_sweep_rows_equal_single_lattice_stats(self, n):
+        for w in oracle_windows(n):
+            assert density_sweep(w) == [gabor_stats(w, lat) for lat in divisor_lattices(n)]
+
+    def test_one_eigvalsh_per_block_size(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            sizes.append(m.shape[-1])
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        density_sweep(sample_window("gaussian", 120))
+        # g = gcd(a/c, b), c = gcd(a, N/b), over the lattices solved on themselves
+        want = {
+            np.gcd(lat.a // np.gcd(lat.a, 120 // lat.b), lat.b)
+            for lat in divisor_lattices(120)
+            if lat.a * lat.b <= 120
+        }
+        assert len(sizes) == len(want) == 6
+        assert set(sizes) == want
+
+    def test_undercomplete_lattices_are_never_built(self, monkeypatch):
+        built = []
+        walnut_blocks = gabor._walnut_blocks
+
+        def spy(w, a, b):
+            built.append((a, b))
+            return walnut_blocks(w, a, b)
+
+        monkeypatch.setattr(gabor, "_walnut_blocks", spy)
+        density_sweep(sample_window("sech", 120))
+        assert sorted(built) == [(lat.a, lat.b) for lat in divisor_lattices(120) if lat.a * lat.b <= 120]
+
+    @pytest.mark.parametrize("n", [12, 30, 36, 120])
+    def test_adjoint_lattice_identity(self, n):
+        # the b x b blocks of (a, b), which the route never solves, against its adjoint's report
+        for w in oracle_windows(n):
+            for lat in divisor_lattices(n):
+                if lat.a * lat.b > n:
+                    adj = gabor_frame_report(w, ZNLattice(n, n // lat.b, n // lat.a)).bessel_bound
+                    ab_b = lat.a * lat.b * walnut_blocks_report(w, lat).bessel_bound
+                    assert abs(ab_b - n * adj) <= 1e-14 * n * adj
+
+    def test_error_names_first_failing_lattice_in_input_order(self):
+        # B = (N/b) 1e308 overflows exactly when b < N
+        g = np.zeros(12, dtype=complex)
+        g[0] = 1e154
+        w = ZNWindow(g)
+        ok, first, second = ZNLattice(12, 12, 12), ZNLattice(12, 1, 6), ZNLattice(12, 4, 3)
+        assert gabor_frame_reports(w, [ok, ok]) == [gabor_frame_report(w, ok)] * 2
+        with pytest.raises(OutOfFloatRange, match=r"\(a, b\)=\(1, 6\)"):
+            gabor_frame_reports(w, [ok, first, second])
+        with pytest.raises(OutOfFloatRange, match=r"\(a, b\)=\(4, 3\)"):
+            gabor_frame_reports(w, [second, ok, first])
+        assert gabor_frame_reports(w, []) == []
 
 
 class TestGaborStats:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import functools
 import json
 import operator
@@ -78,6 +79,16 @@ class TestRoundTrips:
             assert (r1["N"], r1["a"], r1["b"], r1["count"]) == (r2["N"], r2["a"], r2["b"], r2["count"])
             assert r1["A"] == pytest.approx(r2["A"])
             assert r1["is_frame"] == r2["is_frame"]
+
+    def test_sweep_csv_bytes_match_dict_writer(self, tmp_path):
+        rows = gabor.density_sweep(gabor.sample_window("gaussian", 12))
+        io.write_sweep_csv(tmp_path / "sweep.csv", rows)
+        # csv.DictWriter dropping the rows' other keys: oracle for the field lists
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=io.SWEEP_FIELDS, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def entries_by_scalar(z):
