@@ -11,6 +11,7 @@ tolerance set here is ``schmidt decompose --tol``, a float in (0, 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -121,6 +122,7 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_FAIL
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="frameforge")
     sub = p.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,7 @@ WINDOW_SPAN = 8
 OVERSAMPLE_TOL = 1e-9
 
 # Largest N a density sweep accepts, in the library and on the command line.
-MAX_SWEEP_N = 1024
+MAX_SWEEP_N = 8192
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ class ZNWindow:
 
     g: np.ndarray
     generator: str | None = None
+    _zak: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = as_cvector(self.g)
@@ -94,6 +95,16 @@ class ZNWindow:
     def scaled(self) -> np.ndarray:
         """2**-exponent * g: its largest real or imaginary part lies in [0.5, 1), or it is zero."""
         return linalg.times_power_of_two(self.g, -self.exponent)
+
+    def zak(self, L: int) -> np.ndarray:
+        """Read-only Z_L[k, x + L] of ``scaled``, k in Z_{N/L}, x in [-L, L), once per L; see gabor_frame_report."""
+        if L not in self._zak:
+            ext = np.concatenate((self.scaled[self.N - L :], self.scaled))  # ext[x + L t + L] = scaled[x + L t]
+            z = np.ndarray((self.N // L, 2 * L), complex, ext, 0, (L * ext.itemsize, ext.itemsize))  # [t, x + L]
+            z = np.fft.ifft(z, axis=0, norm="forward") if L < self.N else z  # d = 1: the identity
+            z.flags.writeable = False
+            self._zak[L] = z
+        return self._zak[L]
 
 
 def sample_window(generator: str, N: int) -> ZNWindow:
@@ -171,18 +182,18 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     j = l mod q = N/b, and 0 otherwise.  With j = r + q s, S splits into q
     Hermitian b x b blocks S_r = q G_r G_r^*, where G_r[s, m] = w[r + q s - m a],
     and the spectrum of S is the union of the blocks' spectra.  S commutes
-    with T_a, which gives two more symmetries:
+    with T_a: shifting m by one maps block r + a mod q onto a cyclic
+    permutation of block r, so the c = gcd(a, q) blocks r < c carry every
+    eigenvalue of S.
 
-    - Orbits.  Shifting m by one maps block r + a mod q onto a cyclic
-      permutation of block r, so the c = gcd(a, q) blocks r = 0..c-1 carry
-      every eigenvalue of S.
-    - In-block DFT.  Shifting m by q/c maps S_r onto itself with s moved by
-      a/c mod b, so S_r commutes with the cyclic shift by g = gcd(a/c, b) on
-      Z_b.  With s = g u + i, S_r is block circulant over u in Z_p, p = b/g,
-      and its g x g blocks B_u form its first block row q G_r[:g] G_r^*.
-      Its spectrum is that of the p Hermitian matrices
-      sum_u B_u exp(-2 pi i u k / p), k in Z_p: one FFT over u, skipped
-      when p = 1, where it is the identity.
+    Zak transform.  For ab <= N let p = a/c, Q = q/c, L = lcm(a, q) = aQ,
+    d = N/L = b/p and Z_L(x, k) = sum_{v in Z_d} w[x - L v] e^(-2 pi i v k/d).
+    With s = i + p u and m = mu + Q v, u, v in Z_d, r + q s - m a is
+    x + L (u - v), x = r + q i - a mu, so a DFT over Z_d splits block r into
+    d Hermitian p x p blocks Phi Phi^*, Phi[i, mu] = Z_L(r + q i - a mu, k).
+    As 0 <= r + q i < L and 0 <= a mu <= L - a, x lies in (-L, L): one Z_L
+    over [-L, L), 2N entries from one length-d FFT per window and L, serves
+    every lattice with that L.
 
     Adjoint lattice.  When ab > N, the N^2/(ab) < N atoms cannot span C^N,
     so A = 0 exactly and the system is neither a frame nor a Riesz basis.
@@ -190,11 +201,11 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     (the finite form of Ron-Shen and Janssen duality), so G'_r G'_r^* and
     G_r^* G_r share one spectrum, and the nonzero spectrum of S is that of
     the adjoint's frame operator times N/(ab).  B is read off the adjoint,
-    whose blocks have the same sizes (c' = c, g' = gcd(q/c, N/a), b' = N/a).
+    whose blocks are Q x Q (c' = c, p' = Q, L' = L).
     ``gabor_frame_reports`` solves a batch of lattices, each adjoint at
-    most once, with one ``eigvalsh`` per block size g.
+    most once, with one ``eigvalsh`` per block size p.
 
-    The eigen cost per representative drops from b^3 to b g^2.  The blocks
+    The eigen cost per representative drops from b^3 to b p^2.  The blocks
     are built from ``w.scaled`` = 2**-e w, e = ``w.exponent``, so the
     window's own scale cannot over- or underflow them.  The frame decision
     is made on their spectrum, that of 2**-2e S / q, and A and B are scaled
@@ -204,18 +215,15 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
 
 
 def _walnut_blocks(w: ZNWindow, a: int, b: int) -> np.ndarray:
-    """The (c p, g, g) stack whose spectra make up that of 2**-2e S / q on
-    (a, b), ab <= N: the FFT over u of each representative's first block row."""
-    N = w.N
-    q = N // b
+    """The (c d, p, p) stack Phi Phi^* whose spectra make up that of
+    2**-2e S / q on (a, b), ab <= N, read off ``w.zak(L)``."""
+    q = w.N // b
     c = math.gcd(a, q)
-    # r + q s - m a lies in (-N, N), and numpy reads a negative index i as i + N
-    idx = np.arange(c)[:, None, None] + np.arange(0, N, q)[:, None] - np.arange(0, N, a)
-    x, g = w.scaled[idx], math.gcd(a // c, b)  # G_r for r = 0..c-1
-    blocks = x[:, :g] @ x.conj().transpose(0, 2, 1)
-    if g < b:
-        blocks = np.fft.fft(blocks.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
-    return blocks.reshape(-1, g, g)
+    p, Q, L = a // c, q // c, a * q // c
+    z = w.zak(L)
+    # Phi[r, k, i, Q-1-mu] = Z_L(r + q i - a mu, k): x + L starts at a for r = i = 0, mu = Q-1
+    phi = np.ndarray((c, w.N // L, p, Q), complex, z, a * z.itemsize, [s * z.itemsize for s in (1, 2 * L, q, a)])
+    return (phi @ phi.conj().swapaxes(-1, -2)).reshape(-1, p, p)
 
 
 def gabor_frame_reports(w: ZNWindow, lattices: list[ZNLattice]) -> list[FrameReport]:

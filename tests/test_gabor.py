@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -378,6 +380,77 @@ class TestBatchedReports:
         assert gabor_frame_reports(w, []) == []
 
 
+def walnut_first_row_blocks(w, a, b):
+    """Each orbit representative's G_r gathered whole, its first g x g block row
+    split by an FFT over Z_{b/g}, g = gcd(a/c, b): oracle for _walnut_blocks."""
+    N = w.N
+    q = N // b
+    c = math.gcd(a, q)
+    # r + q s - m a lies in (-N, N), and numpy reads a negative index i as i + N
+    idx = np.arange(c)[:, None, None] + np.arange(0, N, q)[:, None] - np.arange(0, N, a)
+    x, g = w.scaled[idx], math.gcd(a // c, b)
+    blocks = x[:, :g] @ x.conj().transpose(0, 2, 1)
+    if g < b:
+        blocks = np.fft.fft(blocks.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
+    return blocks.reshape(-1, g, g)
+
+
+def short_windows(n):
+    """Seeded random complex windows supported on their first 1, 3 and 7 entries."""
+    rng = np.random.default_rng(200 + n)
+    return [ZNWindow(np.where(np.arange(n) < support, crandom(rng, n), 0)) for support in (1, 3, 7)]
+
+
+def shape_logging(fn, log):
+    """``fn`` that first appends the shape of its first argument to ``log``."""
+
+    def spy(x, *args, **kwargs):
+        log.append(x.shape)
+        return fn(x, *args, **kwargs)
+
+    return spy
+
+
+class TestZakBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 36, 60, 64, 120, 840, 1024])
+    def test_matches_gather_and_fft_oracle(self, n):
+        for w in oracle_windows(n) + short_windows(n):
+            for lat in divisor_lattices(n):
+                if lat.a * lat.b <= n:
+                    got, want = gabor._walnut_blocks(w, lat.a, lat.b), walnut_first_row_blocks(w, lat.a, lat.b)
+                    assert got.shape == want.shape
+                    got, want = (np.sort(np.linalg.eigvalsh(x), axis=None) for x in (got, want))
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_ifft_per_divisor_below_n(self, monkeypatch):
+        calls = {"fft": [], "ifft": []}
+        for name, log in calls.items():
+            monkeypatch.setattr(np.fft, name, shape_logging(getattr(np.fft, name), log))
+        density_sweep(sample_window("gaussian", 120))
+        # one (N/L, 2L) transform per L = lcm(a, N/b) < N, and every divisor L is lcm(1, L)
+        assert sorted(calls["ifft"]) == sorted((120 // L, 2 * L) for L in gabor.divisors(120)[:-1])
+        assert len(calls["ifft"]) == 15 and calls["fft"] == []
+
+    def test_a_one_b_n_reads_n_window_entries(self):
+        # the whole gather of G_0 at (1, N) peaked at 42 MB for N = 1024
+        w = sample_window("gaussian", 1024)
+        tracemalloc.start()
+        try:
+            gabor_frame_report(w, ZNLattice(1024, 1, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_view_past_the_zak_array_raises(self):
+        # on (4, 3) of Z_12, c = q = 4 and Phi ends on the last entry of Z_4
+        w = sample_window("gaussian", 12)
+        assert gabor._walnut_blocks(w, 4, 3).shape == (12, 1, 1)
+        w._zak[4] = w.zak(4).ravel()[:-1]
+        with pytest.raises(ValueError):
+            gabor._walnut_blocks(w, 4, 3)
+
+
 class TestGaborStats:
     def test_density_law_on_z6_sweep(self):
         w = sample_window("gaussian", 6)
@@ -606,7 +679,7 @@ class TestDensitySweep:
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
-            density_sweep(ZNWindow(np.ones(1025)))
+            density_sweep(ZNWindow(np.ones(8193)))
 
 
 class TestDensitySuite:
