@@ -4,7 +4,6 @@ of sequences, operator Schmidt decompositions, and discrete Gabor systems."""
 from .linalg import (
     DEFAULT_RTOL,
     inner,
-    left_pseudo_inverse,
     op_norm,
     op_norm_extremes,
     tensor_op,
@@ -34,7 +33,6 @@ from .schmidt import (
     contract_V2,
     deflate,
     inverse_factors,
-    is_fms,
     reshuffle_rank,
     schmidt_decompose_deflation,
     spans_equal,
@@ -45,7 +43,6 @@ from .gabor import (
     ZNWindow,
     build_rank_r_window,
     density_sweep,
-    gabor_stats,
     gabor_system,
     modulate,
     oversample_check,

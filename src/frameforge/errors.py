@@ -13,10 +13,6 @@ class EmptySequence(FrameForgeError):
     pass
 
 
-class NotInjective(FrameForgeError):
-    pass
-
-
 class DependentGroup(FrameForgeError):
     def __init__(self, group_index, message=None):
         self.group_index = group_index

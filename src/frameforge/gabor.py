@@ -68,14 +68,19 @@ class ZNLattice:
 
 @dataclass(frozen=True)
 class ZNWindow:
-    """Window vector on Z_N with an optional generator label."""
+    """Window vector on Z_N with an optional generator label.
+
+    ``g`` is a read-only copy of the given entries, so the values cached
+    from it below cannot go stale.
+    """
 
     g: np.ndarray
     generator: str | None = None
     _zak: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = as_cvector(self.g)
+        g = as_cvector(self.g).copy()
+        g.flags.writeable = False
         if g.shape[0] < 1:
             raise DimensionMismatch("window must be nonempty")
         if not np.isfinite(g).all():
@@ -276,11 +281,6 @@ def _density_stats(lat: ZNLattice, rep: FrameReport) -> dict:
     return stats
 
 
-def gabor_stats(w: ZNWindow, lat: ZNLattice) -> dict:
-    """Classification plus the discrete density bookkeeping for one lattice."""
-    return _density_stats(lat, gabor_frame_report(w, lat))
-
-
 def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
     """Frame-bound scaling under lattice refinement (a, b) -> (a/u, b/v).
 
@@ -392,9 +392,13 @@ def perturb_window(w: ZNWindow, lat: ZNLattice, alpha: int, beta: int, c_phase: 
 
     Conditions from the continuous statement, discretized: (alpha, beta)
     nonzero, alpha*b = 0 mod N and beta*a = 0 mod N, |c| = 1 with
-    c = exp(2*pi*i*c_phase).  The expected outcome (non-frame) is reported,
-    not asserted; callers assert only on oracle-pre-verified instances.
+    c = exp(2*pi*i*c_phase).  ``c_phase`` is reduced mod 1 first, exactly,
+    so a large one keeps its phase; NaN and inf raise ``NonFiniteData``.
+    The expected outcome (non-frame) is reported, not asserted; callers
+    assert only on oracle-pre-verified instances.
     """
+    if not math.isfinite(c_phase):
+        raise NonFiniteData(f"c_phase must be finite, got {c_phase}")
     if alpha % lat.N == 0 and beta % lat.N == 0:
         raise ZeroShift("(alpha, beta) must be nonzero mod N")
     conditions_ok = (alpha * lat.b) % lat.N == 0 and (beta * lat.a) % lat.N == 0
@@ -404,7 +408,7 @@ def perturb_window(w: ZNWindow, lat: ZNLattice, alpha: int, beta: int, c_phase: 
             f"beta*a={beta * lat.a} mod {lat.N}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        h = w.g + np.exp(2j * np.pi * c_phase) * gabor_atom(w, alpha, beta)
+        h = w.g + np.exp(2j * np.pi * (c_phase % 1)) * gabor_atom(w, alpha, beta)
     if not np.isfinite(h).all():
         raise OutOfFloatRange("the perturbed window g + c M_beta T_alpha g leaves the float range")
     rep = gabor_frame_report(ZNWindow(h), lat)

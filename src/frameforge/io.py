@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import NonFiniteData
 from .gabor import ZNWindow
-from .schmidt import BipartiteShape, FSROperator
-from .sequences import MinimalSumSequence, VectorSequence, build_minimal_sum
+from .schmidt import FSROperator
+from .sequences import VectorSequence
 
 SWEEP_FIELDS = ["N", "a", "b", "count", "A", "B", "is_frame", "is_riesz", "ab_over_N"]
 
@@ -99,39 +99,11 @@ def sequence_from_dict(d) -> VectorSequence:
     return VectorSequence(np.array(vecs))
 
 
-def minimal_sum_to_dict(ms: MinimalSumSequence) -> dict:
-    return {
-        "d": ms.d,
-        "r": ms.r,
-        "groups": [[sequence_to_dict(s) for s in group] for group in ms.groups],
-    }
-
-
-def minimal_sum_from_dict(d) -> MinimalSumSequence:
-    groups = _field(d, "minimal sum", "groups", list)
-    if not all(type(group) is list for group in groups):
-        raise ValueError("minimal sum file groups must be lists of sequences")
-    ms = build_minimal_sum([[sequence_from_dict(s) for s in group] for group in groups])
-    if ms.d != _field(d, "minimal sum", "d", int) or ms.r != _field(d, "minimal sum", "r", int):
-        raise ValueError("minimal sum file d/r mismatch")
-    return ms
-
-
 def fsr_to_dict(f: FSROperator) -> dict:
     return {
         "shape": {"h1": f.shape.h1, "h2": f.shape.h2, "k1": f.shape.k1, "k2": f.shape.k2},
         "terms": [{"A": operator_to_dict(a), "B": operator_to_dict(b)} for a, b in f.terms],
     }
-
-
-def fsr_from_dict(d) -> FSROperator:
-    s = _field(d, "decomposition", "shape", dict)
-    h1, h2, k1, k2 = (_field(s, "decomposition shape", n, int) for n in ("h1", "h2", "k1", "k2"))
-    terms = [
-        tuple(operator_from_dict(_field(t, "decomposition term", n, dict)) for n in ("A", "B"))
-        for t in _field(d, "decomposition", "terms", list)
-    ]
-    return FSROperator(BipartiteShape(h1, h2, k1, k2), tuple(terms))
 
 
 def window_to_dict(w: ZNWindow) -> dict:
@@ -142,7 +114,12 @@ def window_to_dict(w: ZNWindow) -> dict:
 
 
 def window_from_dict(d) -> ZNWindow:
-    return ZNWindow(vector_from_dict(d), d.get("generator"))
+    """The window of a file written by ``window_to_dict``; its ``N`` must equal ``dim``."""
+    g = vector_from_dict(d)
+    n = _field(d, "window", "N", int)
+    if n != g.shape[0]:
+        raise ValueError(f"window field 'N' is {n}, but the window has {g.shape[0]} entries")
+    return ZNWindow(g, d.get("generator"))
 
 
 def save_json(path, payload) -> None:
@@ -171,23 +148,3 @@ def write_sweep_csv(path, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_FIELDS)
         writer.writerows([row[k] for k in SWEEP_FIELDS] for row in rows)
-
-
-def read_sweep_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        out = []
-        for row in csv.DictReader(fh):
-            out.append(
-                {
-                    "N": int(row["N"]),
-                    "a": int(row["a"]),
-                    "b": int(row["b"]),
-                    "count": int(row["count"]),
-                    "A": float(row["A"]),
-                    "B": float(row["B"]),
-                    "is_frame": row["is_frame"] == "True",
-                    "is_riesz": row["is_riesz"] == "True",
-                    "ab_over_N": float(row["ab_over_N"]),
-                }
-            )
-        return out

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInjective
+from .errors import DimensionMismatch
 
 # Relative tolerance for all rank / invertibility decisions, as a multiple of
 # the largest singular value.
@@ -85,22 +85,6 @@ def op_norm_extremes(a) -> tuple[float, float]:
 
 def op_norm(a) -> float:
     return op_norm_extremes(a)[0]
-
-
-def left_pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose left inverse L with L @ A = I; requires A injective.
-
-    Injectivity is decided by sigma_min > DEFAULT_RTOL * sigma_max with tall shape.
-    The returned L has operator norm 1 / sigma_min(A).
-    """
-    a = as_coperator(a)
-    rows, cols = a.shape
-    smax, smin = op_norm_extremes(a)
-    if rows < cols or smin <= DEFAULT_RTOL * smax:
-        raise NotInjective(
-            f"matrix of shape {rows}x{cols} with sigma_min={smin:.3e}, sigma_max={smax:.3e} is not injective"
-        )
-    return np.linalg.pinv(a)
 
 
 def singular_value_rank(s, tol: float = DEFAULT_RTOL, scale: float = 0.0) -> int:

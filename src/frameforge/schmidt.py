@@ -239,17 +239,6 @@ def reshuffle_rank(
     return rank, FSROperator(shape, tuple(terms))
 
 
-def is_fms(terms) -> bool:
-    """Finite minimal system test: both factor families linearly independent."""
-    terms = list(terms)
-    if not terms:
-        return True
-    first = np.array([as_coperator(a).ravel() for a, _ in terms])
-    second = np.array([as_coperator(b).ravel() for _, b in terms])
-    r = len(terms)
-    return linalg.matrix_rank(first) == r and linalg.matrix_rank(second) == r
-
-
 def spans_equal(terms_a, terms_b, side: int) -> bool:
     """Whether the factor spans of two decompositions coincide on one side.
 

@@ -94,22 +94,14 @@ def classify(seq: VectorSequence) -> FrameReport:
     """
     e = linalg.max_exponent(seq.vectors)
     eig = np.linalg.eigvalsh(frame_operator(VectorSequence(linalg.times_power_of_two(seq.vectors, -e))))
-    return _scaled_back(report_from_spectrum(eig, len(seq), seq.space_dim), 1, e, "of a sequence")
-
-
-def report_from_spectrum(eig, count: int, space_dim: int) -> FrameReport:
-    """Frame bounds and classification from the frame operator's eigenvalues.
-
-    ``eig`` holds the whole spectrum in any shape and order, for instance
-    the stacked spectra of the diagonal blocks of a block-diagonal frame
-    operator.  ``count`` is the number of vectors in the family; the frame
-    is a Riesz basis when it equals ``space_dim``.
-    """
-    return _report_from_bounds(float(eig.min()), float(eig.max()), count, space_dim)
+    rep = _report_from_bounds(float(eig.min()), float(eig.max()), len(seq), seq.space_dim)
+    return _scaled_back(rep, 1, e, "of a sequence")
 
 
 def _report_from_bounds(lo: float, hi: float, count: int, space_dim: int) -> FrameReport:
-    """``report_from_spectrum`` of a spectrum with least eigenvalue ``lo`` and greatest ``hi``."""
+    """Frame bounds and classification of a frame operator with least
+    eigenvalue ``lo`` and greatest ``hi``, for a family of ``count`` vectors:
+    a frame is a Riesz basis when ``count`` equals ``space_dim``."""
     a_bound = max(lo, 0.0)
     is_frame = a_bound > FRAME_TOL * hi
     return FrameReport(a_bound, hi, is_frame, is_frame and count == space_dim)

@@ -24,7 +24,6 @@ from frameforge.gabor import (
     density_sweep,
     gabor_frame_report,
     gabor_frame_reports,
-    gabor_stats,
     gabor_system,
     modulate,
     oversample_check,
@@ -190,7 +189,8 @@ def walnut_blocks_report(w, lat):
     idx = np.arange(q)[:, None, None] + q * np.arange(b)[:, None] - a * np.arange(N // a)
     g = w.g[idx % N]
     blocks = q * (g @ g.conj().transpose(0, 2, 1))
-    return sequences.report_from_spectrum(np.linalg.eigvalsh(blocks), lat.count, N)
+    eig = np.linalg.eigvalsh(blocks)
+    return sequences._report_from_bounds(float(eig.min()), float(eig.max()), lat.count, N)
 
 
 def assert_same_report(rep, ref, rtol):
@@ -308,9 +308,9 @@ class TestGaborFrameReport:
 
     @pytest.mark.parametrize("ratio, is_frame", [(2 * sequences.FRAME_TOL, True), (sequences.FRAME_TOL / 2, False)])
     def test_frame_threshold_is_frame_tol(self, ratio, is_frame):
-        # planted spectrum with A / B = ratio, as a stack of two 2x2 block spectra
+        # planted spectrum with A / B = ratio
         b = 4.0
-        rep = sequences.report_from_spectrum(np.array([[ratio * b, 1.0], [2.0, b]]), 4, 4)
+        rep = sequences._report_from_bounds(ratio * b, b, 4, 4)
         assert (rep.lower_bound, rep.bessel_bound) == (ratio * b, b)
         assert (rep.is_frame, rep.is_riesz) == (is_frame, is_frame)
 
@@ -323,7 +323,10 @@ class TestBatchedReports:
     @pytest.mark.parametrize("n", [12, 120, 840])
     def test_sweep_rows_equal_single_lattice_stats(self, n):
         for w in oracle_windows(n):
-            assert density_sweep(w) == [gabor_stats(w, lat) for lat in divisor_lattices(n)]
+            for row, lat in zip(density_sweep(w), divisor_lattices(n), strict=True):
+                assert (row["N"], row["a"], row["b"], row["count"]) == (n, lat.a, lat.b, lat.count)
+                rep = gabor_frame_report(w, lat).to_dict()
+                assert {k: row[k] for k in rep} == rep
 
     def test_one_eigvalsh_per_block_size(self, monkeypatch):
         sizes = []
@@ -462,14 +465,14 @@ class TestGaborStats:
     def test_undersampled_never_frame(self):
         # ab > N means fewer than N vectors, so no frame
         w = sample_window("twoexp", 8)
-        stats = gabor_stats(w, ZNLattice(8, 4, 4))
+        stats = next(row for row in density_sweep(w) if (row["a"], row["b"]) == (4, 4))
         assert stats["count"] == 4 < 8
         assert not stats["is_frame"]
 
     def test_critical_density_riesz(self):
         rng = np.random.default_rng(7)
         w = ZNWindow(crandom(rng, 4))
-        stats = gabor_stats(w, ZNLattice(4, 2, 2))
+        stats = next(row for row in density_sweep(w) if (row["a"], row["b"]) == (2, 2))
         if stats["is_frame"]:
             assert stats["is_riesz"]
 
@@ -640,6 +643,22 @@ def test_dependent_modulates_match_svd_oracle():
     assert seen == [None, 0, 1, 0, None, 1, None]
 
 
+class TestWindowEntries:
+    def test_caller_writes_do_not_reach_the_window(self):
+        # the window kept the caller's array, so its cached scale and Zak transforms went stale
+        g = np.ones(12, dtype=complex)
+        w, lat = ZNWindow(g), ZNLattice(12, 2, 3)
+        before = gabor_frame_report(w, lat)
+        g[:] = 2.0
+        assert gabor_frame_report(w, lat) == before
+        assert gabor_frame_report(ZNWindow(g), lat).bessel_bound == 4 * before.bessel_bound == 288.0
+
+    def test_entries_are_read_only(self):
+        w = ZNWindow(np.ones(12, dtype=complex))
+        with pytest.raises(ValueError):
+            w.g[:] = 0
+
+
 class TestPerturbWindow:
     def test_known_non_frame_instance(self):
         rng = np.random.default_rng(12)
@@ -658,6 +677,22 @@ class TestPerturbWindow:
         w = sample_window("gaussian", 8)
         with pytest.raises(ConditionViolated):
             perturb_window(w, ZNLattice(8, 2, 2), 1, 0, 0.0)
+
+    @pytest.mark.parametrize("c_phase", [1e17, 1e300, -1.0, 3.0])
+    def test_integer_phase_is_c_one(self, c_phase):
+        # 2 pi c_phase lost the phase: 1e17 reported a frame with spectral ratio 0.11
+        w, lat = sample_window("gaussian", 8), ZNLattice(8, 2, 2)
+        want = perturb_window(w, lat, 4, 4, 0.0)
+        assert not want["is_frame"]
+        assert perturb_window(w, lat, 4, 4, c_phase) == {**want, "c_phase": c_phase}
+
+    @pytest.mark.parametrize("c_phase", [0.0, 0.25, 0.7, 1 - 2**-53])
+    def test_phase_in_unit_interval_is_used_as_given(self, c_phase):
+        w, lat = sample_window("sech", 8), ZNLattice(8, 2, 2)
+        h = w.g + np.exp(2j * np.pi * c_phase) * gabor.gabor_atom(w, 4, 4)
+        want = gabor_frame_report(ZNWindow(h), lat).to_dict()
+        got = perturb_window(w, lat, 4, 4, c_phase)
+        assert {k: got[k] for k in want} == want
 
 
 class TestDensitySweep:

@@ -32,6 +32,17 @@ def crandom(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def fsr_terms(d):
+    """The (A, B) terms of a decomposition dict, each read back with ``operator_from_dict``."""
+    return tuple((io.operator_from_dict(t["A"]), io.operator_from_dict(t["B"])) for t in d["terms"])
+
+
+def read_sweep_rows(path):
+    """The rows of a sweep CSV as dicts of strings."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def run_cli(args, timeout=30, **kwargs):
     """Run the CLI in a child process, so a hang fails the test instead of stalling it."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -60,7 +71,9 @@ class TestRoundTrips:
 
     def test_fsr(self):
         fsr = random_fsr_operator(suite_rng(3, 0), BipartiteShape(2, 3, 2, 3), 2)
-        back = io.fsr_from_dict(io.fsr_to_dict(fsr))
+        d = io.fsr_to_dict(fsr)
+        assert d["shape"] == {"h1": 2, "h2": 3, "k1": 2, "k2": 3}
+        back = FSROperator(fsr.shape, fsr_terms(d))
         np.testing.assert_allclose(back.materialize(), fsr.materialize(), atol=1e-15)
 
     def test_window(self):
@@ -73,12 +86,12 @@ class TestRoundTrips:
         rows = gabor.density_sweep(gabor.sample_window("gaussian", 6))
         path = tmp_path / "sweep.csv"
         io.write_sweep_csv(path, rows)
-        back = io.read_sweep_csv(path)
+        back = read_sweep_rows(path)
         assert len(back) == len(rows)
         for r1, r2 in zip(rows, back):
-            assert (r1["N"], r1["a"], r1["b"], r1["count"]) == (r2["N"], r2["a"], r2["b"], r2["count"])
-            assert r1["A"] == pytest.approx(r2["A"])
-            assert r1["is_frame"] == r2["is_frame"]
+            assert [str(r1[k]) for k in ("N", "a", "b", "count", "is_frame")] == [
+                r2[k] for k in ("N", "a", "b", "count", "is_frame")]
+            assert r1["A"] == float(r2["A"])
 
     def test_sweep_csv_bytes_match_dict_writer(self, tmp_path):
         rows = gabor.density_sweep(gabor.sample_window("gaussian", 12))
@@ -116,10 +129,6 @@ VALID_FILES = {
     "vector": (io.vector_from_dict, io.vector_to_dict([1, 2j])),
     "operator": (io.operator_from_dict, io.operator_to_dict([[2 + 1j]])),
     "sequence": (io.sequence_from_dict, io.sequence_to_dict(VectorSequence(np.eye(2)))),
-    "minimal_sum": (io.minimal_sum_from_dict, io.minimal_sum_to_dict(
-        build_minimal_sum([[VectorSequence(np.eye(2))], [VectorSequence(np.eye(2))]]))),
-    "fsr": (io.fsr_from_dict, io.fsr_to_dict(
-        FSROperator(BipartiteShape(2, 1, 1, 1), (([[1, 2]], [[1j]]),)))),
     "window": (io.window_from_dict, io.window_to_dict(gabor.sample_window("gaussian", 4))),
 }
 DELETE = object()
@@ -165,12 +174,10 @@ FIELD_ERRORS = [
     ("sequence", ("space_dim",), 2.0),
     ("sequence", ("space_dim",), 3),
     ("sequence", ("vectors", 0), {"dim": 1, "entries": [[1, 0]]}),
-    ("minimal_sum", ("groups",), [5]),
-    ("minimal_sum", ("r",), DELETE),
-    ("fsr", ("terms",), 5),
-    ("fsr", ("shape", "h2"), float("inf")),
-    ("fsr", ("terms", 0, "A"), DELETE),
     ("window", ("dim",), None),
+    ("window", ("N",), "abc"),
+    ("window", ("N",), DELETE),
+    ("window", ("N",), 5),
 ]
 
 
@@ -196,8 +203,7 @@ class TestEntryCodec:
         io.save_json(path, io.operator_to_dict(x.reshape(3, 4)))
         assert np.array_equal(bits(io.operator_from_dict(io.load_json(path))), bits(x.reshape(3, 4)))
         io.save_json(path, io.fsr_to_dict(fsr))
-        back = io.fsr_from_dict(io.load_json(path))
-        for (a, b), (a0, b0) in zip(back.terms, fsr.terms, strict=True):
+        for (a, b), (a0, b0) in zip(fsr_terms(io.load_json(path)), fsr.terms, strict=True):
             assert np.array_equal(bits(a), bits(a0)) and np.array_equal(bits(b), bits(b0))
 
     def test_save_json_is_one_compact_line(self, tmp_path):
@@ -228,8 +234,8 @@ class TestEntryCodec:
         back = io.vector_from_dict(io.load_json(write_indented(io.vector_to_dict(x))))
         assert np.array_equal(bits(back), bits(x))
         fsr = random_fsr_operator(suite_rng(34, 0), BipartiteShape(2, 2, 2, 2), 2)
-        back = io.fsr_from_dict(io.load_json(write_indented(io.fsr_to_dict(fsr))))
-        assert np.array_equal(back.materialize(), fsr.materialize())
+        back = fsr_terms(io.load_json(write_indented(io.fsr_to_dict(fsr))))
+        assert np.array_equal(FSROperator(fsr.shape, back).materialize(), fsr.materialize())
 
     def test_empty_entries_decode_to_empty_array(self):
         v = io.vector_from_dict({"dim": 0, "entries": []})
@@ -252,8 +258,7 @@ class TestEntryCodec:
             io.operator_from_dict({"rows": 1, "cols": 1, "entries": entries})
 
     @pytest.mark.parametrize("loader", [
-        io.vector_from_dict, io.operator_from_dict, io.sequence_from_dict,
-        io.minimal_sum_from_dict, io.fsr_from_dict, io.window_from_dict,
+        io.vector_from_dict, io.operator_from_dict, io.sequence_from_dict, io.window_from_dict,
     ])
     @pytest.mark.parametrize("top", [[1, 2], "text", 3, None])
     def test_non_object_top_level_is_a_value_error(self, loader, top):
@@ -440,7 +445,7 @@ class TestFuzzedFiles:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "float range" in err, err
         elif argv[1] == "sweep":
-            assert all(np.isfinite([r["A"], r["B"]]).all() for r in io.read_sweep_csv(csv_path))
+            assert all(np.isfinite([float(r["A"]), float(r["B"])]).all() for r in read_sweep_rows(csv_path))
         else:
             json.loads(out, parse_constant=reject_constant)
 
@@ -490,8 +495,7 @@ class TestSchmidtCommand:
         )
         assert code == 0
         assert "rank: 1" in capsys.readouterr().out
-        dec = io.fsr_from_dict(io.load_json(out))
-        assert dec.rank_bound == 1
+        assert len(fsr_terms(io.load_json(out))) == 1
 
     def test_deflate_and_svd_agree(self, tmp_path, capsys):
         f = random_fsr_operator(suite_rng(5, 0), BipartiteShape(2, 3, 2, 3), 3).materialize()
@@ -579,7 +583,7 @@ class TestSchmidtCommand:
         fields = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
         assert int(fields["rank"]) == r
         assert float(fields["reconstruction_error"]) <= 1e-8
-        dec = io.fsr_from_dict(io.load_json(out))
+        dec = FSROperator(BipartiteShape(h1, h2, k1, k2), fsr_terms(io.load_json(out)))
         assert dec.rank_bound == r
         assert np.linalg.norm(dec.materialize() - f) <= 1e-8 * np.linalg.norm(f)
 
@@ -760,8 +764,7 @@ class TestGaborCommands:
         code = cli.main(["gabor", "sweep", "--N", "12", "--window", "gaussian",
                          "--output", str(out)])
         assert code == 0
-        rows = io.read_sweep_csv(out)
-        assert len(rows) == 36
+        assert len(read_sweep_rows(out)) == 36
 
     def test_sweep_delta_window_file(self, tmp_path, capsys):
         g = np.zeros(4, dtype=complex)
@@ -772,9 +775,8 @@ class TestGaborCommands:
         code = cli.main(["gabor", "sweep", "--N", "4", "--window", f"file:{wpath}",
                          "--output", str(out)])
         assert code == 0
-        rows = io.read_sweep_csv(out)
-        row = next(r for r in rows if (r["a"], r["b"]) == (1, 4))
-        assert row["is_riesz"]
+        row = next(r for r in read_sweep_rows(out) if (r["a"], r["b"]) == ("1", "4"))
+        assert row["is_riesz"] == "True"
 
     def test_sweep_n240_stays_fast(self, tmp_path, capsys):
         # the dense route builds every atom and takes tens of seconds here
@@ -784,7 +786,7 @@ class TestGaborCommands:
                          "--output", str(out)])
         elapsed = time.perf_counter() - t0
         assert code == 0
-        assert len(io.read_sweep_csv(out)) == 20**2  # 240 has 20 divisors
+        assert len(read_sweep_rows(out)) == 20**2  # 240 has 20 divisors
         assert elapsed < 15.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -842,6 +844,29 @@ class TestGaborCommands:
         got = json.loads(capsys.readouterr().out)
         assert want["is_frame"] is False and want["A"] <= sequences.FRAME_TOL * want["B"]
         assert (got["A"], got["B"]) == (want["A"], want["B"])
+
+    @pytest.mark.parametrize("c_phase", ["nan", "inf", "-inf"])
+    def test_perturb_non_finite_phase_exits_2(self, capsys, c_phase):
+        # NaN exited 2 with a float-range message that did not name c_phase
+        code = cli.main(["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2",
+                         "--alpha", "4", "--beta", "4", f"--c-phase={c_phase}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "c_phase" in captured.err
+
+    @pytest.mark.parametrize("n_field", [12, "abc"])
+    def test_window_file_n_must_match_dim(self, tmp_path, capsys, n_field):
+        # the N field was never read: both files swept as N = 8 with exit 0
+        payload = io.window_to_dict(gabor.sample_window("gaussian", 8))
+        payload["N"] = n_field
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(payload))
+        assert cli.main(["gabor", "sweep", "--N", "8", "--window", f"file:{wpath}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "'N'" in captured.err
 
     def test_perturb_bad_conditions(self, capsys):
         assert cli.main(["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2",

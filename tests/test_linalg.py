@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from frameforge import linalg
-from frameforge.errors import DimensionMismatch, NotInjective
+from frameforge.errors import DimensionMismatch
 from frameforge.linalg import (
     inner,
-    left_pseudo_inverse,
     op_norm_extremes,
     tensor_op,
     tensor_vec,
@@ -149,35 +148,6 @@ class TestOpNormExtremes:
         smax, smin = op_norm_extremes(a)
         assert smax == pytest.approx(np.sqrt(eigs[-1]), abs=1e-9)
         assert smin == pytest.approx(np.sqrt(eigs[0]), abs=1e-9)
-
-
-class TestLeftPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(left_pseudo_inverse(np.eye(2)), np.eye(2))
-
-    def test_repeated_onb_columns(self):
-        # normal-equations oracle: L = (A^H A)^{-1} A^H
-        a = np.vstack([np.eye(2), np.eye(2)])
-        l = left_pseudo_inverse(a)
-        np.testing.assert_allclose(l @ a, np.eye(2), atol=1e-10)
-        oracle = np.linalg.inv(a.conj().T @ a) @ a.conj().T
-        np.testing.assert_allclose(l, oracle, atol=1e-10)
-
-    def test_norm_is_inverse_sigma_min(self):
-        rng = np.random.default_rng(13)
-        a = crandom(rng, 5, 3)
-        _, smin = op_norm_extremes(a)
-        nl, _ = op_norm_extremes(left_pseudo_inverse(a))
-        assert nl == pytest.approx(1.0 / smin, rel=1e-10)
-
-    def test_zero_column_rejected(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(NotInjective):
-            left_pseudo_inverse(a)
-
-    def test_wide_rejected(self):
-        with pytest.raises(NotInjective):
-            left_pseudo_inverse(np.ones((2, 3)))
 
 
 class TestMatrixRank:

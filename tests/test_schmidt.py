@@ -19,7 +19,6 @@ from frameforge.schmidt import (
     contract_V2,
     deflate,
     inverse_factors,
-    is_fms,
     reshuffle_rank,
     schmidt_decompose_deflation,
     spans_equal,
@@ -390,17 +389,6 @@ class TestReshuffleRank:
         rank, dec = reshuffle_rank(f, shape)
         assert rank == 3
         assert np.linalg.norm(f - dec.materialize()) <= 1e-9 * np.linalg.norm(f)
-
-
-class TestFMS:
-    def test_independent_pairs(self):
-        assert is_fms([(E2, E2), (X, X)])
-
-    def test_duplicated_pair(self):
-        assert not is_fms([(E2, E2), (E2, E2)])
-
-    def test_dependent_first_components(self):
-        assert not is_fms([(E2, E2), (2 * E2, X)])
 
 
 class TestSpansEqual:
