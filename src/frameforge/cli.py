@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -165,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--beta", type=int, required=True)
     pt.add_argument("--c-phase", type=float, default=0.0, dest="c_phase")
     pt.add_argument("--window", default="gaussian")
+    # --c-phase -1e17 and -inf are values: argparse's own negative-number pattern knows only -1 and -0.5
+    pt._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     pt.set_defaults(fn=cmd_gabor_perturb)
 
     pv = sub.add_parser("verify", help="run the randomized verification suites")

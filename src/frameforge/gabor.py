@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +69,12 @@ class ZNLattice:
 class ZNWindow:
     """Window vector on Z_N with an optional generator label.
 
-    ``g`` is a read-only copy of the given entries, so the values cached
-    from it below cannot go stale.
+    ``g`` is a read-only copy of the given entries, so the finiteness check
+    of ``__post_init__`` holds for as long as the window lives.
     """
 
     g: np.ndarray
     generator: str | None = None
-    _zak: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = as_cvector(self.g).copy()
@@ -90,26 +88,6 @@ class ZNWindow:
     @property
     def N(self) -> int:
         return self.g.shape[0]
-
-    @cached_property
-    def exponent(self) -> int:
-        """``linalg.max_exponent(g)``, computed once per window."""
-        return linalg.max_exponent(self.g)
-
-    @cached_property
-    def scaled(self) -> np.ndarray:
-        """2**-exponent * g: its largest real or imaginary part lies in [0.5, 1), or it is zero."""
-        return linalg.times_power_of_two(self.g, -self.exponent)
-
-    def zak(self, L: int) -> np.ndarray:
-        """Read-only Z_L[k, x + L] of ``scaled``, k in Z_{N/L}, x in [-L, L), once per L; see gabor_frame_report."""
-        if L not in self._zak:
-            ext = np.concatenate((self.scaled[self.N - L :], self.scaled))  # ext[x + L t + L] = scaled[x + L t]
-            z = np.ndarray((self.N // L, 2 * L), complex, ext, 0, (L * ext.itemsize, ext.itemsize))  # [t, x + L]
-            z = np.fft.ifft(z, axis=0, norm="forward") if L < self.N else z  # d = 1: the identity
-            z.flags.writeable = False
-            self._zak[L] = z
-        return self._zak[L]
 
 
 def sample_window(generator: str, N: int) -> ZNWindow:
@@ -197,7 +175,7 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     x + L (u - v), x = r + q i - a mu, so a DFT over Z_d splits block r into
     d Hermitian p x p blocks Phi Phi^*, Phi[i, mu] = Z_L(r + q i - a mu, k).
     As 0 <= r + q i < L and 0 <= a mu <= L - a, x lies in (-L, L): one Z_L
-    over [-L, L), 2N entries from one length-d FFT per window and L, serves
+    over [-L, L), 2N entries from one length-d FFT per call and L, serves
     every lattice with that L.
 
     Adjoint lattice.  When ab > N, the N^2/(ab) < N atoms cannot span C^N,
@@ -211,23 +189,30 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     most once, with one ``eigvalsh`` per block size p.
 
     The eigen cost per representative drops from b^3 to b p^2.  The blocks
-    are built from ``w.scaled`` = 2**-e w, e = ``w.exponent``, so the
-    window's own scale cannot over- or underflow them.  The frame decision
-    is made on their spectrum, that of 2**-2e S / q, and A and B are scaled
-    back by q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
+    are built from 2**-e w, e = ``linalg.max_exponent(w.g)``, so the window's
+    own scale cannot over- or underflow them.  The frame decision is made on
+    their spectrum, that of 2**-2e S / q, and A and B are scaled back by
+    q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
     """
     return gabor_frame_reports(w, [lat])[0]
 
 
-def _walnut_blocks(w: ZNWindow, a: int, b: int) -> np.ndarray:
+def _zak(scaled: np.ndarray, L: int) -> np.ndarray:
+    """Z_L[k, x + L] of ``scaled`` = 2**-e w, k in Z_{N/L}, x in [-L, L); see gabor_frame_report."""
+    ext = np.concatenate((scaled[-L:], scaled))  # ext[x + L t + L] = scaled[x + L t]
+    z = np.ndarray((len(scaled) // L, 2 * L), complex, ext, 0, (L * ext.itemsize, ext.itemsize))  # [t, x + L]
+    return np.fft.ifft(z, axis=0, norm="forward") if L < len(scaled) else z  # d = 1: the identity
+
+
+def _walnut_blocks(zaks: dict[int, np.ndarray], N: int, a: int, b: int) -> np.ndarray:
     """The (c d, p, p) stack Phi Phi^* whose spectra make up that of
-    2**-2e S / q on (a, b), ab <= N, read off ``w.zak(L)``."""
-    q = w.N // b
+    2**-2e S / q on (a, b), ab <= N, read off ``zaks[L]``."""
+    q = N // b
     c = math.gcd(a, q)
     p, Q, L = a // c, q // c, a * q // c
-    z = w.zak(L)
+    z = zaks[L]
     # Phi[r, k, i, Q-1-mu] = Z_L(r + q i - a mu, k): x + L starts at a for r = i = 0, mu = Q-1
-    phi = np.ndarray((c, w.N // L, p, Q), complex, z, a * z.itemsize, [s * z.itemsize for s in (1, 2 * L, q, a)])
+    phi = np.ndarray((c, N // L, p, Q), complex, z, a * z.itemsize, [s * z.itemsize for s in (1, 2 * L, q, a)])
     return (phi @ phi.conj().swapaxes(-1, -2)).reshape(-1, p, p)
 
 
@@ -243,9 +228,12 @@ def gabor_frame_reports(w: ZNWindow, lattices: list[ZNLattice]) -> list[FrameRep
         _check_length(w, lat)
     N = w.N
     solved = [(lat.a, lat.b) if lat.a * lat.b <= N else (N // lat.b, N // lat.a) for lat in lattices]
+    e = linalg.max_exponent(w.g)
+    scaled = linalg.times_power_of_two(w.g, -e)
+    zaks = {L: _zak(scaled, L) for L in {math.lcm(a, N // b) for a, b in solved}}
     by_size: dict[int, list] = {}
     for key in dict.fromkeys(solved):
-        blocks = _walnut_blocks(w, *key)
+        blocks = _walnut_blocks(zaks, N, *key)
         by_size.setdefault(blocks.shape[-1], []).append((key, blocks))
     bounds = {}
     for group in by_size.values():
@@ -259,26 +247,22 @@ def gabor_frame_reports(w: ZNWindow, lattices: list[ZNLattice]) -> list[FrameRep
     for lat, key in zip(lattices, solved):
         lo, hi = bounds[key]
         rep = _report_from_bounds(lo if lat.a * lat.b <= N else 0.0, hi, lat.count, N)
-        reports.append(_scaled_back(rep, N // lat.b, w.exponent, f"on (a, b)=({lat.a}, {lat.b}) of a window"))
+        reports.append(_scaled_back(rep, N // lat.b, e, f"on (a, b)=({lat.a}, {lat.b}) of a window"))
     return reports
 
 
 def _density_stats(lat: ZNLattice, rep: FrameReport) -> dict:
     """``rep`` plus the discrete density bookkeeping for ``lat``."""
     ab = lat.a * lat.b
-    stats = rep.to_dict()
-    stats.update(
-        {
-            "N": lat.N,
-            "a": lat.a,
-            "b": lat.b,
-            "count": lat.count,
-            "ab_over_N": ab / lat.N,
-            "density_ok": (not rep.is_frame or ab <= lat.N)
-            and (rep.is_riesz == (rep.is_frame and ab == lat.N)),
-        }
-    )
-    return stats
+    return {
+        **rep.to_dict(),
+        "N": lat.N,
+        "a": lat.a,
+        "b": lat.b,
+        "count": lat.count,
+        "ab_over_N": ab / lat.N,
+        "density_ok": (not rep.is_frame or ab <= lat.N) and (rep.is_riesz == (rep.is_frame and ab == lat.N)),
+    }
 
 
 def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
@@ -412,8 +396,7 @@ def perturb_window(w: ZNWindow, lat: ZNLattice, alpha: int, beta: int, c_phase: 
     if not np.isfinite(h).all():
         raise OutOfFloatRange("the perturbed window g + c M_beta T_alpha g leaves the float range")
     rep = gabor_frame_report(ZNWindow(h), lat)
-    lam_max = rep.bessel_bound
-    lam_min = rep.lower_bound
+    lam_min, lam_max = rep.lower_bound, rep.bessel_bound
     return {
         **rep.to_dict(),
         "alpha": alpha,

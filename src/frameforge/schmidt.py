@@ -225,16 +225,20 @@ def reshuffle_rank(
 
     Singular values below tol * max(sigma_max, scale) count as zero; pass the
     original operator's magnitude as ``scale`` when ranking residuals of a
-    deflation, so float noise left over from subtraction ranks as zero.
+    deflation, so float noise left over from subtraction ranks as zero.  The
+    SVD is of 2**-2h R, h = ceil(``linalg.max_exponent(F)`` / 2), and ``scale``
+    and the factors are scaled alike: exact, but sigma_max cannot overflow.
     """
     r = reshuffle(f, shape)
-    u, s, vh = np.linalg.svd(r)
-    rank = linalg.singular_value_rank(s, tol, scale)
+    h = -(-linalg.max_exponent(r) // 2)
+    u, s, vh = np.linalg.svd(linalg.times_power_of_two(r, -2 * h))
+    with np.errstate(over="ignore"):  # a scale beyond the float range ranks everything as zero
+        rank = linalg.singular_value_rank(s, tol, np.ldexp(scale, -2 * h))
     terms = []
     for k in range(rank):
         root = np.sqrt(s[k])
-        a = root * u[:, k].reshape(shape.k1, shape.h1)
-        b = root * vh[k, :].reshape(shape.k2, shape.h2)
+        a = linalg.times_power_of_two(root * u[:, k].reshape(shape.k1, shape.h1), h)
+        b = linalg.times_power_of_two(root * vh[k, :].reshape(shape.k2, shape.h2), h)
         terms.append((a, b))
     return rank, FSROperator(shape, tuple(terms))
 

@@ -7,6 +7,8 @@ with the same seed produce identical reports.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import gabor, schmidt, sequences
@@ -14,6 +16,9 @@ from .errors import DependentGroup, DimensionMismatch, DrawFailed, WrongRank
 from .linalg import inner, op_norm, tensor_op
 from .schmidt import BipartiteShape, FSROperator
 from .sequences import VectorSequence, build_minimal_sum, classify
+
+# Largest prod(lengths) * prod(dims), the entries of its materialization (64 MB), a frame draw accepts.
+MAX_MINIMAL_SUM_ENTRIES = 1 << 22
 
 
 def suite_rng(seed: int, key: int) -> np.random.Generator:
@@ -59,14 +64,18 @@ def random_frame_minimal_sum(rng, dims, lengths, r: int):
     with its ``verify_main_theorem`` report: ``(ms, report)``.
 
     Raises ``DimensionMismatch`` unless there is one length per dim,
-    ``WrongRank`` when r < 1, and ``DrawFailed`` before drawing when no draw
-    can succeed: when prod(lengths) < prod(dims), or when r > m * n for some
-    factor, since r sequences of n vectors in C^m are then always dependent.
+    ``WrongRank`` when r < 1, ``ValueError`` above ``MAX_MINIMAL_SUM_ENTRIES``,
+    and ``DrawFailed`` before drawing when no draw can succeed: when
+    prod(lengths) < prod(dims), or when r > m * n for some factor, since r
+    sequences of n vectors in C^m are then always dependent.
     """
     if len(dims) != len(lengths):
         raise DimensionMismatch(f"need one length per dim, got dims {list(dims)}, lengths {list(lengths)}")
     if r < 1:
         raise WrongRank(f"a minimal sum needs rank >= 1, got {r}")
+    if (entries := math.prod(lengths) * math.prod(dims)) > MAX_MINIMAL_SUM_ENTRIES:
+        raise ValueError(f"dims {list(dims)} and lengths {list(lengths)} would allocate {entries} entries, "
+                         f"more than MAX_MINIMAL_SUM_ENTRIES = {MAX_MINIMAL_SUM_ENTRIES}")
     case = (
         f"dims {list(dims)}, lengths {list(lengths)} and rank {r}; a frame needs prod(lengths) >= "
         "prod(dims), and independent groups need rank <= length * dim in every factor"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frameforge import gabor, sequences, verify
+from frameforge import gabor, linalg, sequences, verify
 from frameforge.errors import (
     ConditionViolated,
     DependentModulates,
@@ -349,11 +349,11 @@ class TestBatchedReports:
 
     def test_undercomplete_lattices_are_never_built(self, monkeypatch):
         built = []
-        walnut_blocks = gabor._walnut_blocks
+        build = gabor._walnut_blocks
 
-        def spy(w, a, b):
+        def spy(zaks, N, a, b):
             built.append((a, b))
-            return walnut_blocks(w, a, b)
+            return build(zaks, N, a, b)
 
         monkeypatch.setattr(gabor, "_walnut_blocks", spy)
         density_sweep(sample_window("sech", 120))
@@ -383,6 +383,17 @@ class TestBatchedReports:
         assert gabor_frame_reports(w, []) == []
 
 
+def scaled_entries(w):
+    """2**-e w, e = max_exponent(w.g): the entries the Walnut blocks are built from."""
+    return linalg.times_power_of_two(w.g, -linalg.max_exponent(w.g))
+
+
+def walnut_blocks(w, a, b):
+    """``gabor._walnut_blocks`` on (a, b), ab <= N, with its one Z_L built from ``scaled_entries(w)``."""
+    L = math.lcm(a, w.N // b)
+    return gabor._walnut_blocks({L: gabor._zak(scaled_entries(w), L)}, w.N, a, b)
+
+
 def walnut_first_row_blocks(w, a, b):
     """Each orbit representative's G_r gathered whole, its first g x g block row
     split by an FFT over Z_{b/g}, g = gcd(a/c, b): oracle for _walnut_blocks."""
@@ -391,7 +402,7 @@ def walnut_first_row_blocks(w, a, b):
     c = math.gcd(a, q)
     # r + q s - m a lies in (-N, N), and numpy reads a negative index i as i + N
     idx = np.arange(c)[:, None, None] + np.arange(0, N, q)[:, None] - np.arange(0, N, a)
-    x, g = w.scaled[idx], math.gcd(a // c, b)
+    x, g = scaled_entries(w)[idx], math.gcd(a // c, b)
     blocks = x[:, :g] @ x.conj().transpose(0, 2, 1)
     if g < b:
         blocks = np.fft.fft(blocks.reshape(c, g, b // g, g), axis=2).swapaxes(1, 2)
@@ -420,7 +431,7 @@ class TestZakBlocks:
         for w in oracle_windows(n) + short_windows(n):
             for lat in divisor_lattices(n):
                 if lat.a * lat.b <= n:
-                    got, want = gabor._walnut_blocks(w, lat.a, lat.b), walnut_first_row_blocks(w, lat.a, lat.b)
+                    got, want = walnut_blocks(w, lat.a, lat.b), walnut_first_row_blocks(w, lat.a, lat.b)
                     assert got.shape == want.shape
                     got, want = (np.sort(np.linalg.eigvalsh(x), axis=None) for x in (got, want))
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -445,13 +456,14 @@ class TestZakBlocks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_view_past_the_zak_array_raises(self):
+    def test_view_past_the_zak_array_raises(self, monkeypatch):
         # on (4, 3) of Z_12, c = q = 4 and Phi ends on the last entry of Z_4
         w = sample_window("gaussian", 12)
-        assert gabor._walnut_blocks(w, 4, 3).shape == (12, 1, 1)
-        w._zak[4] = w.zak(4).ravel()[:-1]
+        assert walnut_blocks(w, 4, 3).shape == (12, 1, 1)
+        zak = gabor._zak
+        monkeypatch.setattr(gabor, "_zak", lambda scaled, L: zak(scaled, L).ravel()[:-1])
         with pytest.raises(ValueError):
-            gabor._walnut_blocks(w, 4, 3)
+            walnut_blocks(w, 4, 3)
 
 
 class TestGaborStats:
@@ -645,7 +657,7 @@ def test_dependent_modulates_match_svd_oracle():
 
 class TestWindowEntries:
     def test_caller_writes_do_not_reach_the_window(self):
-        # the window kept the caller's array, so its cached scale and Zak transforms went stale
+        # the window kept the caller's array, so a write into it reached the window
         g = np.ones(12, dtype=complex)
         w, lat = ZNWindow(g), ZNLattice(12, 2, 3)
         before = gabor_frame_report(w, lat)
@@ -657,6 +669,12 @@ class TestWindowEntries:
         w = ZNWindow(np.ones(12, dtype=complex))
         with pytest.raises(ValueError):
             w.g[:] = 0
+
+    def test_a_sweep_leaves_nothing_on_the_window(self):
+        # the window kept its scale and every Z_L of a sweep: 64 arrays, 15.5 MB at N = 7560
+        w = sample_window("gaussian", 120)
+        density_sweep(w)
+        assert vars(w).keys() == {"g", "generator"}
 
 
 class TestPerturbWindow:

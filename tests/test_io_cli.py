@@ -336,7 +336,7 @@ def cap_address_space():
 @pytest.mark.parametrize("argv", [
     # the window of length 2**29 alone takes 8 GiB
     ["gabor", "perturb", "--N", "536870912", "--a", "1", "--b", "536870912", "--alpha", "268435456", "--beta", "0"],
-    # materialize of a 90,000 x 90,000 family: 121 GiB
+    # materialize of a 90,000 x 90,000 family (121 GiB), refused by MAX_MINIMAL_SUM_ENTRIES before any draw
     ["frames", "verify-main", "--dims", "300,300", "--lens", "300,300", "--rank", "1", "--trials", "1"],
 ], ids=lambda argv: "_".join(argv[:2]))
 def test_allocation_failure_exits_2(argv):
@@ -568,6 +568,33 @@ class TestSchmidtCommand:
         assert np.isfinite(float(fields["reconstruction_error"]))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_planted_rank_three_near_the_float_max(self, tmp_path, capsys):
+        # --method svd printed rank 0 and exited 1: sigma_max of the unscaled reshuffle overflowed
+        f = random_fsr_operator(suite_rng(0, 99), BipartiteShape(4, 4, 4, 4), 3).materialize()
+        f *= 9.97e307 / np.abs(f.view(float)).max()
+        path = self.write_operator(tmp_path, f)
+        for method in ("deflate", "svd"):
+            code = cli.main(["schmidt", "decompose", "--input", path, "--shape", "4,4,4,4", "--method", method])
+            fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+            assert code == 0
+            assert int(fields["rank"]) == 3
+            assert float(fields["reconstruction_error"]) <= 1e-12
+
+    def test_svd_output_of_benchmark_inputs_is_unchanged(self, tmp_path):
+        # the schmidt_cli operators of perfbench seed 1; the file is that of an SVD of the unscaled reshuffle
+        rng = np.random.default_rng(1)
+        shape = BipartiteShape(16, 16, 16, 16)
+        for r in (8, 32, 128):
+            f = np.einsum("kac,kbd->abcd", crandom(rng, r, 16, 16), crandom(rng, r, 16, 16)).reshape(256, 256)
+            u, s, vh = np.linalg.svd(schmidt.reshuffle(f, shape))
+            roots = np.sqrt(s[:r])
+            terms = [(roots[k] * u[:, k].reshape(16, 16), roots[k] * vh[k, :].reshape(16, 16)) for k in range(r)]
+            want, got = tmp_path / "want.json", tmp_path / "got.json"
+            io.save_json(want, io.fsr_to_dict(FSROperator(shape, tuple(terms))))
+            assert cli.main(["schmidt", "decompose", "--input", self.write_operator(tmp_path, f),
+                             "--shape", "16,16,16,16", "--method", "svd", "--output", str(got)]) == 0
+            assert got.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("method", ["deflate", "svd"])
     def test_planted_rank_128_end_to_end(self, tmp_path, method):
         # 256x256 operator of Schmidt rank 128 on C^16 (x) C^16, as the CLI sees it
@@ -655,6 +682,31 @@ class TestFramesCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "rank <= length * dim" in err
         assert draws == []
+
+    def test_verify_main_oversized_shape_draws_nothing(self, monkeypatch, capsys):
+        # 50,50 ran for 5 s at 424 MB, and 100,100 would need about 6 GB
+        draws = []
+        monkeypatch.setattr(verify, "random_vector_sequence", lambda *a: draws.append(a))
+        assert cli.main(["frames", "verify-main", "--dims", "50,50", "--lens", "50,50", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: dims [50, 50] and lengths [50, 50] would allocate 6250000 entries, "
+            f"more than MAX_MINIMAL_SUM_ENTRIES = {verify.MAX_MINIMAL_SUM_ENTRIES}\n"
+        )
+        assert draws == []
+
+    @pytest.mark.parametrize("lengths, accepted", [((2048,), True), ((2049,), False), ((64, 32), True)])
+    def test_frame_draw_size_bound_is_inclusive(self, monkeypatch, lengths, accepted):
+        # prod(lengths) * prod(dims) = 2**22 is the largest accepted; the draw itself is stubbed out
+        dims = (2048,) if len(lengths) == 1 else (32, 64)
+        monkeypatch.setattr(verify, "random_vector_sequence", lambda rng, m, n: None)
+        monkeypatch.setattr(verify, "_frame_sum", lambda groups, check: "drawn")
+        rng = verify.suite_rng(0, 0)
+        if accepted:
+            assert verify.random_frame_minimal_sum(rng, dims, lengths, 1) == "drawn"
+        else:
+            with pytest.raises(ValueError, match="MAX_MINIMAL_SUM_ENTRIES = 4194304"):
+                verify.random_frame_minimal_sum(rng, dims, lengths, 1)
 
     def test_frame_draw_consumes_rng_as_retry_loop(self):
         # the up-front checks draw nothing: a valid input gives the draw and
@@ -855,6 +907,28 @@ class TestGaborCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "c_phase" in captured.err
+
+    @pytest.mark.parametrize("c_phase", ["-1e17", "-2.5e-3", "-0.25"])
+    def test_perturb_negative_phase_as_its_own_argument(self, capsys, c_phase):
+        # -1e17 and -2.5e-3 exited 2 with argparse's "expected one argument"; -1e17 is the c = 1 non-frame
+        argv = ["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2", "--alpha", "4", "--beta", "4"]
+        assert cli.main([*argv, f"--c-phase={c_phase}"]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert cli.main([*argv, "--c-phase", c_phase]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+        assert want["c_phase"] == float(c_phase)
+        if c_phase == "-1e17":
+            assert cli.main(argv) == 0
+            assert want == {**json.loads(capsys.readouterr().out), "c_phase": -1e17}
+            assert not want["is_frame"]
+
+    def test_perturb_minus_inf_phase_as_its_own_argument_exits_2(self, capsys):
+        code = cli.main(["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2",
+                         "--alpha", "4", "--beta", "4", "--c-phase", "-inf"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: c_phase must be finite, got -inf\n"
 
     @pytest.mark.parametrize("n_field", [12, "abc"])
     def test_window_file_n_must_match_dim(self, tmp_path, capsys, n_field):

@@ -9,7 +9,15 @@ from frameforge.errors import (
     NotAnInverse,
     PairingNotOne,
 )
-from frameforge.linalg import DEFAULT_RTOL, inner, op_norm, tensor_vec
+from frameforge.linalg import (
+    DEFAULT_RTOL,
+    inner,
+    max_exponent,
+    op_norm,
+    singular_value_rank,
+    tensor_vec,
+    times_power_of_two,
+)
 from frameforge.schmidt import (
     BipartiteShape,
     FSROperator,
@@ -363,7 +371,51 @@ class TestDecomposition:
             assert np.linalg.norm(f - dec.materialize()) <= 1e-8 * np.linalg.norm(f)
 
 
+def reshuffle_rank_unscaled(f, shape, tol, scale):
+    """Rank and factor pairs from an SVD of the reshuffle itself, unscaled: oracle
+    for ``reshuffle_rank`` wherever sigma_max stays inside the float range."""
+    u, s, vh = np.linalg.svd(schmidt.reshuffle(f, shape))
+    rank = singular_value_rank(s, tol, scale)
+    roots = np.sqrt(s[:rank])
+    return rank, [
+        (roots[k] * u[:, k].reshape(shape.k1, shape.h1), roots[k] * vh[k, :].reshape(shape.k2, shape.h2))
+        for k in range(rank)
+    ]
+
+
 class TestReshuffleRank:
+    def test_matches_unscaled_svd_bit_for_bit(self):
+        # entries near 1e-5..1e5, scale 0 or the operator's own norm (times 1 or 10)
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            shape = BipartiteShape(*rng.integers(1, 5, size=4))
+            r = int(rng.integers(0, min(shape.k1 * shape.h1, shape.k2 * shape.h2) + 1))
+            f = random_fsr_operator(rng, shape, r).materialize() * 10.0 ** rng.uniform(-5, 5)
+            scale = float(np.linalg.norm(f)) * rng.choice([0.0, 1.0, 10.0])
+            rank, dec = reshuffle_rank(f, shape, 1e-9, scale)
+            want_rank, want_terms = reshuffle_rank_unscaled(f, shape, 1e-9, scale)
+            assert rank == want_rank
+            for (a, b), (want_a, want_b) in zip(dec.terms, want_terms, strict=True):
+                assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("peak", [9.97e307, 1e-300])
+    def test_planted_rank_three_at_extreme_magnitude(self, peak):
+        # sigma_max of the unscaled reshuffle overflowed, and 9.97e307 ranked 0
+        shape = BipartiteShape(4, 4, 4, 4)
+        f = random_fsr_operator(suite_rng(0, 99), shape, 3).materialize()
+        f *= peak / np.abs(f.view(float)).max()
+        rank, dec = reshuffle_rank(f, shape)
+        assert rank == 3
+        e = max_exponent(f)
+        f_s, rec_s = (times_power_of_two(x, -e) for x in (f, dec.materialize()))
+        assert np.linalg.norm(f_s - rec_s) <= 1e-12 * np.linalg.norm(f_s)
+
+    def test_scale_beyond_the_float_range_ranks_zero(self):
+        # scale * 2**-2h overflows for a tiny operator and a huge scale; the unscaled rule also ranks 0
+        f = random_fsr_operator(suite_rng(0, 98), SHAPE22, 2).materialize() * 1e-300
+        assert reshuffle_rank(f, SHAPE22, 1e-9, 1e300) == (0, FSROperator(SHAPE22, ()))
+        assert reshuffle_rank_unscaled(f, SHAPE22, 1e-9, 1e300)[0] == 0
+
     def test_elementary_tensor(self):
         rng = np.random.default_rng(15)
         f = np.kron(crandom(rng, 2, 2), crandom(rng, 2, 2))
