@@ -80,7 +80,8 @@ def cmd_frames_verify_main(args) -> int:
         all_ok = all_ok and report.get("all_groups_frames", True)
     out = {"trials": args.trials, "all_groups_frames": all_ok, "reports": reports}
     print(json.dumps(out, indent=2, allow_nan=False))
-    return EXIT_OK if all_ok else EXIT_FAIL
+    rank_one_ok = args.rank > 1 or all(rep["rank_one_check"]["bounds_multiply"] for rep in reports)
+    return EXIT_OK if all_ok and rank_one_ok else EXIT_FAIL
 
 
 def _load_window(spec: str, n: int) -> gabor.ZNWindow:

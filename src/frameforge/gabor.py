@@ -29,7 +29,7 @@ from .errors import (
     ZeroShift,
 )
 from .linalg import as_cvector
-from .sequences import FrameReport, VectorSequence, _report_from_bounds, _scaled_back, classify
+from .sequences import FrameReport, VectorSequence, classify
 
 WINDOW_GENERATORS = ("gaussian", "twoexp", "sech", "rational")
 
@@ -190,9 +190,9 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
 
     The eigen cost per representative drops from b^3 to b p^2.  The blocks
     are built from 2**-e w, e = ``linalg.max_exponent(w.g)``, so the window's
-    own scale cannot over- or underflow them.  The frame decision is made on
-    their spectrum, that of 2**-2e S / q, and A and B are scaled back by
-    q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
+    own scale cannot over- or underflow them.  ``FrameReport.from_scaled_bounds``
+    decides on their spectrum, that of 2**-2e S / q, and scales A and B back
+    by q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
     """
     return gabor_frame_reports(w, [lat])[0]
 
@@ -245,9 +245,9 @@ def gabor_frame_reports(w: ZNWindow, lattices: list[ZNLattice]) -> list[FrameRep
         bounds.update(zip(keys, zip(lo, hi)))
     reports = []
     for lat, key in zip(lattices, solved):
-        lo, hi = bounds[key]
-        rep = _report_from_bounds(lo if lat.a * lat.b <= N else 0.0, hi, lat.count, N)
-        reports.append(_scaled_back(rep, N // lat.b, e, f"on (a, b)=({lat.a}, {lat.b}) of a window"))
+        lo, hi = bounds[key] if lat.a * lat.b <= N else (0.0, bounds[key][1])
+        what = f"on (a, b)=({lat.a}, {lat.b}) of a window"
+        reports.append(FrameReport.from_scaled_bounds(lo, hi, lat.count, N, N // lat.b, e, what))
     return reports
 
 

@@ -234,13 +234,10 @@ def reshuffle_rank(
     u, s, vh = np.linalg.svd(linalg.times_power_of_two(r, -2 * h))
     with np.errstate(over="ignore"):  # a scale beyond the float range ranks everything as zero
         rank = linalg.singular_value_rank(s, tol, np.ldexp(scale, -2 * h))
-    terms = []
-    for k in range(rank):
-        root = np.sqrt(s[k])
-        a = linalg.times_power_of_two(root * u[:, k].reshape(shape.k1, shape.h1), h)
-        b = linalg.times_power_of_two(root * vh[k, :].reshape(shape.k2, shape.h2), h)
-        terms.append((a, b))
-    return rank, FSROperator(shape, tuple(terms))
+    root = np.sqrt(s[:rank])
+    a = linalg.times_power_of_two((u[:, :rank] * root).T.reshape(rank, shape.k1, shape.h1), h)
+    b = linalg.times_power_of_two((root[:, None] * vh[:rank]).reshape(rank, shape.k2, shape.h2), h)
+    return rank, FSROperator(shape, tuple(zip(a, b)))
 
 
 def spans_equal(terms_a, terms_b, side: int) -> bool:
@@ -255,6 +252,8 @@ def spans_equal(terms_a, terms_b, side: int) -> bool:
         raise LengthMismatch(f"term counts {len(terms_a)} and {len(terms_b)} differ")
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
+    if not terms_a:
+        return True  # two empty lists both span {0}
     idx = side - 1
     fa = np.array([as_coperator(t[idx]).ravel() for t in terms_a])
     fb = np.array([as_coperator(t[idx]).ravel() for t in terms_b])

@@ -58,6 +58,24 @@ class FrameReport:
     is_frame: bool
     is_riesz: bool
 
+    @classmethod
+    def from_scaled_bounds(
+        cls, lo: float, hi: float, count: int, space_dim: int, factor: int, e: int, what: str
+    ) -> FrameReport:
+        """The report on S, for ``count`` vectors in C^``space_dim``, from the least
+        and greatest eigenvalues ``lo``, ``hi`` of 2**-2e S / factor: a frame when
+        A > FRAME_TOL * B, a Riesz basis when also count = space_dim.  A B that
+        overflows, or a nonzero B that underflows to 0, raises ``OutOfFloatRange``."""
+        a_bound = max(lo, 0.0)
+        is_frame = a_bound > FRAME_TOL * hi
+        try:
+            upper = math.ldexp(factor * hi, 2 * e)
+        except OverflowError:
+            upper = math.inf
+        if math.isinf(upper) or (upper == 0.0 and hi != 0.0):
+            raise OutOfFloatRange(f"the frame bounds {what} with largest part ~2**{e} leave the float range")
+        return cls(math.ldexp(factor * a_bound, 2 * e), upper, is_frame, is_frame and count == space_dim)
+
     def to_dict(self) -> dict:
         return {
             "A": self.lower_bound,
@@ -94,29 +112,8 @@ def classify(seq: VectorSequence) -> FrameReport:
     """
     e = linalg.max_exponent(seq.vectors)
     eig = np.linalg.eigvalsh(frame_operator(VectorSequence(linalg.times_power_of_two(seq.vectors, -e))))
-    rep = _report_from_bounds(float(eig.min()), float(eig.max()), len(seq), seq.space_dim)
-    return _scaled_back(rep, 1, e, "of a sequence")
-
-
-def _report_from_bounds(lo: float, hi: float, count: int, space_dim: int) -> FrameReport:
-    """Frame bounds and classification of a frame operator with least
-    eigenvalue ``lo`` and greatest ``hi``, for a family of ``count`` vectors:
-    a frame is a Riesz basis when ``count`` equals ``space_dim``."""
-    a_bound = max(lo, 0.0)
-    is_frame = a_bound > FRAME_TOL * hi
-    return FrameReport(a_bound, hi, is_frame, is_frame and count == space_dim)
-
-
-def _scaled_back(rep: FrameReport, factor: int, e: int, what: str) -> FrameReport:
-    """The report on S from ``rep``, a report on 2**-2e S / factor.  A B that
-    overflows, or a nonzero B that underflows to 0, raises ``OutOfFloatRange``."""
-    try:
-        upper = math.ldexp(factor * rep.bessel_bound, 2 * e)
-    except OverflowError:
-        upper = math.inf
-    if math.isinf(upper) or (upper == 0.0 and rep.bessel_bound != 0.0):
-        raise OutOfFloatRange(f"the frame bounds {what} with largest part ~2**{e} leave the float range")
-    return FrameReport(math.ldexp(factor * rep.lower_bound, 2 * e), upper, rep.is_frame, rep.is_riesz)
+    lo, hi = float(eig.min()), float(eig.max())
+    return FrameReport.from_scaled_bounds(lo, hi, len(seq), seq.space_dim, 1, e, "of a sequence")
 
 
 def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:

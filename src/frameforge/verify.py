@@ -280,7 +280,7 @@ def suite_tensor_bounds_multiply(rng, trials: int) -> dict:
 
 def suite_minimal_sum_frames(rng, trials: int) -> dict:
     """Frame minimal sums: concatenated groups are frames; Bessel bound is
-    subadditive in the component bounds."""
+    subadditive in the component bounds; for r = 1 the bounds multiply."""
     ok = True
     worst_ratio = 1.0
     for t in range(trials):
@@ -298,6 +298,7 @@ def suite_minimal_sum_frames(rng, trials: int) -> dict:
             for k in range(ms.r)
         ) ** 2
         ok = ok and report["full"]["B"] <= cap + 1e-9 * max(1.0, cap)
+        ok = ok and (r > 1 or report["rank_one_check"]["bounds_multiply"])
     return {"passed": bool(ok), "trials": trials, "worst_group_ratio": worst_ratio}
 
 

@@ -32,7 +32,7 @@ from frameforge.gabor import (
     translate,
     verify_rank_r_frame_implication,
 )
-from frameforge.sequences import classify, frame_operator, tensor_sequences
+from frameforge.sequences import FrameReport, classify, frame_operator, tensor_sequences
 
 
 def crandom(rng, n):
@@ -190,7 +190,7 @@ def walnut_blocks_report(w, lat):
     g = w.g[idx % N]
     blocks = q * (g @ g.conj().transpose(0, 2, 1))
     eig = np.linalg.eigvalsh(blocks)
-    return sequences._report_from_bounds(float(eig.min()), float(eig.max()), lat.count, N)
+    return FrameReport.from_scaled_bounds(float(eig.min()), float(eig.max()), lat.count, N, 1, 0, "of the oracle")
 
 
 def assert_same_report(rep, ref, rtol):
@@ -310,13 +310,24 @@ class TestGaborFrameReport:
     def test_frame_threshold_is_frame_tol(self, ratio, is_frame):
         # planted spectrum with A / B = ratio
         b = 4.0
-        rep = sequences._report_from_bounds(ratio * b, b, 4, 4)
+        rep = FrameReport.from_scaled_bounds(ratio * b, b, 4, 4, 1, 0, "of a planted spectrum")
         assert (rep.lower_bound, rep.bessel_bound) == (ratio * b, b)
         assert (rep.is_frame, rep.is_riesz) == (is_frame, is_frame)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             gabor_frame_report(sample_window("gaussian", 8), ZNLattice(12, 2, 2))
+
+    def test_one_constructor_builds_every_report(self, monkeypatch):
+        # a patch of FrameReport.from_scaled_bounds reaches classify and the sweep alike
+        calls = []
+        real = FrameReport.from_scaled_bounds
+        patched = classmethod(lambda cls, *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(FrameReport, "from_scaled_bounds", patched)
+        w = sample_window("gaussian", 12)
+        classify(gabor_system(w, ZNLattice(12, 2, 3)))
+        rows = density_sweep(w)
+        assert len(calls) == 1 + len(rows) == 37
 
 
 class TestBatchedReports:
@@ -558,8 +569,8 @@ class TestRankRWindow:
         )
         lats = [ZNLattice(6, 2, 2), ZNLattice(6, 2, 2)]
         report = verify_rank_r_frame_implication(spec, lats)
-        if report["full"]["is_frame"]:
-            assert report["all_factors_frames"]
+        assert report["full"]["is_frame"]
+        assert report["all_factors_frames"]
 
     def test_rank_one_reduces_to_tensor_theorem(self):
         rng = np.random.default_rng(11)

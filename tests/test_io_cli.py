@@ -633,6 +633,27 @@ class TestFramesCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["all_groups_frames"]
 
+    def test_false_rank_one_check_fails_suite_and_command(self, monkeypatch, capsys):
+        # every r = 1 frame draw reports bounds_multiply; a false one is a failed check
+        real = sequences.verify_main_theorem
+
+        def false_rank_one(ms):
+            report = real(ms)
+            if "rank_one_check" in report:
+                report["rank_one_check"]["bounds_multiply"] = False
+            return report
+
+        argv = ["frames", "verify-main", "--dims", "2,2", "--lens", "3,3", "--rank", "1", "--trials", "2"]
+        assert verify.suite_minimal_sum_frames(suite_rng(0, 0), 3)["passed"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sequences, "verify_main_theorem", false_rank_one)
+        assert not verify.suite_minimal_sum_frames(suite_rng(0, 0), 3)["passed"]
+        assert cli.main(argv) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["all_groups_frames"]
+        assert not any(rep["rank_one_check"]["bounds_multiply"] for rep in out["reports"])
+
     def test_verify_main_bad_args(self):
         assert cli.main(
             ["frames", "verify-main", "--dims", "2,2", "--lens", "3", "--trials", "2"]

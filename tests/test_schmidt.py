@@ -466,6 +466,16 @@ class TestSpansEqual:
         assert spans_equal(t, scrambled, 1)
         assert spans_equal(t, scrambled, 2)
 
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2, 2), BipartiteShape(1, 3, 2, 1)])
+    def test_zero_operator_decompositions_agree(self, shape):
+        f = np.zeros((shape.codomain_dim, shape.domain_dim))
+        dec = schmidt_decompose_deflation(f, shape)
+        rank, canon = reshuffle_rank(f, shape)
+        assert rank == dec.rank_bound == canon.rank_bound == 0
+        for side in (1, 2):
+            assert spans_equal(dec.terms, canon.terms, side)
+            assert spans_equal([], [], side)
+
     def test_length_mismatch(self):
         rng = np.random.default_rng(20)
         t = [(crandom(rng, 2, 2), crandom(rng, 2, 2))]
