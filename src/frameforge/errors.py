@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI exits 2 on each."""
 
 
 class FrameForgeError(Exception):
@@ -6,66 +6,29 @@ class FrameForgeError(Exception):
 
 
 class DimensionMismatch(FrameForgeError):
-    pass
-
-
-class EmptySequence(FrameForgeError):
-    pass
-
-
-class DependentGroup(FrameForgeError):
-    def __init__(self, group_index, message=None):
-        self.group_index = group_index
-        super().__init__(message or f"component sequences of group {group_index} are linearly dependent")
-
-
-class WrongRank(FrameForgeError):
-    pass
-
-
-class PairingNotOne(FrameForgeError):
-    pass
-
-
-class LengthMismatch(FrameForgeError):
-    pass
-
-
-class NotAnInverse(FrameForgeError):
-    pass
-
-
-class BadNormalization(FrameForgeError):
-    pass
-
-
-class NonDivisorLattice(FrameForgeError):
-    pass
-
-
-class BadRefinement(FrameForgeError):
-    pass
-
-
-class DependentModulates(FrameForgeError):
-    pass
+    """Shapes, lengths or counts that do not fit together, or an empty input."""
 
 
 class ConditionViolated(FrameForgeError):
-    pass
+    """A hypothesis fails: a divisor lattice, a pairing of 1, an inverse,
+    lattice-aligned shifts, a rank the check needs."""
 
 
-class ZeroShift(FrameForgeError):
-    pass
+class DependentGroup(FrameForgeError):
+    """Group ``group_index`` of a minimal sum is linearly dependent."""
+
+    def __init__(self, group_index):
+        self.group_index = group_index
+        super().__init__(f"component sequences of group {group_index} are linearly dependent")
 
 
 class NonFiniteData(FrameForgeError):
-    pass
+    """A NaN or inf given as input."""
 
 
 class OutOfFloatRange(FrameForgeError):
-    pass
+    """Finite inputs whose result leaves the float range."""
 
 
 class DrawFailed(FrameForgeError):
-    pass
+    """No random instance with the asked-for properties exists or was found."""

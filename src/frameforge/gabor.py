@@ -17,17 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, sequences
-from .errors import (
-    BadRefinement,
-    ConditionViolated,
-    DependentGroup,
-    DependentModulates,
-    DimensionMismatch,
-    NonDivisorLattice,
-    NonFiniteData,
-    OutOfFloatRange,
-    ZeroShift,
-)
+from .errors import ConditionViolated, DimensionMismatch, NonFiniteData, OutOfFloatRange
 from .linalg import as_cvector
 from .sequences import FrameReport, VectorSequence, classify
 
@@ -52,9 +42,9 @@ class ZNLattice:
 
     def __post_init__(self):
         if self.N < 1 or self.a < 1 or self.b < 1:
-            raise NonDivisorLattice("N, a, b must be positive")
+            raise ConditionViolated("N, a, b must be positive")
         if self.N % self.a or self.N % self.b:
-            raise NonDivisorLattice(f"a={self.a} and b={self.b} must divide N={self.N}")
+            raise ConditionViolated(f"a={self.a} and b={self.b} must divide N={self.N}")
 
     @property
     def count(self) -> int:
@@ -128,7 +118,7 @@ def gabor_atom(w: ZNWindow, a_shift, b_mod) -> np.ndarray:
 
     Integer or integer-array shifts broadcast; both are reduced mod N as
     integers first, so negative shifts and Python ints of any size are exact.
-    An atom that leaves the float range raises ``NonFiniteData``.
+    An atom that leaves the float range raises ``OutOfFloatRange``.
     """
     t = np.arange(w.N)
     a = np.asarray(a_shift % w.N)[..., None]
@@ -136,7 +126,7 @@ def gabor_atom(w: ZNWindow, a_shift, b_mod) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         atoms = np.exp(2j * np.pi * b * t / w.N) * w.g[(t - a) % w.N]
     if not np.isfinite(atoms).all():
-        raise NonFiniteData("a time-frequency shift of the window has non-finite entries: it leaves the float range")
+        raise OutOfFloatRange("a time-frequency shift of the window has non-finite entries: it leaves the float range")
     return atoms
 
 
@@ -273,7 +263,7 @@ def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
     B' <= u*v*B.
     """
     if u < 1 or v < 1 or lat.a % u or lat.b % v:
-        raise BadRefinement(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
+        raise ConditionViolated(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
     coarse, fine = gabor_frame_reports(w, [lat, ZNLattice(lat.N, lat.a // u, lat.b // v)])
     uv = u * v
     return {
@@ -327,13 +317,10 @@ class RankRWindowSpec:
 def build_rank_r_window(spec: RankRWindowSpec) -> ZNWindow:
     """Materialize the rank-r window on the product group as the minimal sum
     whose group j holds the r modulated translates of factor j as one-vector
-    sequences; building the sum checks their independence per factor."""
+    sequences; building the sum raises ``DependentGroup`` on the first factor
+    whose modulated translates are dependent."""
     groups = [[VectorSequence(w.g[None]) for w in spec.modulated_translates(j)] for j in range(spec.d)]
-    try:
-        ms = sequences.build_minimal_sum(groups)
-    except DependentGroup as exc:
-        raise DependentModulates(f"modulated translates of factor {exc.group_index} are dependent") from exc
-    return ZNWindow(sequences.materialize(ms).vectors[0], "rank_r")
+    return ZNWindow(sequences.materialize(sequences.build_minimal_sum(groups)).vectors[0], "rank_r")
 
 
 def verify_rank_r_frame_implication(spec: RankRWindowSpec, lattices: list[ZNLattice]) -> dict:
@@ -384,7 +371,7 @@ def perturb_window(w: ZNWindow, lat: ZNLattice, alpha: int, beta: int, c_phase: 
     if not math.isfinite(c_phase):
         raise NonFiniteData(f"c_phase must be finite, got {c_phase}")
     if alpha % lat.N == 0 and beta % lat.N == 0:
-        raise ZeroShift("(alpha, beta) must be nonzero mod N")
+        raise ConditionViolated("(alpha, beta) must be nonzero mod N")
     conditions_ok = (alpha * lat.b) % lat.N == 0 and (beta * lat.a) % lat.N == 0
     if not conditions_ok:
         raise ConditionViolated(

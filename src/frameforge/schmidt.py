@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadNormalization,
-    DimensionMismatch,
-    LengthMismatch,
-    NotAnInverse,
-    PairingNotOne,
-)
+from .errors import ConditionViolated, DimensionMismatch
 from .linalg import DEFAULT_RTOL, as_coperator, as_cvector
 
 # Largest accepted |pairing - 1| in ``deflate`` and ``inverse_factors``, and
@@ -164,7 +158,7 @@ def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
     a, b = D_uv(f, u1, u2, v1, v2, shape)
     p = linalg.inner(a @ u1, v1)
     if abs(p - 1.0) > PAIRING_TOL:
-        raise PairingNotOne(f"pairing is {p}, expected 1")
+        raise ConditionViolated(f"pairing is {p}, expected 1")
     return f - linalg.tensor_op(a, b)
 
 
@@ -249,7 +243,7 @@ def spans_equal(terms_a, terms_b, side: int) -> bool:
     """
     terms_a, terms_b = list(terms_a), list(terms_b)
     if len(terms_a) != len(terms_b):
-        raise LengthMismatch(f"term counts {len(terms_a)} and {len(terms_b)} differ")
+        raise DimensionMismatch(f"term counts {len(terms_a)} and {len(terms_b)} differ")
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     if not terms_a:
@@ -287,9 +281,9 @@ def inverse_factors(fsr: FSROperator, inv, side: str, u1, u2, v1, v2) -> list[tu
     u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
     product = inv @ f if side == "left" else f @ inv
     if np.linalg.norm(product - np.eye(shape.domain_dim)) > INVERSE_TOL * max(1.0, np.linalg.norm(f)):
-        raise NotAnInverse(f"given matrix is not a {side} inverse of F")
+        raise ConditionViolated(f"given matrix is not a {side} inverse of F")
     if abs(linalg.inner(u1, v1) - 1.0) > PAIRING_TOL or abs(linalg.inner(u2, v2) - 1.0) > PAIRING_TOL:
-        raise BadNormalization("need <u1, v1> = 1 and <u2, v2> = 1")
+        raise ConditionViolated("need <u1, v1> = 1 and <u2, v2> = 1")
     if side == "left":
         return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]
     inv_adj = inv.conj().T

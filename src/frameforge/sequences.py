@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DependentGroup, DimensionMismatch, EmptySequence, OutOfFloatRange, WrongRank
+from .errors import ConditionViolated, DependentGroup, DimensionMismatch, OutOfFloatRange
 
 # Frame decision threshold: lower bound counts as positive when A > FRAME_TOL * B.
 FRAME_TOL = 1e-10
@@ -37,7 +37,7 @@ class VectorSequence:
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
-            raise EmptySequence("a sequence needs at least one vector in a positive-dimensional space")
+            raise DimensionMismatch("a sequence needs at least one vector in a positive-dimensional space")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -123,14 +123,14 @@ def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:
     package flattening convention.
     """
     if not seqs:
-        raise EmptySequence("need at least one factor sequence")
+        raise DimensionMismatch("need at least one factor sequence")
     return VectorSequence(linalg.kron_all([s.vectors for s in seqs]))
 
 
 def concatenate(seqs: list[VectorSequence]) -> VectorSequence:
     """Concatenation in group order; the frame operators add up."""
     if not seqs:
-        raise EmptySequence("need at least one sequence")
+        raise DimensionMismatch("need at least one sequence")
     dim = seqs[0].space_dim
     for s in seqs:
         if s.space_dim != dim:
@@ -170,7 +170,7 @@ def build_minimal_sum(groups) -> MinimalSumSequence:
     """
     groups = tuple(tuple(g) for g in groups)
     if not groups or any(not g for g in groups):
-        raise EmptySequence("need at least one nonempty group")
+        raise DimensionMismatch("need at least one nonempty group")
     r = len(groups[0])
     for j, group in enumerate(groups):
         if len(group) != r:
@@ -238,7 +238,7 @@ def two_term_disjunction_check(ms: MinimalSumSequence) -> dict:
     that every remaining component sequence is a frame (branch 3).
     """
     if ms.r != 2:
-        raise WrongRank(f"disjunction check needs r = 2, got r = {ms.r}")
+        raise ConditionViolated(f"disjunction check needs r = 2, got r = {ms.r}")
     full = classify(materialize(ms))
     report: dict = {"full": full.to_dict()}
     if not full.is_frame:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import gabor, schmidt, sequences
-from .errors import DependentGroup, DimensionMismatch, DrawFailed, WrongRank
+from .errors import ConditionViolated, DependentGroup, DimensionMismatch, DrawFailed
 from .linalg import inner, op_norm, tensor_op
 from .schmidt import BipartiteShape, FSROperator
 from .sequences import VectorSequence, build_minimal_sum, classify
@@ -63,16 +63,18 @@ def random_frame_minimal_sum(rng, dims, lengths, r: int):
     """Random minimal sum whose materialization is a frame (retry until so),
     with its ``verify_main_theorem`` report: ``(ms, report)``.
 
-    Raises ``DimensionMismatch`` unless there is one length per dim,
-    ``WrongRank`` when r < 1, ``ValueError`` above ``MAX_MINIMAL_SUM_ENTRIES``,
-    and ``DrawFailed`` before drawing when no draw can succeed: when
-    prod(lengths) < prod(dims), or when r > m * n for some factor, since r
-    sequences of n vectors in C^m are then always dependent.
+    Raises ``DimensionMismatch`` unless there is one length per dim and all
+    are >= 1, ``ConditionViolated`` when r < 1, ``ValueError`` above
+    ``MAX_MINIMAL_SUM_ENTRIES``, and ``DrawFailed`` before drawing when no
+    draw can succeed: when prod(lengths) < prod(dims), or when r > m * n for
+    some factor, since r sequences of n vectors in C^m are then always dependent.
     """
     if len(dims) != len(lengths):
         raise DimensionMismatch(f"need one length per dim, got dims {list(dims)}, lengths {list(lengths)}")
+    if any(n < 1 for n in (*dims, *lengths)):
+        raise DimensionMismatch(f"dims and lengths must be >= 1, got dims {list(dims)}, lengths {list(lengths)}")
     if r < 1:
-        raise WrongRank(f"a minimal sum needs rank >= 1, got {r}")
+        raise ConditionViolated(f"a minimal sum needs rank >= 1, got {r}")
     if (entries := math.prod(lengths) * math.prod(dims)) > MAX_MINIMAL_SUM_ENTRIES:
         raise ValueError(f"dims {list(dims)} and lengths {list(lengths)} would allocate {entries} entries, "
                          f"more than MAX_MINIMAL_SUM_ENTRIES = {MAX_MINIMAL_SUM_ENTRIES}")
@@ -143,11 +145,12 @@ def suite_prop22_identities(rng, trials: int) -> dict:
         cap = (
             np.linalg.norm(u1) * np.linalg.norm(u2) * np.linalg.norm(v1) * np.linalg.norm(v2)
         )
-        if op_norm(tensor_op(a, b)) > cap * op_norm(f) * op_norm(g) + 1e-9:
+        norm_f, norm_g = op_norm(f), op_norm(g)
+        if op_norm(tensor_op(a, b)) > cap * norm_f * norm_g + 1e-9:
             bound_ok = False
         da = tensor_op(*schmidt.D_uv(f, u1, u2, v1, v2, shape))
         db = tensor_op(*schmidt.D_uv(g, u1, u2, v1, v2, shape))
-        lip = cap * (op_norm(f) + op_norm(g)) * op_norm(f - g)
+        lip = cap * (norm_f + norm_g) * op_norm(f - g)
         if op_norm(da - db) > lip + 1e-9:
             bound_ok = False
     return {

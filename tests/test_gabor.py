@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from frameforge import gabor, linalg, sequences, verify
 from frameforge.errors import (
     ConditionViolated,
-    DependentModulates,
+    DependentGroup,
     DimensionMismatch,
-    NonDivisorLattice,
     NonFiniteData,
     OutOfFloatRange,
-    ZeroShift,
 )
 from frameforge.gabor import (
     RankRWindowSpec,
@@ -90,9 +88,17 @@ class TestTranslateModulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for shift in (lambda: modulate(w, 1), lambda: spec.modulated_translates(0)):
-                with pytest.raises(NonFiniteData, match="float range"):
+                with pytest.raises(OutOfFloatRange, match="float range"):
                     shift()
             assert np.array_equal(translate(w, 3).g, w.g)
+
+    def test_perturbed_window_beyond_float_range_raises_the_same_kind(self):
+        # g + M_4 T_4 g doubles the even entries of a real window near the float maximum
+        w = ZNWindow(np.full(8, 1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfFloatRange, match="perturbed window .* leaves the float range"):
+                perturb_window(w, ZNLattice(8, 2, 2), 4, 4)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_shifts_reduce_mod_n_exactly(self, n):
@@ -129,7 +135,7 @@ class TestGaborSystem:
         assert len(gabor_system(delta(4), ZNLattice(4, 2, 2))) == 4
 
     def test_non_divisor_rejected(self):
-        with pytest.raises(NonDivisorLattice):
+        with pytest.raises(ConditionViolated, match="a=3 and b=1 must divide N=4"):
             ZNLattice(4, 3, 1)
 
     def test_tensor_gabor_equals_gabor_of_tensor(self):
@@ -249,7 +255,7 @@ class TestGaborFrameReport:
         g = np.zeros(12, dtype=complex)
         g[0] = value
         for lat in divisor_lattices(12):
-            with pytest.raises(OutOfFloatRange):
+            with pytest.raises(OutOfFloatRange, match=rf"frame bounds on \(a, b\)=\({lat.a}, {lat.b}\) .* float range"):
                 gabor_frame_report(ZNWindow(g), lat)
 
     @pytest.mark.parametrize("n", [12, 30, 36, 120])
@@ -287,7 +293,7 @@ class TestGaborFrameReport:
             g[0] = value
             for lat in divisor_lattices(n):
                 if lat.a * lat.b > n:
-                    with pytest.raises(OutOfFloatRange):
+                    with pytest.raises(OutOfFloatRange, match=rf"frame bounds on \(a, b\)=\({lat.a}, {lat.b}\) .* float range"):
                         gabor_frame_report(ZNWindow(g), lat)
 
     @pytest.mark.parametrize("value", [1e150, 1e-150])
@@ -315,7 +321,7 @@ class TestGaborFrameReport:
         assert (rep.is_frame, rep.is_riesz) == (is_frame, is_frame)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="window length 8 does not match lattice N=12"):
             gabor_frame_report(sample_window("gaussian", 8), ZNLattice(12, 2, 2))
 
     def test_one_constructor_builds_every_report(self, monkeypatch):
@@ -526,7 +532,7 @@ class TestOversampleCheck:
 
     def test_bad_refinement(self):
         w = sample_window("gaussian", 8)
-        with pytest.raises(gabor.BadRefinement):
+        with pytest.raises(ConditionViolated, match=r"need u \| a and v \| b, got u=3, v=1"):
             oversample_check(w, ZNLattice(8, 4, 2), 3, 1)
 
 
@@ -555,8 +561,18 @@ class TestRankRWindow:
             alphas=((0, 1), (0, 1)),
             betas=((0, 0), (0, 0)),
         )
-        with pytest.raises(DependentModulates):
+        with pytest.raises(DependentGroup, match="component sequences of group 0 are linearly dependent") as err:
             build_rank_r_window(spec)
+        assert err.value.group_index == 0
+
+    def test_dependent_spec_is_one_kind_in_both_routes(self):
+        # T_2 of the flat window is the window itself, so factor 0's translates are dependent
+        spec = RankRWindowSpec(windows=(ZNWindow(np.ones(4)),), alphas=((0, 2),), betas=((0, 0),))
+        for build in (lambda: build_rank_r_window(spec),
+                      lambda: verify_rank_r_frame_implication(spec, [ZNLattice(4, 2, 2)])):
+            with pytest.raises(DependentGroup, match="group 0 are linearly dependent") as err:
+                build()
+            assert err.value.group_index == 0
 
     def test_frame_implication_on_z6(self):
         rng = np.random.default_rng(10)
@@ -588,7 +604,7 @@ class TestRankRWindow:
             windows=(delta(4), delta(4)), alphas=((1,), (0,)), betas=((0,), (0,))
         )
         lats = [ZNLattice(4, 2, 2), ZNLattice(4, 2, 2)]
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(ConditionViolated, match=r"factor 0 term 0: shifts \(1, 0\) are not multiples"):
             verify_rank_r_frame_implication(spec, lats)
 
     @pytest.mark.parametrize("count", [1, 3])
@@ -596,7 +612,7 @@ class TestRankRWindow:
         spec = RankRWindowSpec(
             windows=(delta(4), delta(4)), alphas=((0,), (0,)), betas=((0,), (0,))
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="need one lattice per factor"):
             verify_rank_r_frame_implication(spec, [ZNLattice(4, 2, 2)] * count)
 
 
@@ -661,8 +677,9 @@ def test_dependent_modulates_match_svd_oracle():
         if j is None:
             build_rank_r_window(spec)
         else:
-            with pytest.raises(DependentModulates, match=f"factor {j} "):
+            with pytest.raises(DependentGroup, match=f"group {j} are linearly dependent") as err:
                 build_rank_r_window(spec)
+            assert err.value.group_index == j
     assert seen == [None, 0, 1, 0, None, 1, None]
 
 
@@ -699,12 +716,12 @@ class TestPerturbWindow:
 
     def test_zero_shift_rejected(self):
         w = sample_window("gaussian", 8)
-        with pytest.raises(ZeroShift):
+        with pytest.raises(ConditionViolated, match=r"\(alpha, beta\) must be nonzero mod N"):
             perturb_window(w, ZNLattice(8, 2, 2), 0, 0, 0.0)
 
     def test_condition_violation(self):
         w = sample_window("gaussian", 8)
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(ConditionViolated, match="need alpha\\*b = 0 and beta\\*a = 0 mod N"):
             perturb_window(w, ZNLattice(8, 2, 2), 1, 0, 0.0)
 
     @pytest.mark.parametrize("c_phase", [1e17, 1e300, -1.0, 3.0])
@@ -785,7 +802,7 @@ class TestSampleWindow:
     def test_non_finite_window_rejected(self, bad):
         g = np.ones(8, dtype=complex)
         g[3] = bad
-        with pytest.raises(NonFiniteData, match="non-finite"):
+        with pytest.raises(NonFiniteData, match="window has non-finite entries"):
             ZNWindow(g)
 
     def test_unknown_generator(self):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frameforge import cli, gabor, io, schmidt, sequences, verify
-from frameforge.errors import DependentGroup, DimensionMismatch, FrameForgeError, WrongRank
+from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, FrameForgeError
 from frameforge.linalg import DEFAULT_RTOL
 from frameforge.schmidt import BipartiteShape, FSROperator
 from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
@@ -659,6 +659,28 @@ class TestFramesCommands:
             ["frames", "verify-main", "--dims", "2,2", "--lens", "3", "--trials", "2"]
         ) == 2
 
+    @pytest.mark.parametrize("dims, lens", [("-2,-2", "-3,-3"), ("0,0", "1,1")])
+    def test_verify_main_sizes_below_one_name_the_arguments(self, monkeypatch, capsys, dims, lens):
+        draws = []
+        monkeypatch.setattr(verify, "random_vector_sequence", lambda *a: draws.append(a))
+        argv = ["frames", "verify-main", f"--dims={dims}", f"--lens={lens}", "--rank", "1", "--trials", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: dims and lengths must be >= 1, got dims [{dims.replace(',', ', ')}], "
+            f"lengths [{lens.replace(',', ', ')}]\n"
+        )
+        assert draws == []
+
+    def test_classify_empty_sequence(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"space_dim": 2, "vectors": []}))
+        assert cli.main(["frames", "classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "at least one vector" in captured.err
+
     def test_classify_non_finite_sequence(self, tmp_path, capsys):
         payload = io.sequence_to_dict(VectorSequence(np.eye(3, dtype=complex)))
         payload["vectors"][1]["entries"][0] = [float("nan"), 0.0]
@@ -794,16 +816,20 @@ class TestFramesCommands:
             assert_same_draw(verify.branch3_minimal_sum, branch3_loop, sequences.two_term_disjunction_check, key)
             assert_same_draw(verify.branch1_minimal_sum, branch1_loop, sequences.two_term_disjunction_check, key)
 
-    @pytest.mark.parametrize("dims, lengths, r, error", [
-        ([2], [3, 3], 1, DimensionMismatch),
-        ([2, 2], [3], 1, DimensionMismatch),
-        ([2, 2], [3, 3], 0, WrongRank),
+    @pytest.mark.parametrize("dims, lengths, r, error, match", [
+        ([2], [3, 3], 1, DimensionMismatch, "need one length per dim"),
+        ([2, 2], [3], 1, DimensionMismatch, "need one length per dim"),
+        ([2, 2], [3, 3], 0, ConditionViolated, "a minimal sum needs rank >= 1, got 0"),
+        ([-2, -2], [-3, -3], 1, DimensionMismatch, r"dims and lengths must be >= 1, got dims \[-2, -2\]"),
+        ([0, 0], [1, 1], 1, DimensionMismatch, r"dims and lengths must be >= 1, got dims \[0, 0\]"),
+        ([2, 2], [3, 0], 1, DimensionMismatch, r"dims and lengths must be >= 1, .* lengths \[3, 0\]"),
     ])
-    def test_frame_draw_rejects_bad_args_before_drawing(self, dims, lengths, r, error):
-        # zip would silently drop the extra dims or lengths; r = 0 has no groups
+    def test_frame_draw_rejects_bad_args_before_drawing(self, dims, lengths, r, error, match):
+        # zip would silently drop the extra dims or lengths; r = 0 has no groups;
+        # numpy would reject a negative size without naming it, and a zero one looks like an impossible frame
         rng = suite_rng(0, 0)
         state = rng.bit_generator.state
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             verify.random_frame_minimal_sum(rng, dims, lengths, r)
         assert rng.bit_generator.state == state
 

@@ -30,7 +30,7 @@ class TestInner:
         assert inner([1 + 1j, 0], [1j, 0]) == pytest.approx(1 - 1j)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="vector dims 2 and 3 differ"):
             inner([1, 0], [1, 0, 0])
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from frameforge.errors import DependentGroup, DimensionMismatch, OutOfFloatRange, WrongRank
+from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, OutOfFloatRange
 from frameforge.sequences import (
     VectorSequence,
     analysis_operator,
@@ -81,6 +81,26 @@ class TestOperators:
 
     def test_mercedes_is_tight(self):
         np.testing.assert_allclose(frame_operator(MERCEDES), 1.5 * np.eye(2), atol=1e-12)
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_sequence_needs_a_vector_in_a_positive_dimension(self, shape):
+        with pytest.raises(DimensionMismatch, match="at least one vector in a positive-dimensional space"):
+            VectorSequence(np.zeros(shape, dtype=complex))
+
+    def test_tensor_product_needs_a_factor(self):
+        with pytest.raises(DimensionMismatch, match="need at least one factor sequence"):
+            tensor_sequences([])
+
+    def test_concatenation_needs_a_sequence(self):
+        with pytest.raises(DimensionMismatch, match="need at least one sequence"):
+            concatenate([])
+
+    @pytest.mark.parametrize("groups", [[], [[]]])
+    def test_minimal_sum_needs_a_nonempty_group(self, groups):
+        with pytest.raises(DimensionMismatch, match="need at least one nonempty group"):
+            build_minimal_sum(groups)
 
 
 class TestClassify:
@@ -202,7 +222,7 @@ class TestMinimalSum:
     def test_rejects_dependent_group(self):
         e1 = VectorSequence(np.array([[1, 0], [0, 1]], dtype=complex))
         twice = VectorSequence(2 * e1.vectors)
-        with pytest.raises(DependentGroup) as err:
+        with pytest.raises(DependentGroup, match="group 0 are linearly dependent") as err:
             build_minimal_sum([[e1, twice], self.groups()[1]])
         assert err.value.group_index == 0
 
@@ -318,7 +338,7 @@ class TestConcatenate:
         assert classify(concatenate([frame, extra])).is_frame
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="all sequences must share the ambient dimension"):
             concatenate([onb(2), onb(3)])
 
 
@@ -366,7 +386,7 @@ class TestTwoTermDisjunction:
     def test_wrong_rank(self):
         rng = np.random.default_rng(12)
         ms, _ = random_frame_minimal_sum(rng, [2, 2], [3, 3], 3)
-        with pytest.raises(WrongRank):
+        with pytest.raises(ConditionViolated, match="disjunction check needs r = 2, got r = 3"):
             two_term_disjunction_check(ms)
 
 
