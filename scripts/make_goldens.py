@@ -1,10 +1,11 @@
-"""Regenerate the golden perturbation instances, as committed under tests/golden/.
+"""Regenerate the goldens, as committed under tests/golden/.
 
-Each instance records a window, lattice, shift pair and phase satisfying the
-divisibility conditions, together with the oracle-computed spectral extremes
-of the perturbed system.  Instances are kept only when the oracle confirms
-the loss of the lower frame bound.  Run as
-``python scripts/make_goldens.py OUT_DIR``.
+Each perturbation instance records a window, lattice, shift pair and phase
+satisfying the divisibility conditions, together with the oracle-computed
+spectral extremes of the perturbed system.  Instances are kept only when the
+oracle confirms the loss of the lower frame bound.  ``verify_all_seed7.json``
+is the report of ``verify all --seed 7 --trials 50`` without its
+``timestamp``.  Run as ``python scripts/make_goldens.py OUT_DIR``.
 """
 
 import argparse
@@ -14,8 +15,11 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from frameforge import gabor, io  # noqa: E402
+from frameforge import gabor, io, verify  # noqa: E402
 from frameforge.verify import PERTURB_INSTANCES  # noqa: E402
+
+# The seed and trial count of the pinned report, as acceptance criterion 10 runs it.
+VERIFY_SEED, VERIFY_TRIALS = 7, 50
 
 
 def main(out: pathlib.Path):
@@ -44,6 +48,10 @@ def main(out: pathlib.Path):
         (out / f"perturb_{kept:02d}.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         kept += 1
     print(f"wrote {kept} golden instances to {out}")
+    # run_all's report is cmd_verify_all's without the timestamp
+    report = verify.run_all(VERIFY_SEED, VERIFY_TRIALS)
+    (out / f"verify_all_seed{VERIFY_SEED}.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
+    print(f"wrote the verify all --seed {VERIFY_SEED} --trials {VERIFY_TRIALS} report to {out}")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .sequences import (
     analysis_operator,
     build_minimal_sum,
     classify,
+    classify_all,
     concatenate,
     frame_operator,
     materialize,

@@ -35,15 +35,18 @@ def tolerance(text: str) -> float:
     return tol
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+def _parse_ints(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def cmd_schmidt_decompose(args) -> int:
-    f = io.operator_from_dict(io.load_json(args.input))
-    dims = _parse_ints(args.shape)
+    dims = _parse_ints(args.shape, "--shape")
     if len(dims) != 4:
         raise ValueError("--shape needs h1,h2,k1,k2")
+    f = io.operator_from_dict(io.load_json(args.input))
     shape = schmidt.BipartiteShape(*dims)
     tol = args.tol
     if args.method == "deflate":
@@ -68,7 +71,7 @@ def cmd_frames_classify(args) -> int:
 
 
 def cmd_frames_verify_main(args) -> int:
-    dims, lens = _parse_ints(args.dims), _parse_ints(args.lens)
+    dims, lens = _parse_ints(args.dims, "--dims"), _parse_ints(args.lens, "--lens")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     rng = verify.suite_rng(args.seed, 1000)

@@ -175,8 +175,8 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     G_r^* G_r share one spectrum, and the nonzero spectrum of S is that of
     the adjoint's frame operator times N/(ab).  B is read off the adjoint,
     whose blocks are Q x Q (c' = c, p' = Q, L' = L).
-    ``gabor_frame_reports`` solves a batch of lattices, each adjoint at
-    most once, with one ``eigvalsh`` per block size p.
+    ``gabor_frame_reports`` solves a batch of (window, lattice) pairs, each
+    adjoint at most once per window.
 
     The eigen cost per representative drops from b^3 to b p^2.  The blocks
     are built from 2**-e w, e = ``linalg.max_exponent(w.g)``, so the window's
@@ -184,60 +184,69 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     decides on their spectrum, that of 2**-2e S / q, and scales A and B back
     by q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
     """
-    return gabor_frame_reports(w, [lat])[0]
+    return gabor_frame_reports([(w, lat)])[0]
 
 
-def _zak(scaled: np.ndarray, L: int) -> np.ndarray:
-    """Z_L[k, x + L] of ``scaled`` = 2**-e w, k in Z_{N/L}, x in [-L, L); see gabor_frame_report."""
-    ext = np.concatenate((scaled[-L:], scaled))  # ext[x + L t + L] = scaled[x + L t]
-    z = np.ndarray((len(scaled) // L, 2 * L), complex, ext, 0, (L * ext.itemsize, ext.itemsize))  # [t, x + L]
-    return np.fft.ifft(z, axis=0, norm="forward") if L < len(scaled) else z  # d = 1: the identity
+def _zaks(scaled: np.ndarray, L: int) -> np.ndarray:
+    """Z_L[j, k, x + L] of each row ``scaled[j]`` = 2**-e_j w_j, k in Z_{N/L}, x in [-L, L); see gabor_frame_report."""
+    N = scaled.shape[1]
+    ext = np.concatenate((scaled[:, -L:], scaled), axis=1)  # ext[j, x + L t + L] = scaled[j, x + L t]
+    z = np.ndarray((len(ext), N // L, 2 * L), complex, ext, 0, (ext.strides[0], L * ext.itemsize, ext.itemsize))
+    return np.fft.ifft(z, axis=1, norm="forward") if L < N else z  # d = 1: the identity
 
 
-def _walnut_blocks(zaks: dict[int, np.ndarray], N: int, a: int, b: int) -> np.ndarray:
-    """The (c d, p, p) stack Phi Phi^* whose spectra make up that of
-    2**-2e S / q on (a, b), ab <= N, read off ``zaks[L]``."""
+def _walnut_blocks(z: np.ndarray, N: int, a: int, b: int) -> np.ndarray:
+    """The (k, c d, p, p) stacks Phi Phi^* whose spectra make up that of
+    2**-2e_j S_j / q on (a, b), ab <= N, read off the Zak transforms ``z[j]``."""
     q = N // b
     c = math.gcd(a, q)
     p, Q, L = a // c, q // c, a * q // c
-    z = zaks[L]
-    # Phi[r, k, i, Q-1-mu] = Z_L(r + q i - a mu, k): x + L starts at a for r = i = 0, mu = Q-1
-    phi = np.ndarray((c, N // L, p, Q), complex, z, a * z.itemsize, [s * z.itemsize for s in (1, 2 * L, q, a)])
-    return (phi @ phi.conj().swapaxes(-1, -2)).reshape(-1, p, p)
+    sz = z.itemsize
+    # Phi[j, r, k, i, Q-1-mu] = Z_L(r + q i - a mu, k): x + L starts at a for r = i = 0, mu = Q-1
+    phi = np.ndarray((len(z), c, N // L, p, Q), complex, z, a * sz, (z.strides[0], sz, 2 * L * sz, q * sz, a * sz))
+    return (phi @ phi.conj().swapaxes(-1, -2)).reshape(len(z), -1, p, p)
 
 
-def gabor_frame_reports(w: ZNWindow, lattices: list[ZNLattice]) -> list[FrameReport]:
-    """``gabor_frame_report`` of each lattice, in order, solved together.
+def gabor_frame_reports(systems: list[tuple[ZNWindow, ZNLattice]]) -> list[FrameReport]:
+    """``gabor_frame_report`` of each (window, lattice) pair, in order, solved together.
 
-    Each lattice is solved on itself when ab <= N, else on its adjoint
-    (N/b, N/a); each solved lattice is built once, and the stacks of one
-    block size go to one ``eigvalsh``.  An error names the first failing
-    lattice in input order.
-    """
-    for lat in lattices:
+    A lattice is solved on itself when ab <= N, else on its adjoint (N/b, N/a).  The windows
+    of one N are scaled together, those that need one L share one batched FFT, each solved
+    lattice is built once for all its windows, and ``linalg.hermitian_extremes`` solves every
+    block stack.  An error names the first failing lattice in input order."""
+    windows, keys = {}, []  # windows[N][id(w)] = w; keys[i]: (id(w), N, a, b) pair i is solved on
+    for w, lat in systems:
         _check_length(w, lat)
-    N = w.N
-    solved = [(lat.a, lat.b) if lat.a * lat.b <= N else (N // lat.b, N // lat.a) for lat in lattices]
-    e = linalg.max_exponent(w.g)
-    scaled = linalg.times_power_of_two(w.g, -e)
-    zaks = {L: _zak(scaled, L) for L in {math.lcm(a, N // b) for a, b in solved}}
-    by_size: dict[int, list] = {}
-    for key in dict.fromkeys(solved):
-        blocks = _walnut_blocks(zaks, N, *key)
-        by_size.setdefault(blocks.shape[-1], []).append((key, blocks))
-    bounds = {}
-    for group in by_size.values():
-        keys, stacks = zip(*group)
-        eig = np.linalg.eigvalsh(np.concatenate(stacks))
-        starts = list(itertools.accumulate(map(len, stacks[:-1]), initial=0))
-        lo = np.minimum.reduceat(eig.min(axis=1), starts).tolist()
-        hi = np.maximum.reduceat(eig.max(axis=1), starts).tolist()
-        bounds.update(zip(keys, zip(lo, hi)))
+        k, N, a, b = id(w), lat.N, lat.a, lat.b
+        windows.setdefault(N, {})[k] = w
+        keys.append((k, N, a, b) if a * b <= N else (k, N, N // b, N // a))
+    exps, scaled = {}, {}
+    for ws in windows.values():
+        g = np.array([w.g for w in ws.values()])
+        e = linalg.max_exponents(g)
+        exps.update(zip(ws, e.tolist()))
+        scaled.update(zip(ws, linalg.times_power_of_two(g, -e[:, None])))
+    by_zak: dict[tuple, dict] = {}  # (N, L) -> {solved (a, b): ids of the windows it is solved for}
+    for k, N, a, b in dict.fromkeys(keys):
+        by_zak.setdefault((N, math.lcm(a, N // b)), {}).setdefault((a, b), []).append(k)
+    stacks = {}
+    for (N, L), lattices in by_zak.items():
+        row = {k: j for j, k in enumerate(dict.fromkeys(k for ks in lattices.values() for k in ks))}  # id -> row of z
+        z = _zaks(np.array([scaled[k] for k in row]), L)
+        for (a, b), ks in lattices.items():
+            if len(ks) == len(row):  # every window of this L: take them in the stack's order
+                ks, blocks = row, _walnut_blocks(z, N, a, b)
+            else:
+                blocks = _walnut_blocks(z[[row[k] for k in ks]], N, a, b)
+            for k, block in zip(ks, blocks):
+                stacks[k, N, a, b] = block
+    bounds = dict(zip(stacks, linalg.hermitian_extremes(list(stacks.values()))))
     reports = []
-    for lat, key in zip(lattices, solved):
-        lo, hi = bounds[key] if lat.a * lat.b <= N else (0.0, bounds[key][1])
-        what = f"on (a, b)=({lat.a}, {lat.b}) of a window"
-        reports.append(FrameReport.from_scaled_bounds(lo, hi, lat.count, N, N // lat.b, e, what))
+    for (w, lat), key in zip(systems, keys):
+        N, a, b = lat.N, lat.a, lat.b
+        lo, hi = bounds[key] if a * b <= N else (0.0, bounds[key][1])
+        what = f"on (a, b)=({a}, {b}) of a window"
+        reports.append(FrameReport.from_scaled_bounds(lo, hi, lat.count, N, N // b, exps[key[0]], what))
     return reports
 
 
@@ -262,18 +271,28 @@ def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
     frame bound, so the optimal refined bounds satisfy A' >= u*v*A and
     B' <= u*v*B.
     """
-    if u < 1 or v < 1 or lat.a % u or lat.b % v:
-        raise ConditionViolated(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
-    coarse, fine = gabor_frame_reports(w, [lat, ZNLattice(lat.N, lat.a // u, lat.b // v)])
-    uv = u * v
-    return {
-        "coarse": coarse.to_dict(),
-        "fine": fine.to_dict(),
-        "u": u,
-        "v": v,
-        "lower_ok": fine.lower_bound >= uv * coarse.lower_bound - OVERSAMPLE_TOL,
-        "upper_ok": fine.bessel_bound <= uv * coarse.bessel_bound + OVERSAMPLE_TOL,
-    }
+    return oversample_checks([(w, lat, u, v)])[0]
+
+
+def oversample_checks(cases: list[tuple[ZNWindow, ZNLattice, int, int]]) -> list[dict]:
+    """``oversample_check`` of each (w, lat, u, v), in order, with every
+    coarse and refined lattice solved in one ``gabor_frame_reports`` call."""
+    for w, lat, u, v in cases:
+        if u < 1 or v < 1 or lat.a % u or lat.b % v:
+            raise ConditionViolated(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
+    systems = [(w, x) for w, lat, u, v in cases for x in (lat, ZNLattice(lat.N, lat.a // u, lat.b // v))]
+    reports = gabor_frame_reports(systems)
+    return [
+        {
+            "coarse": coarse.to_dict(),
+            "fine": fine.to_dict(),
+            "u": u,
+            "v": v,
+            "lower_ok": fine.lower_bound >= u * v * coarse.lower_bound - OVERSAMPLE_TOL,
+            "upper_ok": fine.bessel_bound <= u * v * coarse.bessel_bound + OVERSAMPLE_TOL,
+        }
+        for (w, lat, u, v), coarse, fine in zip(cases, reports[::2], reports[1::2])
+    ]
 
 
 @dataclass(frozen=True)
@@ -408,4 +427,4 @@ def density_sweep(w: ZNWindow) -> list[dict]:
     if w.N > MAX_SWEEP_N:
         raise ValueError(f"N={w.N} exceeds the supported sweep size {MAX_SWEEP_N}")
     lattices = [ZNLattice(w.N, a, b) for a, b in itertools.product(divisors(w.N), repeat=2)]
-    return [_density_stats(lat, rep) for lat, rep in zip(lattices, gabor_frame_reports(w, lattices))]
+    return [_density_stats(lat, rep) for lat, rep in zip(lattices, gabor_frame_reports([(w, lat) for lat in lattices]))]

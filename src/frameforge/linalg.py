@@ -14,6 +14,7 @@ product realizes the tensor product of both vectors and operators.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -102,12 +103,37 @@ def matrix_rank(a) -> int:
     return singular_value_rank(np.linalg.svd(as_coperator(a), compute_uv=False))
 
 
+def hermitian_extremes(stacks) -> list[tuple[float, float]]:
+    """Least and greatest eigenvalue over each nonempty (k, p, p) Hermitian stack, in order: one
+    ``eigvalsh`` per block size p, which gives each matrix the spectrum a call on it alone gives."""
+    by_size: dict[int, list[int]] = {}
+    for i, s in enumerate(stacks):
+        by_size.setdefault(s.shape[-1], []).append(i)
+    out: list = [None] * len(stacks)
+    for idx in by_size.values():
+        group = [stacks[i] for i in idx]
+        eig = np.linalg.eigvalsh(group[0] if len(group) == 1 else np.concatenate(group))
+        lo, hi = eig.min(axis=1), eig.max(axis=1)
+        if len(eig) > len(idx):  # some stack holds several matrices: reduce over each stack
+            starts = list(itertools.accumulate(map(len, group[:-1]), initial=0))
+            lo, hi = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+        for i, bounds in zip(idx, zip(lo.tolist(), hi.tolist())):
+            out[i] = bounds
+    return out
+
+
+def max_exponents(stack) -> np.ndarray:
+    """``max_exponent`` of each ``stack[i]``, as an int array over the leading axis."""
+    parts = np.abs(np.ascontiguousarray(stack, dtype=complex).view(float))
+    return np.frexp(parts.reshape(len(parts), -1).max(axis=1))[1]
+
+
 def max_exponent(a) -> int:
     """The e with the largest real or imaginary part of 2**-e * a in [0.5, 1); 0 for a zero ``a``."""
-    return int(np.frexp(np.abs(np.ascontiguousarray(a, dtype=complex).view(float)).max())[1])
+    return int(max_exponents(np.asarray(a)[None])[0])
 
 
-def times_power_of_two(a, e: int) -> np.ndarray:
-    """A new complex array 2**e * a, exact while no part leaves the normal
-    range; ``e`` may lie beyond the float exponent range, where 2.0**e overflows."""
+def times_power_of_two(a, e) -> np.ndarray:
+    """A new complex array 2**e * a, exact while no part leaves the normal range; ``e`` is an
+    int, or ints that broadcast against ``a``, and may lie beyond the float exponent range."""
     return np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), e).view(complex)

@@ -36,8 +36,9 @@ class VectorSequence:
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
-            raise DimensionMismatch("a sequence needs at least one vector in a positive-dimensional space")
+        if v.ndim != 2 or v.size == 0:
+            raise DimensionMismatch("a sequence needs at least one vector in a positive-dimensional space, "
+                                    f"as the rows of a 2-d array; got an array of shape {v.shape}")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -106,14 +107,41 @@ def classify(seq: VectorSequence) -> FrameReport:
     B is the squared operator norm of the analysis operator and A is the
     smallest eigenvalue of the frame operator.  The sequence is a frame when
     A > FRAME_TOL * B and a Riesz basis when additionally the analysis operator is
-    square (count = space_dim), hence invertible.
-    The spectrum is taken on 2**-e f_n, e = ``linalg.max_exponent``, so the
-    vectors' own scale cannot over- or underflow it; A and B are scaled back.
+    square (count = space_dim), hence invertible.  ``classify_all`` of one sequence.
     """
-    e = linalg.max_exponent(seq.vectors)
-    eig = np.linalg.eigvalsh(frame_operator(VectorSequence(linalg.times_power_of_two(seq.vectors, -e))))
-    lo, hi = float(eig.min()), float(eig.max())
-    return FrameReport.from_scaled_bounds(lo, hi, len(seq), seq.space_dim, 1, e, "of a sequence")
+    return classify_all([seq])[0]
+
+
+def classify_all(seqs: list[VectorSequence]) -> list[FrameReport]:
+    """``classify`` of each sequence, in order, solved together.
+
+    Each spectrum is taken on 2**-e f_n, e = ``linalg.max_exponent`` of the sequence's own
+    vectors, so their scale cannot over- or underflow it; A and B are scaled back.  The
+    sequences of one (count, dim) shape share one batched S = V^T conj(V), and
+    ``linalg.hermitian_extremes`` solves every S.  A non-finite S, or bounds beyond the float
+    range, raise ``OutOfFloatRange`` naming the first failing sequence in input order."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        by_shape.setdefault(seq.vectors.shape, []).append(i)
+    exps, ops = [0] * len(seqs), [None] * len(seqs)
+    bad = len(seqs)  # the first sequence whose S is not finite
+    for idx in by_shape.values():
+        v = np.array([seqs[i].vectors for i in idx])
+        e = linalg.max_exponents(v)
+        v = linalg.times_power_of_two(v, -e[:, None, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = v.swapaxes(-1, -2) @ v.conj()
+        if not np.isfinite(s).all():
+            bad = min(bad, *(i for i, ok in zip(idx, np.isfinite(s).all(axis=(1, 2))) if not ok))
+        for i, ei, op in zip(idx, e.tolist(), s[:, None]):
+            exps[i], ops[i] = ei, op
+    reports = [
+        FrameReport.from_scaled_bounds(lo, hi, len(seq), seq.space_dim, 1, e, f"of sequence {i}")
+        for i, (seq, e, (lo, hi)) in enumerate(zip(seqs, exps, linalg.hermitian_extremes(ops[:bad])))
+    ]
+    if bad < len(seqs):
+        raise OutOfFloatRange(f"the frame operator of sequence {bad} leaves the float range")
+    return reports
 
 
 def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:
@@ -211,7 +239,7 @@ def verify_main_theorem(ms: MinimalSumSequence) -> dict:
         report["claim"] = "no claim"
         return report
     report["claim"] = "every concatenated group must be a frame"
-    per_group = [classify(concatenate(list(g))) for g in ms.groups]
+    per_group = classify_all([concatenate(list(g)) for g in ms.groups])
     report["per_group"] = [rep.to_dict() for rep in per_group]
     report["all_groups_frames"] = all(rep.is_frame for rep in per_group)
     if ms.r == 1:

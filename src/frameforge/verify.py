@@ -15,7 +15,7 @@ from . import gabor, schmidt, sequences
 from .errors import ConditionViolated, DependentGroup, DimensionMismatch, DrawFailed
 from .linalg import inner, op_norm, tensor_op
 from .schmidt import BipartiteShape, FSROperator
-from .sequences import VectorSequence, build_minimal_sum, classify
+from .sequences import VectorSequence, build_minimal_sum, classify_all
 
 # Largest prod(lengths) * prod(dims), the entries of its materialization (64 MB), a frame draw accepts.
 MAX_MINIMAL_SUM_ENTRIES = 1 << 22
@@ -261,14 +261,17 @@ def suite_tensor_bounds_multiply(rng, trials: int) -> dict:
     """Optimal bounds of tensor products are products of component bounds."""
     ok = True
     worst = 0.0
+    draws = []
     for _ in range(trials):
         d = int(rng.integers(2, 4))
         seqs = [
             random_vector_sequence(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
             for _ in range(d)
         ]
-        prod_rep = classify(sequences.tensor_sequences(seqs))
-        comp = [classify(s) for s in seqs]
+        draws.append([sequences.tensor_sequences(seqs), *seqs])
+    reports = iter(classify_all([s for draw in draws for s in draw]))
+    for draw in draws:
+        prod_rep, *comp = (next(reports) for _ in draw)
         a_exp = float(np.prod([c.lower_bound for c in comp]))
         b_exp = float(np.prod([c.bessel_bound for c in comp]))
         scale = max(1.0, b_exp)
@@ -286,22 +289,27 @@ def suite_minimal_sum_frames(rng, trials: int) -> dict:
     subadditive in the component bounds; for r = 1 the bounds multiply."""
     ok = True
     worst_ratio = 1.0
+    drawn = []
     for t in range(trials):
         d = 2 + t % 2
         r = 1 + t % 3
         dims = [int(rng.integers(2, 5)) for _ in range(d)]
         lengths = [m + int(rng.integers(0, 3)) for m in dims]
         ms, report = random_frame_minimal_sum(rng, dims, lengths, r)
+        drawn.append((ms, report))
         for rep in report["per_group"]:
             ratio = rep["A"] / rep["B"]
             worst_ratio = min(worst_ratio, ratio)
             ok = ok and ratio > 1e-8
+        ok = ok and (r > 1 or report["rank_one_check"]["bounds_multiply"])
+    # the Bessel cap's component classifications feed no retry: solve them together
+    comps = iter(classify_all([ms.groups[j][k] for ms, _ in drawn for k in range(ms.r) for j in range(ms.d)]))
+    for ms, report in drawn:
         cap = sum(
-            np.sqrt(np.prod([classify(ms.groups[j][k]).bessel_bound for j in range(ms.d)]))
-            for k in range(ms.r)
+            np.sqrt(np.prod([next(comps).bessel_bound for _ in range(ms.d)]))
+            for _ in range(ms.r)
         ) ** 2
         ok = ok and report["full"]["B"] <= cap + 1e-9 * max(1.0, cap)
-        ok = ok and (r > 1 or report["rank_one_check"]["bounds_multiply"])
     return {"passed": bool(ok), "trials": trials, "worst_group_ratio": worst_ratio}
 
 
@@ -325,25 +333,25 @@ def suite_gabor_density(rng, trials: int) -> dict:
     those the dense classification of the atoms must also find no frame."""
     ok = True
     worst_tight = 0.0
+    dense = []
     for n in (4, 6, 8, 12):
         for gen in ("gaussian", "twoexp", "sech"):
             w = gabor.sample_window(gen, n)
             for row in gabor.density_sweep(w):
                 ok = ok and row["density_ok"]
                 if row["a"] * row["b"] > n:  # fewer than n atoms: the dense route must agree
-                    lat = gabor.ZNLattice(n, row["a"], row["b"])
-                    ok = ok and not classify(gabor.gabor_system(w, lat)).is_frame
+                    dense.append(gabor.gabor_system(w, gabor.ZNLattice(n, row["a"], row["b"])))
             s = sequences.frame_operator(gabor.gabor_system(w, gabor.ZNLattice(n, 1, 1)))
             tight_err = np.linalg.norm(s - n * np.linalg.norm(w.g) ** 2 * np.eye(n))
             worst_tight = max(worst_tight, tight_err)
             ok = ok and tight_err <= 1e-10
+    ok = ok and not any(rep.is_frame for rep in classify_all(dense))
     return {"passed": bool(ok), "trials": trials, "worst_tightness_error": worst_tight}
 
 
 def suite_oversampling(rng, trials: int) -> dict:
     """Refined lattices scale valid frame bounds by the refinement factors."""
-    ok = True
-    cases = 0
+    cases = []
     for n in (8, 12):
         for a in gabor.divisors(n):
             for b in gabor.divisors(n):
@@ -351,11 +359,9 @@ def suite_oversampling(rng, trials: int) -> dict:
                     for v in gabor.divisors(b):
                         if u == v == 1:
                             continue
-                        w = gabor.ZNWindow(_cnormal(rng, n))
-                        rep = gabor.oversample_check(w, gabor.ZNLattice(n, a, b), u, v)
-                        ok = ok and rep["lower_ok"] and rep["upper_ok"]
-                        cases += 1
-    return {"passed": bool(ok), "trials": cases}
+                        cases.append((gabor.ZNWindow(_cnormal(rng, n)), gabor.ZNLattice(n, a, b), u, v))
+    ok = all(rep["lower_ok"] and rep["upper_ok"] for rep in gabor.oversample_checks(cases))
+    return {"passed": bool(ok), "trials": len(cases)}
 
 
 # (N, a, b, alpha, beta, c_phase) with alpha*b = beta*a = 0 mod N and the

@@ -15,6 +15,8 @@ from frameforge import cli, gabor, io, verify
 from frameforge.verify import suite_rng
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# The whole verify all --seed 7 --trials 50 report but its timestamp, byte for byte.
+VERIFY_GOLDEN = "verify_all_seed7.json"
 
 
 class Criterion:
@@ -105,7 +107,8 @@ def test_make_goldens_reproduces_the_goldens(tmp_path):
     subprocess.run([sys.executable, str(script), str(tmp_path)], check=True, capture_output=True, timeout=120)
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
-    for name in names:
+    assert (tmp_path / VERIFY_GOLDEN).read_text() == (GOLDEN / VERIFY_GOLDEN).read_text()
+    for name in (n for n in names if n != VERIFY_GOLDEN):
         want_text, got_text = (GOLDEN / name).read_text(), (tmp_path / name).read_text()
         want, got = json.loads(want_text), json.loads(got_text)
         for text, data in ((want_text, want), (got_text, got)):  # the same indented layout
@@ -128,3 +131,11 @@ def test_criterion_10_determinism(tmp_path):
         rep.pop("timestamp")
         reports.append(rep)
     c.finish(reports[0] == reports[1] and reports[0]["all_passed"])
+
+
+def test_verify_all_seed_7_report_matches_its_golden(tmp_path):
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "all", "--seed", "7", "--trials", "50", "--report", str(path)]) == 0
+    report = io.load_json(path)
+    report.pop("timestamp")
+    assert json.dumps(report, indent=2) + "\n" == (GOLDEN / VERIFY_GOLDEN).read_text()

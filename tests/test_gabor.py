@@ -25,12 +25,13 @@ from frameforge.gabor import (
     gabor_system,
     modulate,
     oversample_check,
+    oversample_checks,
     perturb_window,
     sample_window,
     translate,
     verify_rank_r_frame_implication,
 )
-from frameforge.sequences import FrameReport, classify, frame_operator, tensor_sequences
+from frameforge.sequences import FrameReport, classify, classify_all, frame_operator, tensor_sequences
 
 
 def crandom(rng, n):
@@ -345,6 +346,23 @@ class TestBatchedReports:
                 rep = gabor_frame_report(w, lat).to_dict()
                 assert {k: row[k] for k in rep} == rep
 
+    def test_multi_window_call_equals_one_window_calls(self, monkeypatch):
+        # windows of three N interleaved in one call, each window object repeated once per lattice
+        pairs = [
+            (w, lat) for n in (8, 12, 30) for w in oracle_windows(n) + short_windows(n) for lat in divisor_lattices(n)
+        ]
+        pairs = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
+        calls = {"ifft": [], "times_power_of_two": []}
+        for owner, name in ((np.fft, "ifft"), (linalg, "times_power_of_two")):
+            monkeypatch.setattr(owner, name, shape_logging(getattr(owner, name), calls[name]))
+        got = gabor_frame_reports(pairs)
+        monkeypatch.undo()
+        assert [rep.to_dict() for rep in got] == [gabor_frame_report(w, lat).to_dict() for w, lat in pairs]
+        # the 8 windows of an N are scaled together, once, and share one FFT per divisor L < N
+        assert sorted(calls["times_power_of_two"]) == [(8, n) for n in (8, 12, 30)]
+        want = [(8, n // L, 2 * L) for n in (8, 12, 30) for L in gabor.divisors(n)[:-1]]
+        assert sorted(calls["ifft"]) == sorted(want)
+
     def test_one_eigvalsh_per_block_size(self, monkeypatch):
         sizes = []
         eigvalsh = np.linalg.eigvalsh
@@ -392,12 +410,12 @@ class TestBatchedReports:
         g[0] = 1e154
         w = ZNWindow(g)
         ok, first, second = ZNLattice(12, 12, 12), ZNLattice(12, 1, 6), ZNLattice(12, 4, 3)
-        assert gabor_frame_reports(w, [ok, ok]) == [gabor_frame_report(w, ok)] * 2
+        assert gabor_frame_reports([(w, ok), (w, ok)]) == [gabor_frame_report(w, ok)] * 2
         with pytest.raises(OutOfFloatRange, match=r"\(a, b\)=\(1, 6\)"):
-            gabor_frame_reports(w, [ok, first, second])
+            gabor_frame_reports([(w, ok), (w, first), (w, second)])
         with pytest.raises(OutOfFloatRange, match=r"\(a, b\)=\(4, 3\)"):
-            gabor_frame_reports(w, [second, ok, first])
-        assert gabor_frame_reports(w, []) == []
+            gabor_frame_reports([(w, second), (w, ok), (w, first)])
+        assert gabor_frame_reports([]) == []
 
 
 def scaled_entries(w):
@@ -408,7 +426,7 @@ def scaled_entries(w):
 def walnut_blocks(w, a, b):
     """``gabor._walnut_blocks`` on (a, b), ab <= N, with its one Z_L built from ``scaled_entries(w)``."""
     L = math.lcm(a, w.N // b)
-    return gabor._walnut_blocks({L: gabor._zak(scaled_entries(w), L)}, w.N, a, b)
+    return gabor._walnut_blocks(gabor._zaks(scaled_entries(w)[None], L), w.N, a, b)[0]
 
 
 def walnut_first_row_blocks(w, a, b):
@@ -458,8 +476,8 @@ class TestZakBlocks:
         for name, log in calls.items():
             monkeypatch.setattr(np.fft, name, shape_logging(getattr(np.fft, name), log))
         density_sweep(sample_window("gaussian", 120))
-        # one (N/L, 2L) transform per L = lcm(a, N/b) < N, and every divisor L is lcm(1, L)
-        assert sorted(calls["ifft"]) == sorted((120 // L, 2 * L) for L in gabor.divisors(120)[:-1])
+        # one (1, N/L, 2L) transform per L = lcm(a, N/b) < N, and every divisor L is lcm(1, L)
+        assert sorted(calls["ifft"]) == sorted((1, 120 // L, 2 * L) for L in gabor.divisors(120)[:-1])
         assert len(calls["ifft"]) == 15 and calls["fft"] == []
 
     def test_a_one_b_n_reads_n_window_entries(self):
@@ -477,8 +495,8 @@ class TestZakBlocks:
         # on (4, 3) of Z_12, c = q = 4 and Phi ends on the last entry of Z_4
         w = sample_window("gaussian", 12)
         assert walnut_blocks(w, 4, 3).shape == (12, 1, 1)
-        zak = gabor._zak
-        monkeypatch.setattr(gabor, "_zak", lambda scaled, L: zak(scaled, L).ravel()[:-1])
+        zaks = gabor._zaks
+        monkeypatch.setattr(gabor, "_zaks", lambda scaled, L: zaks(scaled, L).reshape(len(scaled), -1)[:, :-1])
         with pytest.raises(ValueError):
             walnut_blocks(w, 4, 3)
 
@@ -534,6 +552,32 @@ class TestOversampleCheck:
         w = sample_window("gaussian", 8)
         with pytest.raises(ConditionViolated, match=r"need u \| a and v \| b, got u=3, v=1"):
             oversample_check(w, ZNLattice(8, 4, 2), 3, 1)
+
+    def test_batch_equals_one_case_calls(self):
+        rng = np.random.default_rng(10)
+        cases = [
+            (ZNWindow(crandom(rng, n)), lat, u, v)
+            for n in (8, 12)
+            for lat in divisor_lattices(n)
+            for u in gabor.divisors(lat.a)
+            for v in gabor.divisors(lat.b)
+        ]
+        assert oversample_checks(cases) == [oversample_check(*case) for case in cases]
+        assert oversample_checks([]) == []
+
+    def test_batch_names_the_first_bad_refinement(self):
+        w = sample_window("gaussian", 8)
+        good, bad = (w, ZNLattice(8, 4, 2), 2, 1), (w, ZNLattice(8, 2, 4), 1, 3)
+        with pytest.raises(ConditionViolated, match=r"got u=1, v=3 for \(a, b\)=\(2, 4\)"):
+            oversample_checks([good, bad, (w, ZNLattice(8, 4, 2), 3, 1)])
+
+    @pytest.mark.parametrize("seed", [0, 7, 1008, 9001])
+    def test_oversampling_suite_makes_at_most_four_eigvalsh_calls(self, monkeypatch, seed):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", shape_logging(np.linalg.eigvalsh, calls))
+        result = verify.suite_oversampling(verify.suite_rng(seed, 9), 50)
+        assert result["passed"] and result["trials"] == 372
+        assert 1 <= len(calls) <= 4
 
 
 class TestRankRWindow:
@@ -767,11 +811,11 @@ class TestDensitySuite:
     def test_dense_route_checks_every_undercomplete_lattice(self, monkeypatch):
         counts = []
 
-        def counting_classify(seq):
-            counts.append((len(seq), seq.space_dim))
-            return classify(seq)
+        def counting_classify_all(seqs):
+            counts.extend((len(seq), seq.space_dim) for seq in seqs)
+            return classify_all(seqs)
 
-        monkeypatch.setattr(verify, "classify", counting_classify)
+        monkeypatch.setattr(verify, "classify_all", counting_classify_all)
         assert verify.suite_gabor_density(verify.suite_rng(0, 8), 1)["passed"]
         want = [
             (lat.count, n)
@@ -783,7 +827,8 @@ class TestDensitySuite:
         assert counts == want
 
     def test_a_dense_frame_fails_the_suite(self, monkeypatch):
-        monkeypatch.setattr(verify, "classify", lambda seq: sequences.FrameReport(1.0, 1.0, True, False))
+        frame = sequences.FrameReport(1.0, 1.0, True, False)
+        monkeypatch.setattr(verify, "classify_all", lambda seqs: [frame] * len(seqs))
         assert not verify.suite_gabor_density(verify.suite_rng(0, 8), 1)["passed"]
 
 

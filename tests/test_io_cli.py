@@ -673,6 +673,23 @@ class TestFramesCommands:
         )
         assert draws == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["frames", "verify-main", "--dims", "2,,2", "--lens", "3,3,3"],
+         "--dims needs comma-separated integers, got '2,,2'"),
+        (["frames", "verify-main", "--dims", "2,2", "--lens", "3,"], "--lens needs comma-separated integers, got '3,'"),
+        (["frames", "verify-main", "--dims", "2,x", "--lens", "3,3"],
+         "--dims needs comma-separated integers, got '2,x'"),
+        (["schmidt", "decompose", "--input", "missing.json", "--shape", ",2,2,2"],
+         "--shape needs comma-separated integers, got ',2,2,2'"),
+    ])
+    def test_integer_list_errors_name_their_argument(self, monkeypatch, capsys, argv, message):
+        draws = []
+        monkeypatch.setattr(verify, "random_vector_sequence", lambda *a: draws.append(a))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert draws == []
+
     def test_classify_empty_sequence(self, tmp_path, capsys):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"space_dim": 2, "vectors": []}))
@@ -1006,6 +1023,14 @@ class TestVerifyCommand:
 
     def test_zero_trials(self):
         assert cli.main(["verify", "all", "--seed", "3", "--trials", "0"]) == 2
+
+    def test_seed_7_makes_at_most_500_eigvalsh_calls(self, tmp_path, monkeypatch, capsys):
+        # the solves no draw's retry depends on go to the stacked eigen core in batches
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        assert cli.main(["verify", "all", "--seed", "7", "--trials", "50", "--report", str(tmp_path / "r.json")]) == 0
+        assert len(calls) <= 500
 
     def test_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

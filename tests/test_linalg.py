@@ -171,6 +171,14 @@ class TestPowerOfTwoScaling:
     def test_zero_has_exponent_zero(self):
         assert linalg.max_exponent(np.zeros((2, 3))) == 0
 
+    def test_a_stack_scales_each_item_by_its_own_exponent(self):
+        rng = np.random.default_rng(4)
+        stack = crandom(rng, 5, 3, 2) * np.array([1.0, 1e300, 1e-300, 0.0, -7.0])[:, None, None]
+        e = linalg.max_exponents(stack)
+        assert e.tolist() == [linalg.max_exponent(x) for x in stack]
+        scaled = linalg.times_power_of_two(stack, -e[:, None, None])
+        assert all(np.array_equal(s, linalg.times_power_of_two(x, -k)) for s, x, k in zip(scaled, stack, e.tolist()))
+
     def test_scaling_is_exact_beyond_the_float_exponent_range(self):
         a = np.array([5e-324, 1e-310j, 0.0])
         assert np.array_equal(linalg.times_power_of_two(a, 1073), a * 2.0**1000 * 2.0**73)
@@ -203,3 +211,21 @@ def test_singular_value_rank_keeps_both_rules(s, tol, scale):
     s = np.array(s, dtype=float)
     assert linalg.singular_value_rank(s, tol) == matrix_rank_rule(s, tol)
     assert linalg.singular_value_rank(s, tol, scale) == reshuffle_rank_rule(s, tol, scale)
+
+
+class TestHermitianExtremes:
+    def test_matches_one_call_per_stack(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        stacks = []
+        for k, p in [(3, 2), (1, 1), (4, 2), (2, 5), (1, 2), (6, 1)]:
+            x = crandom(rng, k, p, p)
+            stacks.append(x @ x.conj().swapaxes(-1, -2))
+        want = [(float(np.linalg.eigvalsh(s).min()), float(np.linalg.eigvalsh(s).max())) for s in stacks]
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape) or eigvalsh(m))
+        assert linalg.hermitian_extremes(stacks) == want
+        assert sizes == [(8, 2, 2), (7, 1, 1), (2, 5, 5)]  # one call per block size, first-seen order
+
+    def test_empty_input(self):
+        assert linalg.hermitian_extremes([]) == []

@@ -1,14 +1,18 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from frameforge import linalg
 from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, OutOfFloatRange
 from frameforge.sequences import (
+    FrameReport,
     VectorSequence,
     analysis_operator,
     build_minimal_sum,
     classify,
+    classify_all,
     concatenate,
     frame_operator,
     materialize,
@@ -88,6 +92,11 @@ class TestEmptyInputs:
     def test_sequence_needs_a_vector_in_a_positive_dimension(self, shape):
         with pytest.raises(DimensionMismatch, match="at least one vector in a positive-dimensional space"):
             VectorSequence(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2), (1, 3, 1)])
+    def test_array_that_is_not_2d_names_its_shape(self, shape):
+        with pytest.raises(DimensionMismatch, match=rf"2-d array; got an array of shape {re.escape(str(shape))}"):
+            VectorSequence(np.ones(shape, dtype=complex))
 
     def test_tensor_product_needs_a_factor(self):
         with pytest.raises(DimensionMismatch, match="need at least one factor sequence"):
@@ -182,6 +191,62 @@ class TestClassify:
         inverse_bound = 1.0 / op_norm(l) ** 2
         assert inverse_bound <= rep.lower_bound + 1e-9
         assert inverse_bound == pytest.approx(rep.lower_bound, rel=1e-9)
+
+
+def single_classify_oracle(seq):
+    """The single-sequence route: eigvalsh of frame_operator on 2**-e f_n."""
+    e = linalg.max_exponent(seq.vectors)
+    eig = np.linalg.eigvalsh(frame_operator(VectorSequence(linalg.times_power_of_two(seq.vectors, -e))))
+    return FrameReport.from_scaled_bounds(float(eig.min()), float(eig.max()), len(seq), seq.space_dim, 1, e, "")
+
+
+def mixed_sequences(seed, n=40):
+    """Seeded sequences over a few repeated (count, dim) shapes, some scaled to +-1e+-150 or +-1e+-300."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (2, 3), (3, 2), (4, 4), (6, 3), (5, 1)]
+    scales = [1.0, 1j, 1e150, -1e-150, 1e300, -1e300, 1e-300, -1e-300]
+    return [
+        VectorSequence(scales[rng.integers(len(scales))] * crandom(rng, *shapes[rng.integers(len(shapes))]))
+        for _ in range(n)
+    ]
+
+
+def classify_or_raise(seq):
+    try:
+        return classify(seq)
+    except OutOfFloatRange:
+        return None
+
+
+class TestClassifyAll:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_one_sequence_calls_bit_for_bit(self, seed):
+        seqs = mixed_sequences(seed)
+        single = [classify_or_raise(s) for s in seqs]
+        kept = [s for s, rep in zip(seqs, single) if rep is not None]
+        assert len(kept) > 10 and any(np.abs(s.vectors).max() > 1e140 for s in kept)
+        got = classify_all(kept)
+        assert [rep.to_dict() for rep in got] == [rep.to_dict() for rep in single if rep is not None]
+        assert [rep.to_dict() for rep in got] == [single_classify_oracle(s).to_dict() for s in kept]
+        # B of 1e+-300 vectors leaves the float range: the batch names the first one
+        first = single.index(None)
+        with pytest.raises(OutOfFloatRange, match=f"of sequence {first} "):
+            classify_all(seqs)
+
+    def test_empty_input(self):
+        assert classify_all([]) == []
+
+    def test_error_names_first_failing_sequence_in_input_order(self):
+        ok = MERCEDES
+        overflow = VectorSequence(np.array([[1e308, 0]], dtype=complex))  # B overflows
+        nan = VectorSequence(np.array([[np.nan, 1], [0, 1]], dtype=complex))  # S is not finite
+        assert classify_all([ok, ok]) == [classify(ok)] * 2
+        with pytest.raises(OutOfFloatRange, match="frame bounds of sequence 1 "):
+            classify_all([ok, overflow, nan])
+        with pytest.raises(OutOfFloatRange, match="frame operator of sequence 0 "):
+            classify_all([nan, ok, overflow])
+        with pytest.raises(OutOfFloatRange, match="frame operator of sequence 2 "):
+            classify_all([ok, ok, nan, overflow])
 
 
 class TestTensorSequences:
