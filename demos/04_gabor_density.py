@@ -20,12 +20,10 @@ w = sample_window("gaussian", n)
 
 print(f"density sweep on Z_{n} with a sampled Gaussian window:")
 print(f"{'a':>3} {'b':>3} {'count':>6} {'A':>10} {'B':>10}  frame riesz")
-for row in density_sweep(w):
-    print(
-        f"{row['a']:>3} {row['b']:>3} {row['count']:>6} "
-        f"{row['A']:>10.4f} {row['B']:>10.4f}  {row['is_frame']!s:>5} {row['is_riesz']!s:>5}"
-    )
-assert all(not (r["is_frame"] and r["a"] * r["b"] > n) for r in density_sweep(w))
+table = density_sweep(w)  # one column per field, one entry per lattice
+for a, b, count, A, B, frame, riesz in zip(*(table[k] for k in ("a", "b", "count", "A", "B", "is_frame", "is_riesz"))):
+    print(f"{a:>3} {b:>3} {count:>6} {A:>10.4f} {B:>10.4f}  {frame!s:>5} {riesz!s:>5}")
+assert not any(frame and a * b > n for a, b, frame in zip(table["a"], table["b"], table["is_frame"]))
 
 # Full lattice: the frame operator is N ||g||^2 times the identity.
 s = frame_operator(gabor.gabor_system(w, ZNLattice(n, 1, 1)))

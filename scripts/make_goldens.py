@@ -5,7 +5,9 @@ satisfying the divisibility conditions, together with the oracle-computed
 spectral extremes of the perturbed system.  Instances are kept only when the
 oracle confirms the loss of the lower frame bound.  ``verify_all_seed7.json``
 is the report of ``verify all --seed 7 --trials 50`` without its
-``timestamp``.  Run as ``python scripts/make_goldens.py OUT_DIR``.
+``timestamp``, and ``sweep_N120_<generator>.csv`` the CSV of
+``gabor sweep --N 120 --window <generator>`` for each sampled window.
+Run as ``python scripts/make_goldens.py OUT_DIR``.
 """
 
 import argparse
@@ -15,11 +17,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from frameforge import gabor, io, verify  # noqa: E402
+from frameforge import cli, gabor, io, verify  # noqa: E402
 from frameforge.verify import PERTURB_INSTANCES  # noqa: E402
 
 # The seed and trial count of the pinned report, as acceptance criterion 10 runs it.
 VERIFY_SEED, VERIFY_TRIALS = 7, 50
+# The N of the pinned sweep CSVs, the size the gabor_sweep benchmark runs.
+SWEEP_N = 120
 
 
 def main(out: pathlib.Path):
@@ -52,6 +56,11 @@ def main(out: pathlib.Path):
     report = verify.run_all(VERIFY_SEED, VERIFY_TRIALS)
     (out / f"verify_all_seed{VERIFY_SEED}.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     print(f"wrote the verify all --seed {VERIFY_SEED} --trials {VERIFY_TRIALS} report to {out}")
+    for gen in gabor.WINDOW_GENERATORS:
+        csv_path = out / f"sweep_N{SWEEP_N}_{gen}.csv"
+        if cli.main(["gabor", "sweep", "--N", str(SWEEP_N), "--window", gen, "--output", str(csv_path)]) != cli.EXIT_OK:
+            raise SystemExit(f"gabor sweep --N {SWEEP_N} --window {gen} failed")
+    print(f"wrote the gabor sweep --N {SWEEP_N} CSVs to {out}")
 
 
 if __name__ == "__main__":

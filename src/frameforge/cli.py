@@ -100,12 +100,12 @@ def cmd_gabor_sweep(args) -> int:
     if args.N > gabor.MAX_SWEEP_N or args.N < 1:
         raise ValueError(f"N={args.N} out of the supported range 1..{gabor.MAX_SWEEP_N}")
     w = _load_window(args.window, args.N)
-    rows = gabor.density_sweep(w)
+    table = gabor.density_sweep(w)
     if args.output:
-        io.write_sweep_csv(args.output, rows)
-    violations = [r for r in rows if not r["density_ok"]]
-    print(f"rows: {len(rows)}")
-    print(f"density_violations: {len(violations)}")
+        io.write_sweep_csv(args.output, table)
+    violations = table["density_ok"].count(False)
+    print(f"rows: {len(table['density_ok'])}")
+    print(f"density_violations: {violations}")
     return EXIT_OK if not violations else EXIT_FAIL
 
 

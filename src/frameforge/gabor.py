@@ -30,6 +30,10 @@ OVERSAMPLE_TOL = 1e-9
 
 # Largest N a density sweep accepts, in the library and on the command line.
 MAX_SWEEP_N = 8192
+# The columns of a density sweep's table: the fields of its CSV, then density_ok.
+SWEEP_COLUMNS = ("N", "a", "b", "count", "A", "B", "is_frame", "is_riesz", "ab_over_N", "density_ok")
+# How an OutOfFloatRange message names the frame bounds of the lattice (a, b).
+_WHAT = "on (a, b)=({}, {}) of a window"
 
 
 @dataclass(frozen=True)
@@ -175,12 +179,10 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     G_r^* G_r share one spectrum, and the nonzero spectrum of S is that of
     the adjoint's frame operator times N/(ab).  B is read off the adjoint,
     whose blocks are Q x Q (c' = c, p' = Q, L' = L).
-    ``gabor_frame_reports`` solves a batch of (window, lattice) pairs, each
-    adjoint at most once per window.
 
     The eigen cost per representative drops from b^3 to b p^2.  The blocks
     are built from 2**-e w, e = ``linalg.max_exponent(w.g)``, so the window's
-    own scale cannot over- or underflow them.  ``FrameReport.from_scaled_bounds``
+    own scale cannot over- or underflow them.  ``sequences.scaled_bounds``
     decides on their spectrum, that of 2**-2e S / q, and scales A and B back
     by q 2**2e.  Bounds beyond the float range raise ``OutOfFloatRange``.
     """
@@ -195,73 +197,64 @@ def _zaks(scaled: np.ndarray, L: int) -> np.ndarray:
     return np.fft.ifft(z, axis=1, norm="forward") if L < N else z  # d = 1: the identity
 
 
-def _walnut_blocks(z: np.ndarray, N: int, a: int, b: int) -> np.ndarray:
-    """The (k, c d, p, p) stacks Phi Phi^* whose spectra make up that of
-    2**-2e_j S_j / q on (a, b), ab <= N, read off the Zak transforms ``z[j]``."""
+def _walnut_blocks(z: np.ndarray, zc: np.ndarray, N: int, a: int, b: int) -> np.ndarray:
+    """The (k, c d, p, p) stacks Phi Phi^* whose spectra make up that of 2**-2e_j S_j / q on
+    (a, b), ab <= N, read off the Zak transforms ``z[j]``; Phi^* is the same view of ``zc = z.conj()``."""
     q = N // b
     c = math.gcd(a, q)
     p, Q, L = a // c, q // c, a * q // c
     sz = z.itemsize
     # Phi[j, r, k, i, Q-1-mu] = Z_L(r + q i - a mu, k): x + L starts at a for r = i = 0, mu = Q-1
-    phi = np.ndarray((len(z), c, N // L, p, Q), complex, z, a * sz, (z.strides[0], sz, 2 * L * sz, q * sz, a * sz))
-    return (phi @ phi.conj().swapaxes(-1, -2)).reshape(len(z), -1, p, p)
+    shape, strides = (len(z), c, N // L, p, Q), (z.strides[0], sz, 2 * L * sz, q * sz, a * sz)
+    phi, phic = np.ndarray(shape, complex, z, a * sz, strides), np.ndarray(shape, complex, zc, a * sz, strides)
+    return (phi @ phic.swapaxes(-1, -2)).reshape(len(z), -1, p, p)
+
+
+def _solve(gs: dict[int, list], keys) -> tuple[dict, dict]:
+    """The exponents e_j = ``linalg.max_exponent(g_j)`` of the windows g_j = ``gs[N][j]``, a list per N,
+    and the (lo, hi) of 2**-2e_j S_j / q on the lattice of each key (N, j, a, b): on itself when ab <= N,
+    else on its adjoint (N/b, N/a) with lo = 0.  The windows of one N are scaled together, those that
+    need one L share one batched FFT and one conjugate, each solved lattice is built once for all its
+    windows, and one ``linalg.hermitian_extremes`` call solves every block stack."""
+    exps, scaled = {}, {}
+    for N, g in gs.items():
+        e = linalg.max_exponents(g := np.array(g))
+        exps[N], scaled[N] = e.tolist(), linalg.times_power_of_two(g, -e[:, None])
+    solved = {(N, j, a, b): (N, j, a, b) if a * b <= N else (N, j, N // b, N // a) for N, j, a, b in keys}
+    by_zak: dict[tuple, dict] = {}  # (N, L) -> {solved (a, b): rows of the windows it is solved for}
+    for N, j, a, b in dict.fromkeys(solved.values()):
+        by_zak.setdefault((N, math.lcm(a, N // b)), {}).setdefault((a, b), []).append(j)
+    stacks = {}
+    for (N, L), lattices in by_zak.items():
+        rows = list(dict.fromkeys(j for js in lattices.values() for j in js))
+        z = _zaks(scaled[N][rows], L)
+        zc, pos = z.conj(), {j: i for i, j in enumerate(rows)}
+        for (a, b), js in lattices.items():
+            if len(js) == len(rows):  # every window of this L: take them in the stack's order
+                js, blocks = rows, _walnut_blocks(z, zc, N, a, b)
+            else:
+                pick = [pos[j] for j in js]
+                blocks = _walnut_blocks(z[pick], zc[pick], N, a, b)
+            stacks.update(zip([(N, j, a, b) for j in js], blocks))
+    bounds = dict(zip(stacks, linalg.hermitian_extremes(list(stacks.values()))))
+    return exps, {k: bounds[s] if k == s else (0.0, bounds[s][1]) for k, s in solved.items()}
 
 
 def gabor_frame_reports(systems: list[tuple[ZNWindow, ZNLattice]]) -> list[FrameReport]:
-    """``gabor_frame_report`` of each (window, lattice) pair, in order, solved together.
-
-    A lattice is solved on itself when ab <= N, else on its adjoint (N/b, N/a).  The windows
-    of one N are scaled together, those that need one L share one batched FFT, each solved
-    lattice is built once for all its windows, and ``linalg.hermitian_extremes`` solves every
-    block stack.  An error names the first failing lattice in input order."""
-    windows, keys = {}, []  # windows[N][id(w)] = w; keys[i]: (id(w), N, a, b) pair i is solved on
+    """``gabor_frame_report`` of each (window, lattice) pair, in order, solved together, each
+    lattice at most once per window.  An error names the first failing lattice in input order."""
+    gs, rows, keys = {}, {}, []  # rows[id(w)]: the row of w in gs[N]; keys[i]: (N, row, a, b) of pair i
     for w, lat in systems:
         _check_length(w, lat)
-        k, N, a, b = id(w), lat.N, lat.a, lat.b
-        windows.setdefault(N, {})[k] = w
-        keys.append((k, N, a, b) if a * b <= N else (k, N, N // b, N // a))
-    exps, scaled = {}, {}
-    for ws in windows.values():
-        g = np.array([w.g for w in ws.values()])
-        e = linalg.max_exponents(g)
-        exps.update(zip(ws, e.tolist()))
-        scaled.update(zip(ws, linalg.times_power_of_two(g, -e[:, None])))
-    by_zak: dict[tuple, dict] = {}  # (N, L) -> {solved (a, b): ids of the windows it is solved for}
-    for k, N, a, b in dict.fromkeys(keys):
-        by_zak.setdefault((N, math.lcm(a, N // b)), {}).setdefault((a, b), []).append(k)
-    stacks = {}
-    for (N, L), lattices in by_zak.items():
-        row = {k: j for j, k in enumerate(dict.fromkeys(k for ks in lattices.values() for k in ks))}  # id -> row of z
-        z = _zaks(np.array([scaled[k] for k in row]), L)
-        for (a, b), ks in lattices.items():
-            if len(ks) == len(row):  # every window of this L: take them in the stack's order
-                ks, blocks = row, _walnut_blocks(z, N, a, b)
-            else:
-                blocks = _walnut_blocks(z[[row[k] for k in ks]], N, a, b)
-            for k, block in zip(ks, blocks):
-                stacks[k, N, a, b] = block
-    bounds = dict(zip(stacks, linalg.hermitian_extremes(list(stacks.values()))))
-    reports = []
-    for (w, lat), key in zip(systems, keys):
-        N, a, b = lat.N, lat.a, lat.b
-        lo, hi = bounds[key] if a * b <= N else (0.0, bounds[key][1])
-        what = f"on (a, b)=({a}, {b}) of a window"
-        reports.append(FrameReport.from_scaled_bounds(lo, hi, lat.count, N, N // b, exps[key[0]], what))
-    return reports
-
-
-def _density_stats(lat: ZNLattice, rep: FrameReport) -> dict:
-    """``rep`` plus the discrete density bookkeeping for ``lat``."""
-    ab = lat.a * lat.b
-    return {
-        **rep.to_dict(),
-        "N": lat.N,
-        "a": lat.a,
-        "b": lat.b,
-        "count": lat.count,
-        "ab_over_N": ab / lat.N,
-        "density_ok": (not rep.is_frame or ab <= lat.N) and (rep.is_riesz == (rep.is_frame and ab == lat.N)),
-    }
+        if id(w) not in rows:
+            rows[id(w)] = len(gs.setdefault(lat.N, []))
+            gs[lat.N].append(w.g)
+        keys.append((lat.N, rows[id(w)], lat.a, lat.b))
+    exps, bounds = _solve(gs, keys)
+    return [
+        FrameReport(*sequences.scaled_bounds(*bounds[N, j, a, b], lat.count, N, N // b, exps[N][j], _WHAT, a, b))
+        for (_, lat), (N, j, a, b) in zip(systems, keys)
+    ]
 
 
 def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
@@ -418,13 +411,20 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def density_sweep(w: ZNWindow) -> list[dict]:
-    """Classification over every divisor lattice (a, b) of Z_N.
-
-    One row per pair, in lexicographic divisor order; rows carry the fields
-    of the sweep CSV: N, a, b, count, A, B, is_frame, is_riesz, ab_over_N.
-    """
-    if w.N > MAX_SWEEP_N:
-        raise ValueError(f"N={w.N} exceeds the supported sweep size {MAX_SWEEP_N}")
-    lattices = [ZNLattice(w.N, a, b) for a, b in itertools.product(divisors(w.N), repeat=2)]
-    return [_density_stats(lat, rep) for lat, rep in zip(lattices, gabor_frame_reports([(w, lat) for lat in lattices]))]
+def density_sweep(w: ZNWindow) -> dict[str, list]:
+    """Classification over every divisor lattice (a, b) of Z_N, as a table: each of the
+    SWEEP_COLUMNS mapped to its values, one per pair in lexicographic divisor order.  The
+    lattices are solved as in ``gabor_frame_reports``, with no ``ZNLattice`` or
+    ``FrameReport`` per pair."""
+    N = w.N
+    if N > MAX_SWEEP_N:
+        raise ValueError(f"N={N} exceeds the supported sweep size {MAX_SWEEP_N}")
+    pairs = list(itertools.product(divisors(N), repeat=2))
+    exps, bounds = _solve({N: [w.g]}, [(N, 0, a, b) for a, b in pairs])
+    e, rule, rows = exps[N][0], sequences.scaled_bounds, []
+    for a, b in pairs:
+        ab, count = a * b, (N // a) * (N // b)
+        A, B, frame, riesz = rule(*bounds[N, 0, a, b], count, N, N // b, e, _WHAT, a, b)
+        density_ok = (not frame or ab <= N) and riesz == (frame and ab == N)
+        rows.append((N, a, b, count, A, B, frame, riesz, ab / N, density_ok))
+    return dict(zip(SWEEP_COLUMNS, map(list, zip(*rows))))

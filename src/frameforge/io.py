@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 
 import numpy as np
 
 from .errors import NonFiniteData
-from .gabor import ZNWindow
+from .gabor import SWEEP_COLUMNS, ZNWindow
 from .schmidt import FSROperator
 from .sequences import VectorSequence
 
-SWEEP_FIELDS = ["N", "a", "b", "count", "A", "B", "is_frame", "is_riesz", "ab_over_N"]
+SWEEP_FIELDS = list(SWEEP_COLUMNS[:-1])  # every column of a sweep but density_ok
 
 
 def _entries_to_list(a) -> list:
@@ -45,13 +46,18 @@ def _field(d, kind: str, name: str, json_type: type):
 
 
 def _finite_entries(d, kind: str) -> np.ndarray:
-    """Complex entries of a vector or operator file; NaN and inf are data errors."""
-    pairs = np.asarray(_field(d, kind, "entries", list))
+    """Complex entries of a vector or operator file; booleans, NaN and inf are data errors."""
+    pairs = np.asarray(raw := _field(d, kind, "entries", list))
     if pairs.shape == (0,):
         pairs = pairs.reshape(0, 2)
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"{kind} file entries must be a list of [re, im] pairs of numbers")
-    entries = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
+    parts = np.ascontiguousarray(pairs, dtype=float)
+    # numpy reads a true or false among numbers as 1 or 0, so only a pair holding a 0 or 1 can hide one
+    hits = np.flatnonzero(((parts == 0) | (parts == 1)).view(np.uint16)).tolist()
+    if bool in map(type, itertools.chain.from_iterable(map(raw.__getitem__, hits))):
+        raise ValueError(f"{kind} file entries must be numbers, not the booleans true and false")
+    entries = parts.view(complex).reshape(-1)
     if not np.isfinite(entries).all():
         raise NonFiniteData(f"{kind} file has non-finite entries (NaN or inf)")
     return entries
@@ -143,8 +149,9 @@ def load_json(path):
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def write_sweep_csv(path, rows) -> None:
+def write_sweep_csv(path, table) -> None:
+    """Write the SWEEP_FIELDS columns of a ``density_sweep`` table, one CSV row per lattice."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_FIELDS)
-        writer.writerows([row[k] for k in SWEEP_FIELDS] for row in rows)
+        writer.writerows(zip(*(table[k] for k in SWEEP_FIELDS)))

@@ -52,6 +52,22 @@ class VectorSequence:
         return self.vectors[n]
 
 
+def scaled_bounds(lo: float, hi: float, count: int, space_dim: int, factor: int, e: int, what: str = "", *where):
+    """(A, B, is_frame, is_riesz) of S, for ``count`` vectors in C^``space_dim``, from the least and greatest
+    eigenvalues ``lo``, ``hi`` of 2**-2e S / factor: a frame when A > FRAME_TOL * B, a Riesz basis when also
+    count = space_dim.  A B that overflows, or a nonzero B that underflows to 0, raises ``OutOfFloatRange``;
+    only then is ``what.format(*where)``, the name of the bounds in its message, formatted."""
+    a_bound = max(lo, 0.0)
+    is_frame = a_bound > FRAME_TOL * hi
+    try:
+        upper = math.ldexp(factor * hi, 2 * e)
+    except OverflowError:
+        upper = math.inf
+    if math.isinf(upper) or (upper == 0.0 and hi != 0.0):
+        raise OutOfFloatRange(f"the frame bounds {what.format(*where)} with largest part ~2**{e} leave the float range")
+    return math.ldexp(factor * a_bound, 2 * e), upper, is_frame, is_frame and count == space_dim
+
+
 @dataclass(frozen=True)
 class FrameReport:
     lower_bound: float  # optimal A = lambda_min of the frame operator
@@ -59,31 +75,8 @@ class FrameReport:
     is_frame: bool
     is_riesz: bool
 
-    @classmethod
-    def from_scaled_bounds(
-        cls, lo: float, hi: float, count: int, space_dim: int, factor: int, e: int, what: str
-    ) -> FrameReport:
-        """The report on S, for ``count`` vectors in C^``space_dim``, from the least
-        and greatest eigenvalues ``lo``, ``hi`` of 2**-2e S / factor: a frame when
-        A > FRAME_TOL * B, a Riesz basis when also count = space_dim.  A B that
-        overflows, or a nonzero B that underflows to 0, raises ``OutOfFloatRange``."""
-        a_bound = max(lo, 0.0)
-        is_frame = a_bound > FRAME_TOL * hi
-        try:
-            upper = math.ldexp(factor * hi, 2 * e)
-        except OverflowError:
-            upper = math.inf
-        if math.isinf(upper) or (upper == 0.0 and hi != 0.0):
-            raise OutOfFloatRange(f"the frame bounds {what} with largest part ~2**{e} leave the float range")
-        return cls(math.ldexp(factor * a_bound, 2 * e), upper, is_frame, is_frame and count == space_dim)
-
     def to_dict(self) -> dict:
-        return {
-            "A": self.lower_bound,
-            "B": self.bessel_bound,
-            "is_frame": self.is_frame,
-            "is_riesz": self.is_riesz,
-        }
+        return {"A": self.lower_bound, "B": self.bessel_bound, "is_frame": self.is_frame, "is_riesz": self.is_riesz}
 
 
 def analysis_operator(seq: VectorSequence) -> np.ndarray:
@@ -136,7 +129,7 @@ def classify_all(seqs: list[VectorSequence]) -> list[FrameReport]:
         for i, ei, op in zip(idx, e.tolist(), s[:, None]):
             exps[i], ops[i] = ei, op
     reports = [
-        FrameReport.from_scaled_bounds(lo, hi, len(seq), seq.space_dim, 1, e, f"of sequence {i}")
+        FrameReport(*scaled_bounds(lo, hi, len(seq), seq.space_dim, 1, e, "of sequence {}", i))
         for i, (seq, e, (lo, hi)) in enumerate(zip(seqs, exps, linalg.hermitian_extremes(ops[:bad])))
     ]
     if bad < len(seqs):

@@ -337,10 +337,10 @@ def suite_gabor_density(rng, trials: int) -> dict:
     for n in (4, 6, 8, 12):
         for gen in ("gaussian", "twoexp", "sech"):
             w = gabor.sample_window(gen, n)
-            for row in gabor.density_sweep(w):
-                ok = ok and row["density_ok"]
-                if row["a"] * row["b"] > n:  # fewer than n atoms: the dense route must agree
-                    dense.append(gabor.gabor_system(w, gabor.ZNLattice(n, row["a"], row["b"])))
+            sweep = gabor.density_sweep(w)
+            ok = ok and all(sweep["density_ok"])
+            dense += [gabor.gabor_system(w, gabor.ZNLattice(n, a, b))
+                      for a, b in zip(sweep["a"], sweep["b"]) if a * b > n]  # fewer than n atoms
             s = sequences.frame_operator(gabor.gabor_system(w, gabor.ZNLattice(n, 1, 1)))
             tight_err = np.linalg.norm(s - n * np.linalg.norm(w.g) ** 2 * np.eye(n))
             worst_tight = max(worst_tight, tight_err)

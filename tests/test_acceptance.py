@@ -17,6 +17,8 @@ from frameforge.verify import suite_rng
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # The whole verify all --seed 7 --trials 50 report but its timestamp, byte for byte.
 VERIFY_GOLDEN = "verify_all_seed7.json"
+# The CSV of gabor sweep --N 120 for each sampled window, byte for byte.
+SWEEP_GOLDENS = [f"sweep_N120_{gen}.csv" for gen in gabor.WINDOW_GENERATORS]
 
 
 class Criterion:
@@ -107,8 +109,9 @@ def test_make_goldens_reproduces_the_goldens(tmp_path):
     subprocess.run([sys.executable, str(script), str(tmp_path)], check=True, capture_output=True, timeout=120)
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
-    assert (tmp_path / VERIFY_GOLDEN).read_text() == (GOLDEN / VERIFY_GOLDEN).read_text()
-    for name in (n for n in names if n != VERIFY_GOLDEN):
+    for name in (VERIFY_GOLDEN, *SWEEP_GOLDENS):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for name in (n for n in names if n.startswith("perturb_")):
         want_text, got_text = (GOLDEN / name).read_text(), (tmp_path / name).read_text()
         want, got = json.loads(want_text), json.loads(got_text)
         for text, data in ((want_text, want), (got_text, got)):  # the same indented layout
@@ -139,3 +142,11 @@ def test_verify_all_seed_7_report_matches_its_golden(tmp_path):
     report = io.load_json(path)
     report.pop("timestamp")
     assert json.dumps(report, indent=2) + "\n" == (GOLDEN / VERIFY_GOLDEN).read_text()
+
+
+@pytest.mark.parametrize("name", SWEEP_GOLDENS)
+def test_sweep_csv_equals_its_golden(tmp_path, name):
+    gen = name.removeprefix("sweep_N120_").removesuffix(".csv")
+    out = tmp_path / name
+    assert cli.main(["gabor", "sweep", "--N", "120", "--window", gen, "--output", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

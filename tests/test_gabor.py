@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frameforge import gabor, linalg, sequences, verify
+from frameforge import gabor, io, linalg, sequences, verify
 from frameforge.errors import (
     ConditionViolated,
     DependentGroup,
@@ -31,7 +31,8 @@ from frameforge.gabor import (
     translate,
     verify_rank_r_frame_implication,
 )
-from frameforge.sequences import FrameReport, classify, classify_all, frame_operator, tensor_sequences
+from frameforge.sequences import FrameReport, classify, classify_all, frame_operator, scaled_bounds, tensor_sequences
+from sweep_table import sweep_rows
 
 
 def crandom(rng, n):
@@ -197,7 +198,7 @@ def walnut_blocks_report(w, lat):
     g = w.g[idx % N]
     blocks = q * (g @ g.conj().transpose(0, 2, 1))
     eig = np.linalg.eigvalsh(blocks)
-    return FrameReport.from_scaled_bounds(float(eig.min()), float(eig.max()), lat.count, N, 1, 0, "of the oracle")
+    return FrameReport(*scaled_bounds(float(eig.min()), float(eig.max()), lat.count, N, 1, 0, "of the oracle"))
 
 
 def assert_same_report(rep, ref, rtol):
@@ -317,7 +318,7 @@ class TestGaborFrameReport:
     def test_frame_threshold_is_frame_tol(self, ratio, is_frame):
         # planted spectrum with A / B = ratio
         b = 4.0
-        rep = FrameReport.from_scaled_bounds(ratio * b, b, 4, 4, 1, 0, "of a planted spectrum")
+        rep = FrameReport(*scaled_bounds(ratio * b, b, 4, 4, 1, 0, "of a planted spectrum"))
         assert (rep.lower_bound, rep.bessel_bound) == (ratio * b, b)
         assert (rep.is_frame, rep.is_riesz) == (is_frame, is_frame)
 
@@ -326,14 +327,13 @@ class TestGaborFrameReport:
             gabor_frame_report(sample_window("gaussian", 8), ZNLattice(12, 2, 2))
 
     def test_one_constructor_builds_every_report(self, monkeypatch):
-        # a patch of FrameReport.from_scaled_bounds reaches classify and the sweep alike
+        # a patch of the one rule, sequences.scaled_bounds, reaches classify and the sweep alike
         calls = []
-        real = FrameReport.from_scaled_bounds
-        patched = classmethod(lambda cls, *args: calls.append(args) or real(*args))
-        monkeypatch.setattr(FrameReport, "from_scaled_bounds", patched)
+        real = sequences.scaled_bounds
+        monkeypatch.setattr(sequences, "scaled_bounds", lambda *args: calls.append(args) or real(*args))
         w = sample_window("gaussian", 12)
         classify(gabor_system(w, ZNLattice(12, 2, 3)))
-        rows = density_sweep(w)
+        rows = sweep_rows(density_sweep(w))
         assert len(calls) == 1 + len(rows) == 37
 
 
@@ -341,7 +341,7 @@ class TestBatchedReports:
     @pytest.mark.parametrize("n", [12, 120, 840])
     def test_sweep_rows_equal_single_lattice_stats(self, n):
         for w in oracle_windows(n):
-            for row, lat in zip(density_sweep(w), divisor_lattices(n), strict=True):
+            for row, lat in zip(sweep_rows(density_sweep(w)), divisor_lattices(n), strict=True):
                 assert (row["N"], row["a"], row["b"], row["count"]) == (n, lat.a, lat.b, lat.count)
                 rep = gabor_frame_report(w, lat).to_dict()
                 assert {k: row[k] for k in rep} == rep
@@ -386,9 +386,9 @@ class TestBatchedReports:
         built = []
         build = gabor._walnut_blocks
 
-        def spy(zaks, N, a, b):
+        def spy(zaks, conj, N, a, b):
             built.append((a, b))
-            return build(zaks, N, a, b)
+            return build(zaks, conj, N, a, b)
 
         monkeypatch.setattr(gabor, "_walnut_blocks", spy)
         density_sweep(sample_window("sech", 120))
@@ -426,7 +426,8 @@ def scaled_entries(w):
 def walnut_blocks(w, a, b):
     """``gabor._walnut_blocks`` on (a, b), ab <= N, with its one Z_L built from ``scaled_entries(w)``."""
     L = math.lcm(a, w.N // b)
-    return gabor._walnut_blocks(gabor._zaks(scaled_entries(w)[None], L), w.N, a, b)[0]
+    z = gabor._zaks(scaled_entries(w)[None], L)
+    return gabor._walnut_blocks(z, z.conj(), w.N, a, b)[0]
 
 
 def walnut_first_row_blocks(w, a, b):
@@ -500,11 +501,62 @@ class TestZakBlocks:
         with pytest.raises(ValueError):
             walnut_blocks(w, 4, 3)
 
+    @pytest.mark.parametrize("n", [12, 30, 120, 840])
+    def test_one_conjugate_per_zak_gives_the_same_bits(self, n):
+        # every window of one L in one stack, as a sweep over several windows builds them
+        g = np.array([w.g for w in oracle_windows(n) + short_windows(n)])
+        scaled = linalg.times_power_of_two(g, -linalg.max_exponents(g)[:, None])
+        solved = [(lat.a, lat.b) for lat in divisor_lattices(n) if lat.a * lat.b <= n]
+        for L in {math.lcm(a, n // b) for a, b in solved}:
+            z = gabor._zaks(scaled, L)
+            zc = z.conj()
+            for a, b in solved:
+                if math.lcm(a, n // b) == L:
+                    assert np.array_equal(gabor._walnut_blocks(z, zc, n, a, b), blocks_conj_per_lattice(z, n, a, b))
+
+
+def blocks_conj_per_lattice(z, N, a, b):
+    """Phi Phi^* with Phi^* taken as ``phi.conj()`` of each lattice's own view: oracle for the
+    shared conjugate of ``gabor._walnut_blocks``."""
+    q = N // b
+    c = math.gcd(a, q)
+    p, Q, L = a // c, q // c, a * q // c
+    sz = z.itemsize
+    phi = np.ndarray((len(z), c, N // L, p, Q), complex, z, a * sz, (z.strides[0], sz, 2 * L * sz, q * sz, a * sz))
+    return (phi @ phi.conj().swapaxes(-1, -2)).reshape(len(z), -1, p, p)
+
+
+class TestColumnSweep:
+    def test_n120_sweep_builds_no_per_lattice_objects(self, monkeypatch):
+        counts = dict.fromkeys(["FrameReport", "ZNLattice", "rule", "blocks", "ifft", "eigvalsh"], 0)
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(FrameReport, "__init__", counting("FrameReport", FrameReport.__init__))
+        monkeypatch.setattr(ZNLattice, "__post_init__", counting("ZNLattice", ZNLattice.__post_init__))
+        monkeypatch.setattr(sequences, "scaled_bounds", counting("rule", sequences.scaled_bounds))
+        monkeypatch.setattr(gabor, "_walnut_blocks", counting("blocks", gabor._walnut_blocks))
+        monkeypatch.setattr(np.fft, "ifft", counting("ifft", np.fft.ifft))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        table = density_sweep(sample_window("gaussian", 120))
+        assert len(table["A"]) == 256
+        assert counts == {"FrameReport": 0, "ZNLattice": 0, "rule": 256, "blocks": 136, "ifft": 15, "eigvalsh": 6}
+
+    def test_table_holds_every_column_in_divisor_order(self):
+        table = density_sweep(sample_window("sech", 12))
+        assert list(table) == [*io.SWEEP_FIELDS, "density_ok"]
+        assert all(len(column) == 36 for column in table.values())
+        assert list(zip(table["a"], table["b"])) == [(lat.a, lat.b) for lat in divisor_lattices(12)]
+
 
 class TestGaborStats:
     def test_density_law_on_z6_sweep(self):
         w = sample_window("gaussian", 6)
-        for row in density_sweep(w):
+        for row in sweep_rows(density_sweep(w)):
             if row["is_frame"]:
                 assert row["a"] * row["b"] <= 6
             assert row["is_riesz"] == (row["is_frame"] and row["a"] * row["b"] == 6)
@@ -512,14 +564,14 @@ class TestGaborStats:
     def test_undersampled_never_frame(self):
         # ab > N means fewer than N vectors, so no frame
         w = sample_window("twoexp", 8)
-        stats = next(row for row in density_sweep(w) if (row["a"], row["b"]) == (4, 4))
+        stats = next(row for row in sweep_rows(density_sweep(w)) if (row["a"], row["b"]) == (4, 4))
         assert stats["count"] == 4 < 8
         assert not stats["is_frame"]
 
     def test_critical_density_riesz(self):
         rng = np.random.default_rng(7)
         w = ZNWindow(crandom(rng, 4))
-        stats = next(row for row in density_sweep(w) if (row["a"], row["b"]) == (2, 2))
+        stats = next(row for row in sweep_rows(density_sweep(w)) if (row["a"], row["b"]) == (2, 2))
         if stats["is_frame"]:
             assert stats["is_riesz"]
 
@@ -788,18 +840,18 @@ class TestPerturbWindow:
 class TestDensitySweep:
     def test_row_count(self):
         w = sample_window("rational", 12)
-        rows = density_sweep(w)
+        rows = sweep_rows(density_sweep(w))
         assert len(rows) == 6 * 6  # divisors of 12: 1,2,3,4,6,12
 
     def test_delta_riesz_row(self):
-        rows = density_sweep(delta(4))
+        rows = sweep_rows(density_sweep(delta(4)))
         row = next(r for r in rows if (r["a"], r["b"]) == (1, 4))
         assert row["is_riesz"]
 
     def test_no_frame_above_critical_density(self):
         for gen in ("gaussian", "twoexp", "sech"):
             w = sample_window(gen, 6)
-            for row in density_sweep(w):
+            for row in sweep_rows(density_sweep(w)):
                 assert not (row["is_frame"] and row["a"] * row["b"] > 6)
 
     def test_desk_scale_cap(self):

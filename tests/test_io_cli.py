@@ -23,6 +23,7 @@ from frameforge.linalg import DEFAULT_RTOL
 from frameforge.schmidt import BipartiteShape, FSROperator
 from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
 from frameforge.verify import random_fsr_operator, suite_rng
+from sweep_table import sweep_rows
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -83,9 +84,10 @@ class TestRoundTrips:
         assert back.generator == "sech"
 
     def test_sweep_csv(self, tmp_path):
-        rows = gabor.density_sweep(gabor.sample_window("gaussian", 6))
+        table = gabor.density_sweep(gabor.sample_window("gaussian", 6))
+        rows = sweep_rows(table)
         path = tmp_path / "sweep.csv"
-        io.write_sweep_csv(path, rows)
+        io.write_sweep_csv(path, table)
         back = read_sweep_rows(path)
         assert len(back) == len(rows)
         for r1, r2 in zip(rows, back):
@@ -94,8 +96,9 @@ class TestRoundTrips:
             assert r1["A"] == float(r2["A"])
 
     def test_sweep_csv_bytes_match_dict_writer(self, tmp_path):
-        rows = gabor.density_sweep(gabor.sample_window("gaussian", 12))
-        io.write_sweep_csv(tmp_path / "sweep.csv", rows)
+        table = gabor.density_sweep(gabor.sample_window("gaussian", 12))
+        rows = sweep_rows(table)
+        io.write_sweep_csv(tmp_path / "sweep.csv", table)
         # csv.DictWriter dropping the rows' other keys: oracle for the field lists
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=io.SWEEP_FIELDS, extrasaction="ignore")
@@ -243,9 +246,20 @@ class TestEntryCodec:
         a = io.operator_from_dict({"rows": 0, "cols": 3, "entries": []})
         assert a.shape == (0, 3) and a.dtype == complex
 
-    def test_integer_and_boolean_entries_decode_as_numbers(self):
-        v = io.vector_from_dict({"dim": 3, "entries": [[1, 0], [True, False], [2**62 + 1, -3]]})
-        assert np.array_equal(bits(v), bits([complex(1, 0), complex(1, 0), complex(2**62 + 1, -3)]))
+    def test_integer_entries_decode_as_numbers(self):
+        v = io.vector_from_dict({"dim": 2, "entries": [[1, 0], [2**62 + 1, -3]]})
+        assert np.array_equal(bits(v), bits([complex(1, 0), complex(2**62 + 1, -3)]))
+
+    # numpy reads an all-boolean list as dtype bool, and a true or false among numbers as 1 or 0
+    @pytest.mark.parametrize("entries", [
+        [[True, False]], [[False, False]], [[1, 0], [True, False]], [[1, True], [0.5, False]],
+        [[1.5, True]], [[0, 2], [3, False]], [[0.0, 1.0], [1, 0], [False, 0]],
+    ])
+    def test_boolean_entries_are_value_errors(self, entries):
+        with pytest.raises(ValueError, match="entries must be"):
+            io.vector_from_dict({"dim": len(entries), "entries": entries})
+        with pytest.raises(ValueError, match="entries must be"):
+            io.operator_from_dict({"rows": len(entries), "cols": 1, "entries": entries})
 
     @pytest.mark.parametrize("entries", [
         [[1, "a"]], [["1.5", 0]], [[1, 2, 3]], [[1]], [[]], [[1, 2], [3]],
@@ -311,6 +325,27 @@ class TestLoaderBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert case != "deeply_nested" or str(path) in captured.err
+
+
+    @pytest.mark.parametrize("entries", ["[[true, false], [false, true]]", "[[1, true], [0.5, false]]"],
+                             ids=["all_boolean", "mixed"])
+    @pytest.mark.parametrize("command", ["decompose", "classify", "sweep"])
+    def test_boolean_entries_exit_2(self, tmp_path, capsys, command, entries):
+        # these decomposed to rank 1, classified as a Riesz basis and swept, all with exit 0
+        path = tmp_path / "in.json"
+        if command == "decompose":
+            path.write_text('{"rows": 2, "cols": 1, "entries": %s}' % entries)
+            argv = ["schmidt", "decompose", "--shape", "1,1,2,1", "--input", str(path)]
+        elif command == "classify":
+            path.write_text('{"space_dim": 2, "vectors": [{"dim": 2, "entries": %s}]}' % entries)
+            argv = ["frames", "classify", "--input", str(path)]
+        else:
+            path.write_text('{"dim": 2, "N": 2, "generator": null, "entries": %s}' % entries)
+            argv = ["gabor", "sweep", "--N", "2", "--window", f"file:{path}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "entries must be" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from frameforge.sequences import (
     concatenate,
     frame_operator,
     materialize,
+    scaled_bounds,
     tensor_sequences,
     two_term_disjunction_check,
     verify_main_theorem,
@@ -197,7 +198,7 @@ def single_classify_oracle(seq):
     """The single-sequence route: eigvalsh of frame_operator on 2**-e f_n."""
     e = linalg.max_exponent(seq.vectors)
     eig = np.linalg.eigvalsh(frame_operator(VectorSequence(linalg.times_power_of_two(seq.vectors, -e))))
-    return FrameReport.from_scaled_bounds(float(eig.min()), float(eig.max()), len(seq), seq.space_dim, 1, e, "")
+    return FrameReport(*scaled_bounds(float(eig.min()), float(eig.max()), len(seq), seq.space_dim, 1, e))
 
 
 def mixed_sequences(seed, n=40):
