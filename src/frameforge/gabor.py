@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, sequences
-from .errors import ConditionViolated, DimensionMismatch, NonFiniteData, OutOfFloatRange
+from .errors import ConditionViolated, DimensionMismatch, NonFiniteData
 from .linalg import as_cvector
 from .sequences import FrameReport, VectorSequence, classify
 
@@ -127,11 +127,8 @@ def gabor_atom(w: ZNWindow, a_shift, b_mod) -> np.ndarray:
     t = np.arange(w.N)
     a = np.asarray(a_shift % w.N)[..., None]
     b = np.asarray(b_mod % w.N)[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        atoms = np.exp(2j * np.pi * b * t / w.N) * w.g[(t - a) % w.N]
-    if not np.isfinite(atoms).all():
-        raise OutOfFloatRange("a time-frequency shift of the window has non-finite entries: it leaves the float range")
-    return atoms
+    return linalg.within_float_range(lambda: np.exp(2j * np.pi * b * t / w.N) * w.g[(t - a) % w.N],
+                                     "a time-frequency shift of the window")
 
 
 def _check_length(w: ZNWindow, lat: ZNLattice) -> None:
@@ -390,10 +387,8 @@ def perturb_window(w: ZNWindow, lat: ZNLattice, alpha: int, beta: int, c_phase: 
             f"need alpha*b = 0 and beta*a = 0 mod N; got alpha*b={alpha * lat.b}, "
             f"beta*a={beta * lat.a} mod {lat.N}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        h = w.g + np.exp(2j * np.pi * (c_phase % 1)) * gabor_atom(w, alpha, beta)
-    if not np.isfinite(h).all():
-        raise OutOfFloatRange("the perturbed window g + c M_beta T_alpha g leaves the float range")
+    h = linalg.within_float_range(lambda: w.g + np.exp(2j * np.pi * (c_phase % 1)) * gabor_atom(w, alpha, beta),
+                                  "the perturbed window g + c M_beta T_alpha g")
     rep = gabor_frame_report(ZNWindow(h), lat)
     lam_min, lam_max = rep.lower_bound, rep.bessel_bound
     return {

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteData, OutOfFloatRange
 
 # Relative tolerance for all rank / invertibility decisions, as a multiple of
 # the largest singular value.
@@ -122,14 +123,30 @@ def hermitian_extremes(stacks) -> list[tuple[float, float]]:
     return out
 
 
+def within_float_range(compute, what: str, *inputs):
+    """``compute()``, run with numpy's overflow and invalid-value warnings off, if its result is finite.
+    Else a NaN or inf entry of ``inputs`` raises ``NonFiniteData``, and if none, ``OutOfFloatRange``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if np.count_nonzero(np.isfinite(out)) == np.size(out):  # faster than .all() on small results
+        return out
+    if not all(np.isfinite(x).all() for x in inputs):
+        raise NonFiniteData(f"the input of {what} has non-finite entries (NaN or inf)")
+    raise OutOfFloatRange(f"{what} leaves the float range")
+
+
 def max_exponents(stack) -> np.ndarray:
-    """``max_exponent`` of each ``stack[i]``, as an int array over the leading axis."""
+    """The e with the largest real or imaginary part of 2**-e * stack[i] in [0.5, 1) for each i, 0 for a zero
+    item, as an int array over the leading axis.  An item with a NaN or inf raises ``NonFiniteData``."""
     parts = np.abs(np.ascontiguousarray(stack, dtype=complex).view(float))
-    return np.frexp(parts.reshape(len(parts), -1).max(axis=1))[1]
+    largest = parts.reshape(len(parts), -1).max(axis=1)
+    if not all(map(math.isfinite, largest.tolist())):  # on a few items, cheaper than one numpy reduction
+        raise NonFiniteData("a NaN or inf entry has no power-of-two scale")
+    return np.frexp(largest)[1]
 
 
 def max_exponent(a) -> int:
-    """The e with the largest real or imaginary part of 2**-e * a in [0.5, 1); 0 for a zero ``a``."""
+    """``max_exponents`` of ``a`` alone, as an int; a NaN or inf raises ``NonFiniteData``."""
     return int(max_exponents(np.asarray(a)[None])[0])
 
 

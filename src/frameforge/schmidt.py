@@ -152,12 +152,12 @@ def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
     """Subtract D_{u,v}(F) from F; drops the Schmidt rank by exactly one.
 
     Requires the pairing <F(u1 (x) u2), v1 (x) v2>, read off D_{u,v}(F) = (A, B)
-    as <A u1, v1>, to equal 1 up to ``PAIRING_TOL``.
+    as <A u1, v1>, to equal 1 up to ``PAIRING_TOL``; a NaN pairing fails the test.
     """
     f = _check_operator(f, shape)
     a, b = D_uv(f, u1, u2, v1, v2, shape)
     p = linalg.inner(a @ u1, v1)
-    if abs(p - 1.0) > PAIRING_TOL:
+    if not abs(p - 1.0) <= PAIRING_TOL:
         raise ConditionViolated(f"pairing is {p}, expected 1")
     return f - linalg.tensor_op(a, b)
 
@@ -280,9 +280,9 @@ def inverse_factors(fsr: FSROperator, inv, side: str, u1, u2, v1, v2) -> list[tu
     f = fsr.materialize()
     u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
     product = inv @ f if side == "left" else f @ inv
-    if np.linalg.norm(product - np.eye(shape.domain_dim)) > INVERSE_TOL * max(1.0, np.linalg.norm(f)):
+    if not np.linalg.norm(product - np.eye(shape.domain_dim)) <= INVERSE_TOL * max(1.0, np.linalg.norm(f)):
         raise ConditionViolated(f"given matrix is not a {side} inverse of F")
-    if abs(linalg.inner(u1, v1) - 1.0) > PAIRING_TOL or abs(linalg.inner(u2, v2) - 1.0) > PAIRING_TOL:
+    if not (abs(linalg.inner(u1, v1) - 1.0) <= PAIRING_TOL and abs(linalg.inner(u2, v2) - 1.0) <= PAIRING_TOL):
         raise ConditionViolated("need <u1, v1> = 1 and <u2, v2> = 1")
     if side == "left":
         return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]

@@ -85,13 +85,10 @@ def analysis_operator(seq: VectorSequence) -> np.ndarray:
 
 
 def frame_operator(seq: VectorSequence) -> np.ndarray:
-    """S = F* F, Hermitian positive semidefinite; with the vectors as rows V,
-    F = conj(V) and F* is the view V^T.  A non-finite S raises ``OutOfFloatRange``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = seq.vectors.T @ analysis_operator(seq)
-    if not np.isfinite(s).all():
-        raise OutOfFloatRange("the frame operator of a sequence leaves the float range")
-    return s
+    """S = F* F, Hermitian positive semidefinite; with the vectors as rows V, F = conj(V) and F* is the
+    view V^T.  S is unscaled: a NaN or inf raises ``NonFiniteData``, an overflow ``OutOfFloatRange``."""
+    v = seq.vectors
+    return linalg.within_float_range(lambda: v.T @ analysis_operator(seq), "the frame operator of a sequence", v)
 
 
 def classify(seq: VectorSequence) -> FrameReport:
@@ -108,54 +105,44 @@ def classify(seq: VectorSequence) -> FrameReport:
 def classify_all(seqs: list[VectorSequence]) -> list[FrameReport]:
     """``classify`` of each sequence, in order, solved together.
 
-    Each spectrum is taken on 2**-e f_n, e = ``linalg.max_exponent`` of the sequence's own
-    vectors, so their scale cannot over- or underflow it; A and B are scaled back.  The
-    sequences of one (count, dim) shape share one batched S = V^T conj(V), and
-    ``linalg.hermitian_extremes`` solves every S.  A non-finite S, or bounds beyond the float
-    range, raise ``OutOfFloatRange`` naming the first failing sequence in input order."""
+    Each spectrum is taken on 2**-e f_n, e = ``linalg.max_exponent`` of the sequence's own vectors,
+    so no entry of S exceeds 2 count; A and B are scaled back.  The sequences of one (count, dim)
+    shape share one batched S = V^T conj(V), and ``linalg.hermitian_extremes`` solves every S.  NaN
+    or inf raise ``NonFiniteData`` before any solve, and bounds beyond the float range raise
+    ``OutOfFloatRange`` naming the first failing sequence in input order."""
     by_shape: dict[tuple, list[int]] = {}
     for i, seq in enumerate(seqs):
         by_shape.setdefault(seq.vectors.shape, []).append(i)
     exps, ops = [0] * len(seqs), [None] * len(seqs)
-    bad = len(seqs)  # the first sequence whose S is not finite
     for idx in by_shape.values():
         v = np.array([seqs[i].vectors for i in idx])
         e = linalg.max_exponents(v)
         v = linalg.times_power_of_two(v, -e[:, None, None])
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = v.swapaxes(-1, -2) @ v.conj()
-        if not np.isfinite(s).all():
-            bad = min(bad, *(i for i, ok in zip(idx, np.isfinite(s).all(axis=(1, 2))) if not ok))
-        for i, ei, op in zip(idx, e.tolist(), s[:, None]):
+        for i, ei, op in zip(idx, e.tolist(), (v.swapaxes(-1, -2) @ v.conj())[:, None]):
             exps[i], ops[i] = ei, op
-    reports = [
+    return [
         FrameReport(*scaled_bounds(lo, hi, len(seq), seq.space_dim, 1, e, "of sequence {}", i))
-        for i, (seq, e, (lo, hi)) in enumerate(zip(seqs, exps, linalg.hermitian_extremes(ops[:bad])))
+        for i, (seq, e, (lo, hi)) in enumerate(zip(seqs, exps, linalg.hermitian_extremes(ops)))
     ]
-    if bad < len(seqs):
-        raise OutOfFloatRange(f"the frame operator of sequence {bad} leaves the float range")
-    return reports
 
 
 def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:
     """Multi-indexed family {f_{1,n_1} (x) ... (x) f_{d,n_d}}.
 
     Vectors are ordered lexicographically in the multi-index, matching the
-    package flattening convention.
-    """
+    package flattening convention.  An overflow raises ``OutOfFloatRange``."""
     if not seqs:
         raise DimensionMismatch("need at least one factor sequence")
-    return VectorSequence(linalg.kron_all([s.vectors for s in seqs]))
+    vs = [s.vectors for s in seqs]
+    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_all(vs), "a tensor product of sequences", *vs))
 
 
 def concatenate(seqs: list[VectorSequence]) -> VectorSequence:
     """Concatenation in group order; the frame operators add up."""
     if not seqs:
         raise DimensionMismatch("need at least one sequence")
-    dim = seqs[0].space_dim
-    for s in seqs:
-        if s.space_dim != dim:
-            raise DimensionMismatch("all sequences must share the ambient dimension")
+    if len({s.space_dim for s in seqs}) > 1:
+        raise DimensionMismatch("all sequences must share the ambient dimension")
     return VectorSequence(np.vstack([s.vectors for s in seqs]))
 
 
@@ -196,10 +183,8 @@ def build_minimal_sum(groups) -> MinimalSumSequence:
     for j, group in enumerate(groups):
         if len(group) != r:
             raise DimensionMismatch(f"group {j} has {len(group)} sequences, expected {r}")
-        n, m = len(group[0]), group[0].space_dim
-        for seq in group:
-            if len(seq) != n or seq.space_dim != m:
-                raise DimensionMismatch(f"sequences of group {j} must share length and dimension")
+        if len({seq.vectors.shape for seq in group}) > 1:
+            raise DimensionMismatch(f"sequences of group {j} must share length and dimension")
         flat = np.array([seq.vectors.ravel() for seq in group])
         if linalg.matrix_rank(flat) < r:
             raise DependentGroup(j)
@@ -210,12 +195,14 @@ def materialize(ms: MinimalSumSequence) -> VectorSequence:
     """Expand the minimal sum into the full family on the product space.
 
     Length is prod(N_j), dimension prod(m_j), lexicographic order over the
-    multi-index (n_1, ..., n_d).
-    """
-    out = np.zeros((int(np.prod(ms.lengths)), int(np.prod(ms.dims))), dtype=complex)
-    for k in range(ms.r):
-        out += linalg.kron_all([g[k].vectors for g in ms.groups])
-    return VectorSequence(out)
+    multi-index (n_1, ..., n_d).  An overflow raises ``OutOfFloatRange``."""
+    def expand() -> np.ndarray:
+        out = np.zeros((int(np.prod(ms.lengths)), int(np.prod(ms.dims))), dtype=complex)
+        for k in range(ms.r):
+            out += linalg.kron_all([g[k].vectors for g in ms.groups])
+        return out
+    vs = [s.vectors for g in ms.groups for s in g]
+    return VectorSequence(linalg.within_float_range(expand, "a minimal sum", *vs))
 
 
 def verify_main_theorem(ms: MinimalSumSequence) -> dict:

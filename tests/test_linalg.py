@@ -1,10 +1,11 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
 from frameforge import linalg
-from frameforge.errors import DimensionMismatch
+from frameforge.errors import DimensionMismatch, NonFiniteData, OutOfFloatRange
 from frameforge.linalg import (
     inner,
     op_norm_extremes,
@@ -171,6 +172,14 @@ class TestPowerOfTwoScaling:
     def test_zero_has_exponent_zero(self):
         assert linalg.max_exponent(np.zeros((2, 3))) == 0
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, complex(1, np.nan), complex(0, -np.inf)])
+    def test_non_finite_has_no_exponent(self, x):
+        a = np.array([[1e300, x], [0, 5e-324]], dtype=complex)
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            linalg.max_exponent(a)
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            linalg.max_exponents(np.stack([np.ones((2, 2)), a, np.zeros((2, 2))]))
+
     def test_a_stack_scales_each_item_by_its_own_exponent(self):
         rng = np.random.default_rng(4)
         stack = crandom(rng, 5, 3, 2) * np.array([1.0, 1e300, 1e-300, 0.0, -7.0])[:, None, None]
@@ -185,6 +194,32 @@ class TestPowerOfTwoScaling:
         rng = np.random.default_rng(3)
         b = crandom(rng, 3, 4).T  # not contiguous
         assert np.array_equal(linalg.times_power_of_two(linalg.times_power_of_two(b, -40), 40), b)
+
+
+class TestWithinFloatRange:
+    def test_finite_result_passes_through_unchanged(self):
+        a = np.array([1e308, -1e-320, 3j])
+        assert linalg.within_float_range(lambda: a, "a result", np.array([np.nan])) is a
+
+    @pytest.mark.parametrize("compute", [
+        lambda: np.array([1e200]) * np.array([1e200]),  # overflow
+        lambda: np.array([np.inf]) * 0.0,  # invalid
+        lambda: np.array([1e308 + 1e308j]) @ np.array([1e308 - 1e308j]),  # overflow in a product
+    ], ids=["overflow", "invalid", "matmul"])
+    def test_non_finite_result_of_finite_inputs_leaves_the_float_range(self, compute):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfFloatRange, match="^the test result leaves the float range$"):
+                linalg.within_float_range(compute, "the test result", np.ones(2), np.array(1e308))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_input_raises_non_finite_data(self, bad):
+        inputs = (np.ones(2), np.array([[0, bad]], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"^the input of the test result has non-finite entries \(NaN or inf\)$"
+            with pytest.raises(NonFiniteData, match=message):
+                linalg.within_float_range(lambda: inputs[1] * 2, "the test result", *inputs)
 
 
 def matrix_rank_rule(s, tol):

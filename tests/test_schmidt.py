@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from frameforge import schmidt
-from frameforge.errors import ConditionViolated, DimensionMismatch
+from frameforge.errors import ConditionViolated, DimensionMismatch, NonFiniteData
 from frameforge.linalg import (
     DEFAULT_RTOL,
     inner,
@@ -294,6 +296,10 @@ class TestDeflate:
         with pytest.raises(ConditionViolated, match="pairing is .*, expected 1"):
             deflate(f, E2[0], E2[0], E2[0], E2[0], SHAPE22)
 
+    def test_nan_pairing_fails(self):
+        with pytest.raises(ConditionViolated, match="pairing is .*, expected 1"):
+            deflate(np.eye(4), E2[0], E2[0], [np.nan, 0], E2[0], SHAPE22)
+
 
 class TestVectorLengths:
     """A vector whose length does not match the shape raises ``DimensionMismatch``."""
@@ -437,6 +443,18 @@ class TestReshuffleRank:
         assert np.linalg.norm(f - dec.materialize()) <= 1e-9 * np.linalg.norm(f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("decompose", [schmidt_decompose_deflation, reshuffle_rank])
+def test_non_finite_operator_raises_non_finite_data(decompose, bad):
+    # the scaling rule refuses it before any division or SVD
+    f = np.eye(4, dtype=complex)
+    f[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            decompose(f, SHAPE22)
+
+
 class TestSpansEqual:
     def test_two_decompositions_agree(self):
         rng = suite_rng(17, 0)
@@ -523,6 +541,20 @@ class TestInverseFactors:
         fsr = FSROperator(SHAPE22, ((E2, E2),))
         with pytest.raises(ConditionViolated, match="need <u1, v1> = 1 and <u2, v2> = 1"):
             inverse_factors(fsr, np.eye(4), "left", E2[0], E2[0], 2 * E2[0], E2[0])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_nan_inverse_fails(self, side):
+        inv = np.eye(4, dtype=complex)
+        inv[1, 2] = np.nan
+        with pytest.raises(ConditionViolated, match=f"not a {side} inverse of F"):
+            inverse_factors(FSROperator(SHAPE22, ((E2, E2),)), inv, side, E2[0], E2[0], E2[0], E2[0])
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_normalization_fails(self, position):
+        vectors = [E2[0]] * 4
+        vectors[position] = np.array([np.nan, 0])
+        with pytest.raises(ConditionViolated, match="need <u1, v1> = 1 and <u2, v2> = 1"):
+            inverse_factors(FSROperator(SHAPE22, ((E2, E2),)), np.eye(4), "left", *vectors)
 
     def test_not_a_right_inverse(self):
         fsr = FSROperator(SHAPE22, ((E2, E2), (X, X)))

@@ -1,13 +1,16 @@
+import contextlib
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from frameforge import linalg
-from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, OutOfFloatRange
+from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, NonFiniteData, OutOfFloatRange
 from frameforge.sequences import (
     FrameReport,
+    MinimalSumSequence,
     VectorSequence,
     analysis_operator,
     build_minimal_sum,
@@ -35,6 +38,18 @@ def onb(dim):
 MERCEDES = VectorSequence(
     np.array([[0.0, 1.0], [-np.sqrt(3) / 2, -0.5], [np.sqrt(3) / 2, -0.5]], dtype=complex)
 )
+
+# A NaN or inf in each part of an entry, for the routes that must refuse it as data.
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)]
+
+
+@contextlib.contextmanager
+def raises_without_warning(kind, match):
+    """``pytest.raises(kind, match=match)`` in which any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kind, match=match):
+            yield
 
 
 class TestOperators:
@@ -74,8 +89,13 @@ class TestOperators:
     @pytest.mark.parametrize("vectors", [[[1e308, 0]], [[1e308 + 1e308j, 1e200], [1, 1e-300]]])
     def test_frame_operator_outside_float_range_raises(self, vectors):
         # S overflows to inf or NaN; numpy's overflow warning would be an error here
-        with pytest.raises(OutOfFloatRange, match="float range"):
+        with raises_without_warning(OutOfFloatRange, "^the frame operator of a sequence leaves the float range$"):
             frame_operator(VectorSequence(np.array(vectors, dtype=complex)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_frame_operator_of_non_finite_vectors_raises_non_finite_data(self, bad):
+        with raises_without_warning(NonFiniteData, "frame operator of a sequence has non-finite entries"):
+            frame_operator(VectorSequence(np.array([[1e300, 0], [bad, 1]], dtype=complex)))
 
     def test_frame_operator_of_onb(self):
         np.testing.assert_allclose(frame_operator(onb(3)), np.eye(3))
@@ -181,6 +201,14 @@ class TestClassify:
         with pytest.raises(OutOfFloatRange, match="float range"):
             classify(VectorSequence(np.array(vectors, dtype=complex)))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entries_raise_non_finite_data(self, bad):
+        # the scaling rule refuses them before any product or solve
+        seq = VectorSequence(np.array([[1, 0], [0, bad]], dtype=complex))
+        for call in (classify, lambda s: classify_all([MERCEDES, s])):
+            with raises_without_warning(NonFiniteData, "NaN or inf"):
+                call(seq)
+
     def test_left_inverse_lower_bound_is_valid(self):
         # 1 / ||L||^2 <= A with equality for the Moore-Penrose left inverse
         from frameforge.linalg import op_norm
@@ -240,14 +268,22 @@ class TestClassifyAll:
     def test_error_names_first_failing_sequence_in_input_order(self):
         ok = MERCEDES
         overflow = VectorSequence(np.array([[1e308, 0]], dtype=complex))  # B overflows
-        nan = VectorSequence(np.array([[np.nan, 1], [0, 1]], dtype=complex))  # S is not finite
+        # B overflows too, in a (count, dim) shape batched with ok's rather than with overflow's
+        wide = VectorSequence(np.array([[1e300, 1e300], [0, 1], [1, 0]], dtype=complex))
+        nan = VectorSequence(np.array([[np.nan, 1], [0, 1]], dtype=complex))
         assert classify_all([ok, ok]) == [classify(ok)] * 2
         with pytest.raises(OutOfFloatRange, match="frame bounds of sequence 1 "):
-            classify_all([ok, overflow, nan])
-        with pytest.raises(OutOfFloatRange, match="frame operator of sequence 0 "):
-            classify_all([nan, ok, overflow])
-        with pytest.raises(OutOfFloatRange, match="frame operator of sequence 2 "):
-            classify_all([ok, ok, nan, overflow])
+            classify_all([ok, overflow, wide])
+        with pytest.raises(OutOfFloatRange, match="frame bounds of sequence 0 "):
+            classify_all([wide, ok, overflow])
+        with pytest.raises(OutOfFloatRange, match="frame bounds of sequence 2 "):
+            classify_all([ok, ok, wide, overflow])
+        with pytest.raises(OutOfFloatRange, match="frame bounds of sequence 2 "):
+            classify_all([ok, ok, overflow, wide])
+        # a NaN is data, not a result: it raises NonFiniteData wherever it stands
+        for seqs in ([ok, overflow, nan], [nan, ok, overflow], [ok, ok, nan, overflow]):
+            with pytest.raises(NonFiniteData, match="NaN or inf"):
+                classify_all(seqs)
 
 
 class TestTensorSequences:
@@ -274,6 +310,17 @@ class TestTensorSequences:
         assert not rep.is_frame
         assert rep.lower_bound == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_product_outside_float_range_raises(self, sign):
+        big = VectorSequence(np.array([[sign * 1e200, 0]], dtype=complex))
+        with raises_without_warning(OutOfFloatRange, "^a tensor product of sequences leaves the float range$"):
+            tensor_sequences([onb(2), big, big])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_factor_raises_non_finite_data(self, bad):
+        with raises_without_warning(NonFiniteData, "tensor product of sequences has non-finite entries"):
+            tensor_sequences([onb(2), VectorSequence(np.array([[bad, 0]], dtype=complex))])
+
 
 class TestMinimalSum:
     def groups(self):
@@ -291,6 +338,26 @@ class TestMinimalSum:
         with pytest.raises(DependentGroup, match="group 0 are linearly dependent") as err:
             build_minimal_sum([[e1, twice], self.groups()[1]])
         assert err.value.group_index == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_materialize_outside_float_range_raises(self, sign):
+        def row(*x):
+            return VectorSequence(np.array([x], dtype=complex))
+
+        big = sign * 1e200
+        products = build_minimal_sum([[row(big, 0), row(0, big)], [row(big, 0), row(0, big)]])  # each term overflows
+        huge = sign * 1e308
+        sums = build_minimal_sum([[row(huge, 0), row(huge, huge)], [row(1, 0), row(1, 1)]])  # only their sum overflows
+        for ms in (products, sums):
+            with raises_without_warning(OutOfFloatRange, "^a minimal sum leaves the float range$"):
+                materialize(ms)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_materialize_of_non_finite_components_raises_non_finite_data(self, bad):
+        e1, e2 = self.groups()[0]
+        ms = MinimalSumSequence(((e1, e2), (e2, VectorSequence(np.array([[1, bad], [0, 1]], dtype=complex)))))
+        with raises_without_warning(NonFiniteData, "minimal sum has non-finite entries"):
+            materialize(ms)
 
     def test_materialize_matches_defining_formula(self):
         ms = build_minimal_sum(self.groups())
