@@ -28,7 +28,7 @@ SWEEP_N = 120
 
 def main(out: pathlib.Path):
     out.mkdir(parents=True, exist_ok=True)
-    generators = ["gaussian", "twoexp", "sech", "rational"]
+    generators = gabor.WINDOW_GENERATORS
     kept = 0
     for idx, (n, a, b, alpha, beta, c_phase) in enumerate(PERTURB_INSTANCES):
         w = gabor.sample_window(generators[idx % len(generators)], n)

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = pg.add_subparsers(dest="subcommand", required=True)
     sw = gsub.add_parser("sweep")
     sw.add_argument("--N", type=int, required=True)
-    sw.add_argument("--window", default="gaussian", help="gaussian|twoexp|sech|rational|file:PATH")
+    sw.add_argument("--window", default="gaussian", help="|".join((*gabor.WINDOW_GENERATORS, "file:PATH")))
     sw.add_argument("--output")
     sw.set_defaults(fn=cmd_gabor_sweep)
     pt = gsub.add_parser("perturb")

@@ -100,8 +100,10 @@ def singular_value_rank(s, tol: float = DEFAULT_RTOL, scale: float = 0.0) -> int
 
 
 def matrix_rank(a) -> int:
-    """Rank by singular values above DEFAULT_RTOL * sigma_max."""
-    return singular_value_rank(np.linalg.svd(as_coperator(a), compute_uv=False))
+    """Rank by singular values above DEFAULT_RTOL * sigma_max, taken of 2**-e a, e = ``max_exponent(a)``:
+    exact scaling, so sigma_max cannot overflow; a NaN or inf raises ``NonFiniteData``, and an empty a ranks 0."""
+    a = as_coperator(a)
+    return singular_value_rank(np.linalg.svd(times_power_of_two(a, -max_exponent(a)), compute_uv=False))
 
 
 def hermitian_extremes(stacks) -> list[tuple[float, float]]:
@@ -137,9 +139,9 @@ def within_float_range(compute, what: str, *inputs):
 
 def max_exponents(stack) -> np.ndarray:
     """The e with the largest real or imaginary part of 2**-e * stack[i] in [0.5, 1) for each i, 0 for a zero
-    item, as an int array over the leading axis.  An item with a NaN or inf raises ``NonFiniteData``."""
+    or empty item, as an int array over the leading axis.  An item with a NaN or inf raises ``NonFiniteData``."""
     parts = np.abs(np.ascontiguousarray(stack, dtype=complex).view(float))
-    largest = parts.reshape(len(parts), -1).max(axis=1)
+    largest = parts.reshape(len(parts), -1).max(axis=1, initial=0.0)
     if not all(map(math.isfinite, largest.tolist())):  # on a few items, cheaper than one numpy reduction
         raise NonFiniteData("a NaN or inf entry has no power-of-two scale")
     return np.frexp(largest)[1]

@@ -127,13 +127,8 @@ def P_uv(f, g, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.nd
     """
     f, g = _check_operator(f, shape), _check_operator(g, shape)
     u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
-    b = np.einsum("i,ijcd,c->jd", v1.conj(), g.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u1)
-    return _first_factor(f, u2, v2, shape), b
-
-
-def _first_factor(f, u2, v2, shape: BipartiteShape) -> np.ndarray:
-    """The A of ``P_uv``: sum conj(v2[i2]) F4[:, i2, :, j2] u2[j2]."""
-    return np.einsum("j,ijcd,d->ic", v2.conj(), f.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u2)
+    a = np.einsum("j,ijcd,d->ic", v2.conj(), f.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u2)
+    return a, np.einsum("i,ijcd,c->jd", v1.conj(), g.reshape(shape.k1, shape.k2, shape.h1, shape.h2), u1)
 
 
 def D_uv(f, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
@@ -142,10 +137,8 @@ def D_uv(f, u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, np.ndarr
 
 
 def pairing(f, u1, u2, v1, v2, shape: BipartiteShape) -> complex:
-    """<F(u1 (x) u2), v1 (x) v2>, read as <A u1, v1> with A the first factor of ``P_uv``."""
-    f = _check_operator(f, shape)
-    u1, u2, v1, v2 = _check_vectors(u1, u2, v1, v2, shape)
-    return linalg.inner(_first_factor(f, u2, v2, shape) @ u1, v1)
+    """<F(u1 (x) u2), v1 (x) v2>, read as <A u1, v1> with (A, B) = ``D_uv(F)``, as ``deflate`` reads it."""
+    return linalg.inner(D_uv(f, u1, u2, v1, v2, shape)[0] @ as_cvector(u1), v1)
 
 
 def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:

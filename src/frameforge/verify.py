@@ -1,8 +1,8 @@
 """Seeded verification suites over random instances.
 
-Every suite draws from its own deterministic stream derived from the global
-seed and a fixed per-suite key, so suites are order-independent and two runs
-with the same seed produce identical reports.
+Every suite draws from its own deterministic stream, keyed by the global seed
+and the suite's position in ``SUITES``, so two runs with the same seed give
+identical reports.  New suites go at the end, or every later stream shifts.
 """
 
 from __future__ import annotations

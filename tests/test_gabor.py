@@ -662,13 +662,39 @@ class TestRankRWindow:
         assert err.value.group_index == 0
 
     def test_dependent_spec_is_one_kind_in_both_routes(self):
-        # T_2 of the flat window is the window itself, so factor 0's translates are dependent
-        spec = RankRWindowSpec(windows=(ZNWindow(np.ones(4)),), alphas=((0, 2),), betas=((0, 0),))
-        for build in (lambda: build_rank_r_window(spec),
-                      lambda: verify_rank_r_frame_implication(spec, [ZNLattice(4, 2, 2)])):
-            with pytest.raises(DependentGroup, match="group 0 are linearly dependent") as err:
-                build()
-            assert err.value.group_index == 0
+        rng = np.random.default_rng(9)
+        cases = [
+            # T_2 of the flat window is the window itself, so factor 0's translates are dependent
+            (RankRWindowSpec(windows=(ZNWindow(np.ones(4)),), alphas=((0, 2),), betas=((0, 0),)),
+             [ZNLattice(4, 2, 2)], 0),
+            # (2, 2) and (8, 2) are one shift pair on Z_6: factor 1 holds the same translate twice
+            (RankRWindowSpec(windows=(ZNWindow(crandom(rng, 6)), ZNWindow(crandom(rng, 6))),
+                             alphas=((0, 2), (2, 8)), betas=((0, 2), (2, 2))),
+             [ZNLattice(6, 2, 2)] * 2, 1),
+        ]
+        for spec, lats, j in cases:
+            for build in (lambda: build_rank_r_window(spec), lambda: verify_rank_r_frame_implication(spec, lats)):
+                with pytest.raises(DependentGroup, match=f"group {j} are linearly dependent") as err:
+                    build()
+                assert err.value.group_index == j
+
+    def test_per_factor_reports_match_one_report_per_factor(self):
+        # one gabor_frame_reports call solves the factors; each report equals its own call, exactly
+        rng = np.random.default_rng(12)
+        w6, w4 = ZNWindow(1e5 * crandom(rng, 6)), ZNWindow(1e-3 * crandom(rng, 4))
+        cases = [
+            (RankRWindowSpec((w6, w4), ((0, 2), (0, 2)), ((0, 3), (0, 2))), [ZNLattice(6, 2, 1), ZNLattice(4, 2, 2)]),
+            (RankRWindowSpec((w6, w6), ((0, 2), (0, 4)), ((0, 2), (2, 0))), [ZNLattice(6, 2, 2)] * 2),
+            (RankRWindowSpec((w4, w6, w4), ((0,), (0,), (2,)), ((0,), (0,), (0,))),
+             [ZNLattice(4, 1, 2), ZNLattice(6, 3, 2), ZNLattice(4, 2, 2)]),
+        ]
+        for spec, lats in cases:
+            report = verify_rank_r_frame_implication(spec, lats)
+            assert report["full"]["is_frame"]
+            want = [{**gabor_frame_report(w, lat).to_dict(), "ab_over_N": lat.density_ratio,
+                     "density_ok": lat.a * lat.b <= lat.N} for w, lat in zip(spec.windows, lats)]
+            assert report["per_factor"] == want
+            assert report["all_factors_frames"] is all(f["is_frame"] and f["density_ok"] for f in want)
 
     def test_frame_implication_on_z6(self):
         rng = np.random.default_rng(10)

@@ -160,6 +160,20 @@ class TestMatrixRank:
 
     def test_empty(self):
         assert linalg.matrix_rank(np.zeros((0, 3))) == linalg.matrix_rank(np.zeros((3, 0))) == 0
+        assert linalg.matrix_rank(np.zeros((0, 0))) == 0
+
+    @pytest.mark.parametrize("x", [1e308, 5e-324])
+    def test_ranks_at_any_magnitude(self, x):
+        # the SVD of the unscaled [[x, x], [x, -x]] overflows at 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.matrix_rank(x * np.array([[1, 1], [1, -1]])) == 2
+            assert linalg.matrix_rank(x * np.array([[1, 1], [1, 1]])) == 1
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_raises_non_finite_data(self, x):
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            linalg.matrix_rank(np.array([[x, 0], [0, 1]]))
 
 
 class TestPowerOfTwoScaling:
@@ -171,6 +185,10 @@ class TestPowerOfTwoScaling:
 
     def test_zero_has_exponent_zero(self):
         assert linalg.max_exponent(np.zeros((2, 3))) == 0
+
+    def test_empty_item_has_exponent_zero(self):
+        assert linalg.max_exponent(np.zeros((0, 3))) == 0
+        assert linalg.max_exponents(np.zeros((2, 0, 3))).tolist() == [0, 0]
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, complex(1, np.nan), complex(0, -np.inf)])
     def test_non_finite_has_no_exponent(self, x):

@@ -259,6 +259,11 @@ class TestPairing:
             got = schmidt.pairing(f, u1, u2, v1, v2, shape)
             assert abs(got - pairing_on_flat_operator(f, u1, u2, v1, v2)) <= 1e-13 * cap
 
+    def test_is_read_off_the_first_factor_of_D_uv(self):
+        for shape, f, u1, u2, v1, v2 in random_pairing_cases(21, 300):
+            a, _ = D_uv(f, u1, u2, v1, v2, shape)
+            assert schmidt.pairing(f, u1, u2, v1, v2, shape) == inner(a @ u1, v1)
+
 
 class TestDeflate:
     # pairings on both sides of PAIRING_TOL, then one far from 1
@@ -487,6 +492,15 @@ class TestSpansEqual:
         for side in (1, 2):
             assert spans_equal(dec.terms, canon.terms, side)
             assert spans_equal([], [], side)
+
+    def test_equal_spans_near_the_float_max(self):
+        t = [(1e308 * np.eye(2), np.eye(2))]
+        assert spans_equal(t, t, 1) and spans_equal(t, t, 2)
+
+    def test_non_finite_factor_raises_non_finite_data(self):
+        t = [(np.eye(2), np.eye(2))]
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            spans_equal([(np.full((2, 2), np.nan), np.eye(2))], t, 1)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(20)

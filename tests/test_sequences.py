@@ -339,6 +339,16 @@ class TestMinimalSum:
             build_minimal_sum([[e1, twice], self.groups()[1]])
         assert err.value.group_index == 0
 
+    def test_independent_group_near_the_float_max_is_accepted(self):
+        big = VectorSequence(1e308 * np.array([[1, 1], [1, -1]], dtype=complex))
+        ms = build_minimal_sum([[big, VectorSequence(1e308 * np.eye(2))]])
+        assert ms.d == 1 and ms.r == 2
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_component_raises_non_finite_data(self, bad):
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            build_minimal_sum([[VectorSequence(np.array([[bad, 0]], dtype=complex))]])
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_materialize_outside_float_range_raises(self, sign):
         def row(*x):
