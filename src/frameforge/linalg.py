@@ -77,12 +77,17 @@ def kron_all(arrays) -> np.ndarray:
 
 
 def op_norm_extremes(a) -> tuple[float, float]:
-    """Largest and smallest singular values of a nonempty matrix."""
+    """Largest and smallest singular values of a nonempty matrix, taken of 2**-e a as ``matrix_rank`` does and
+    scaled back: a NaN or inf raises ``NonFiniteData``, a norm past the float max ``OutOfFloatRange``."""
     a = as_coperator(a)
     if a.size == 0:
         raise DimensionMismatch("empty matrix has no singular values")
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[0]), float(s[-1])
+    e = max_exponent(a)
+    s = np.linalg.svd(times_power_of_two(a, -e), compute_uv=False)
+    try:
+        return math.ldexp(float(s[0]), e), math.ldexp(float(s[-1]), e)
+    except OverflowError:
+        raise OutOfFloatRange("the operator norm leaves the float range") from None
 
 
 def op_norm(a) -> float:

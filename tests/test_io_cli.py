@@ -210,14 +210,28 @@ class TestEntryCodec:
             assert np.array_equal(bits(a), bits(a0)) and np.array_equal(bits(b), bits(b0))
 
     def test_save_json_is_one_compact_line(self, tmp_path):
+        # every value of SPECIAL, and 1e-05 and 1e+16 in orjson's spelling
+        x = np.append(SPECIAL, 1e-5 + 1e16j)
         path = tmp_path / "x.json"
-        payload = io.operator_to_dict(crandom(np.random.default_rng(33), 4, 4))
-        io.save_json(path, payload)
-        text = path.read_text()
-        assert text == json.dumps(payload) + "\n"
-        assert json.loads(text) == payload
+        io.save_json(path, io.vector_to_dict(x))
+        assert path.read_bytes() == (
+            b'{"dim":8,"entries":[[-0.0,0.0],[0.0,-0.0],[5e-324,-5e-324],[7.41691286169067e-309,1.0],'
+            b'[1e308,-1e308],[-1.7976931348623157e308,1.7976931348623157e308],'
+            b'[0.3333333333333333,-0.6666666666666666],[0.00001,1e16]]}\n'
+        )
+        for loaded in (json.loads(path.read_text()), io.load_json(path)):
+            assert np.array_equal(bits(io.vector_from_dict(loaded)), bits(x))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_window_without_generator_writes_null(self, tmp_path):
+        w = gabor.ZNWindow(crandom(np.random.default_rng(35), 4))
+        path = tmp_path / "w.json"
+        io.save_json(path, io.window_to_dict(w))
+        assert b'"generator":null' in path.read_bytes()
+        back = io.window_from_dict(io.load_json(path))
+        assert back.generator is None and np.array_equal(bits(back.g), bits(w.g))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                     np.array([1.0, np.inf]), 2**64, -(2**63) - 1])
     def test_save_json_refuses_non_finite_and_keeps_the_file(self, tmp_path, bad):
         path = tmp_path / "x.json"
         path.write_text("kept\n")
@@ -1058,6 +1072,15 @@ class TestVerifyCommand:
 
     def test_zero_trials(self):
         assert cli.main(["verify", "all", "--seed", "3", "--trials", "0"]) == 2
+
+    def test_seed_beyond_64_bits_in_the_report_exits_2(self, tmp_path, capsys):
+        # JSON files hold integers of at most 64 bits; the suites run, then writing the report fails
+        path = tmp_path / "r.json"
+        assert cli.main(["verify", "all", "--seed", str(2**64), "--trials", "1", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not path.exists()
 
     def test_seed_7_makes_at_most_500_eigvalsh_calls(self, tmp_path, monkeypatch, capsys):
         # the solves no draw's retry depends on go to the stacked eigen core in batches

@@ -150,6 +150,32 @@ class TestOpNormExtremes:
         assert smax == pytest.approx(np.sqrt(eigs[-1]), abs=1e-9)
         assert smin == pytest.approx(np.sqrt(eigs[0]), abs=1e-9)
 
+    def test_equals_the_unscaled_svd_in_the_normal_range(self):
+        rng = np.random.default_rng(12)
+        for scale in (1e-100, 1e-3, 1.0, 7.0, 1e100):
+            for shape in ((1, 1), (3, 5), (6, 2), (8, 8)):
+                a = scale * crandom(rng, *shape)
+                s = np.linalg.svd(a, compute_uv=False)
+                assert op_norm_extremes(a) == (float(s[0]), float(s[-1]))
+
+    @pytest.mark.parametrize("x", [1e308, 5e-324])
+    def test_finite_norms_at_any_magnitude(self, x):
+        # both singular values of [[x, x], [x, -x]] are sqrt(2) x, finite at the float max and at a subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hi, lo = op_norm_extremes(x * np.array([[1, 1], [1, -1]]))
+        assert (hi, lo) == pytest.approx((np.sqrt(2) * x,) * 2, rel=1e-15 if x > 1 else 0.5)
+
+    def test_norm_past_the_float_max_is_out_of_float_range(self):
+        # the norm 3e308 of 1.5e308 * ones((2, 2)) came back as (inf, 0.0)
+        with pytest.raises(OutOfFloatRange, match="operator norm"):
+            op_norm_extremes(1.5e308 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_raises_non_finite_data(self, x):
+        with pytest.raises(NonFiniteData, match="NaN or inf"):
+            op_norm_extremes(np.array([[x, 0], [0, 1]]))
+
 
 class TestMatrixRank:
     def test_zero(self):
