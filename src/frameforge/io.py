@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import operator
 
 import numpy as np
 import orjson
@@ -54,12 +54,10 @@ def _finite_entries(d, kind: str) -> np.ndarray:
     if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"{kind} file entries must be a list of [re, im] pairs of numbers")
     parts = np.ascontiguousarray(pairs, dtype=float)
-    # numpy reads a true or false among numbers as 1 or 0, so only a part equal to 0 or 1 can hide one;
-    # a column of them, such as the imaginary parts of a real file, is type-checked without indexing
-    for j, hits in enumerate(((parts == 0) | (parts == 1)).T):
-        rows = raw if hits.all() else map(raw.__getitem__, np.flatnonzero(hits).tolist())
-        if bool in set(map(type, map(operator.itemgetter(j), rows))):
-            raise ValueError(f"{kind} file entries must be numbers, not the booleans true and false")
+    # numpy reads a true or false among numbers as 1 or 0, so only a pair holding a 0 or 1 can hide one
+    hits = np.flatnonzero(((parts == 0) | (parts == 1)).view(np.uint16)).tolist()
+    if bool in map(type, itertools.chain.from_iterable(map(raw.__getitem__, hits))):
+        raise ValueError(f"{kind} file entries must be numbers, not the booleans true and false")
     entries = parts.view(complex).reshape(-1)
     if not np.isfinite(entries).all():
         raise NonFiniteData(f"{kind} file has non-finite entries (NaN or inf)")
@@ -133,15 +131,16 @@ def window_from_dict(d) -> ZNWindow:
 
 def save_json(path, payload) -> None:
     """Write ``payload`` as one compact line of JSON through ``orjson``: floats in the shortest text that
-    round-trips bit for bit (``0.00001`` and ``1e16`` where ``json`` writes ``1e-05`` and ``1e+16``).  NaN
-    and inf, which it writes as ``null``, and integers beyond 64 bits raise ``ValueError`` before the file
-    is opened.  ``load_json`` reads with ``json``, because ``orjson.loads`` has no nesting limit."""
+    round-trips bit for bit (``0.00001`` and ``1e16`` where ``json`` writes ``1e-05`` and ``1e+16``).  What
+    ``orjson`` cannot write, such as an integer beyond 64 bits, goes through ``json.dumps``.  NaN and inf,
+    which ``orjson`` writes as ``null``, raise ``ValueError`` before the file is opened.  ``load_json``
+    reads with ``json``, because ``orjson.loads`` has no nesting limit."""
     try:
         data = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
-    except orjson.JSONEncodeError as exc:
-        raise ValueError(f"{path}: cannot write as JSON: {exc}") from None
+    except orjson.JSONEncodeError:
+        data = (json.dumps(payload, allow_nan=False) + "\n").encode()
     if b"null" in data:  # a None, or a NaN or inf, which json.dumps refuses
-        json.dumps(payload, allow_nan=False, default=operator.methodcaller("tolist"))
+        json.dumps(payload, allow_nan=False)
     with open(path, "wb") as fh:
         fh.write(data)
 
