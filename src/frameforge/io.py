@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -15,6 +17,10 @@ from .schmidt import FSROperator
 from .sequences import VectorSequence
 
 SWEEP_FIELDS = list(SWEEP_COLUMNS[:-1])  # every column of a sweep but density_ok
+_MAX_FAST_DEPTH = 256  # orjson.loads has no nesting limit: 200,000 levels crash the process
+_NOT_STRUCTURAL = bytes(b for b in range(256) if b not in b'[]{}"')
+_DEPTH_STEP = np.array([(b in b"[{") - (b in b"]}") for b in range(256)], np.int8)
+_DIGIT_RUNS = bytes(ord("0") if b in b"0123456789" else ord(" ") for b in range(256))
 
 
 def _entries_to_list(a) -> list:
@@ -133,8 +139,7 @@ def save_json(path, payload) -> None:
     """Write ``payload`` as one compact line of JSON through ``orjson``: floats in the shortest text that
     round-trips bit for bit (``0.00001`` and ``1e16`` where ``json`` writes ``1e-05`` and ``1e+16``).  What
     ``orjson`` cannot write, such as an integer beyond 64 bits, goes through ``json.dumps``.  NaN and inf,
-    which ``orjson`` writes as ``null``, raise ``ValueError`` before the file is opened.  ``load_json``
-    reads with ``json``, because ``orjson.loads`` has no nesting limit."""
+    which ``orjson`` writes as ``null``, raise ``ValueError`` before the file is opened."""
     try:
         data = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
     except orjson.JSONEncodeError:
@@ -145,13 +150,33 @@ def save_json(path, payload) -> None:
         fh.write(data)
 
 
+def _orjson_reads_as_json(data: bytes) -> bool:
+    """Whether ``orjson.loads(data)`` returns or raises as ``json.loads`` does: ``data`` has no backslash, nests
+    at most ``_MAX_FAST_DEPTH`` deep and has no integer of 19 digits or more, which orjson may read as a float."""
+    marks = np.frombuffer(data.translate(None, _NOT_STRUCTURAL), np.uint8)
+    steps = _DEPTH_STEP[marks]
+    steps[np.logical_xor.accumulate(marks == ord('"')) & (steps < 0)] = 0  # a ] or } in a string closes nothing
+    if b"\\" in data or np.cumsum(steps, dtype=np.int32).max(initial=0) > _MAX_FAST_DEPTH:
+        return False
+    digits, end = data.translate(_DIGIT_RUNS), 0
+    while (start := digits.find(b"0" * 19, end)) >= 0:
+        end = digits.find(b" ", start) % (len(data) + 1)  # a run that ends the file ends at len(data)
+        if data[start - 1:start] != b"." and data[end:end + 1] not in (b".", b"e", b"E"):  # not a float
+            return False
+    return True
+
+
 def load_json(path):
-    """The JSON value in file ``path``; nesting too deep to parse is a ``ValueError``."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    """The JSON value in file ``path``, parsed by ``orjson`` if ``_orjson_reads_as_json`` holds and it parses,
+    else by ``json``, so errors are ``json``'s; nesting too deep to parse is a ``ValueError``."""
+    data = Path(path).read_bytes()
+    if _orjson_reads_as_json(data):
+        with contextlib.suppress(ValueError):  # orjson's error (NaN, 1e400, bad UTF-8): json reads or names it
+            return orjson.loads(data)
+    try:
+        return json.loads(data.decode())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def write_sweep_csv(path, table) -> None:

@@ -326,6 +326,28 @@ NON_INTEGER_HEADER = {
 }
 
 
+# Files nested too deeply for orjson.loads, which must reach json instead.  orjson
+# 3.8.3 crashes the process when it builds the values of a complete file 200,000
+# levels deep (100,000 still parse); it refuses an incomplete one first.  The
+# string cases hide 300,000 closing brackets in a string, so a depth count that
+# let them close, or that missed the escaped quote, would pass the nesting after.
+CRASH_INPUTS = {
+    "deep_closed": "[" * 200_000 + "]" * 200_000,
+    "deep_unclosed": "[" * 200_000,
+    "deep_objects": '{"a":' * 200_000,
+    "deep_objects_closed": '{"a":' * 200_000 + "1" + "}" * 200_000,
+    "closes_then_opens": "]" * 100_000 + "[" * 200_000,
+    "closes_in_a_string": '["' + "]" * 300_000 + '",' + "[" * 200_000 + "]" * 200_001,
+    "closes_after_an_escaped_quote": '["\\"' + "]" * 300_000 + '",' + "[" * 200_000 + "]" * 200_001,
+}
+# Bytes json cannot decode, made from a valid file's text, and the error each gives.
+UNDECODABLE = {
+    "utf8_bom": (lambda text: b"\xef\xbb\xbf" + text, "Unexpected UTF-8 BOM"),
+    "invalid_utf8": (lambda text: text[:-1] + b', "note": "\xff"}', "can't decode byte 0xff"),
+    "encoded_surrogate": (lambda text: text[:-1] + b', "note": "\xed\xa0\x80"}', "can't decode byte 0xed"),
+}
+
+
 class TestLoaderBoundary:
     @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
     @pytest.mark.parametrize("case", ["top_level_list", "non_integer_header", "deeply_nested", *BAD_ENTRIES])
@@ -366,6 +388,41 @@ class TestLoaderBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "entries must be" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
+    @pytest.mark.parametrize("case", sorted(CRASH_INPUTS))
+    def test_nesting_orjson_cannot_parse_exits_2(self, tmp_path, command, case):
+        path = tmp_path / "in.json"
+        path.write_text(CRASH_INPUTS[case])
+        result = run_cli([*INPUT_LAYOUTS[command][1], "--input", str(path)], timeout=60)
+        assert result.returncode == 2, result.stderr[-300:]  # a crash is a negative return code
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "beyond_limit"])
+    def test_valid_files_at_the_fast_depth_limit(self, tmp_path, command, extra):
+        # orjson reads the first and json the second; both are lists, as json has always read them
+        depth = io._MAX_FAST_DEPTH + extra
+        path = tmp_path / "in.json"
+        path.write_text("[" * depth + "]" * depth)
+        result = run_cli([*INPUT_LAYOUTS[command][1], "--input", str(path)])
+        kind = {"classify": "sequence", "decompose": "operator"}[command]
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: expected a JSON object for the {kind}, got list\n"
+
+    @pytest.mark.parametrize("command", sorted(INPUT_LAYOUTS))
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_bytes_exit_2(self, tmp_path, capsys, command, case):
+        layout, argv = INPUT_LAYOUTS[command]
+        corrupt, message = UNDECODABLE[case]
+        path = tmp_path / "in.json"
+        path.write_bytes(corrupt((layout % "[[1, 0]]").encode()))
+        assert cli.main([*argv, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -518,6 +575,80 @@ class TestFuzzedFiles:
             assert "float range" in err, err
         else:
             json.loads(out, parse_constant=reject_constant)
+
+
+def same_as_json(path) -> bool:
+    """Whether ``io.load_json(path)`` equals ``json.loads`` of the file with the same type at every node.
+    ``repr`` tells an int from a float and one float's bits from another's (any NaN reads as ``nan``)."""
+    return repr(io.load_json(path)) == repr(json.loads(path.read_text(encoding="utf-8")))
+
+
+# Digit runs of 19 digits or more, which orjson may read as a float, in values
+# and in file texts: integers at the 64-bit edges, floats with long runs, a bare
+# number touching both ends of the file, digits in strings, and halfway cases.
+DIGIT_RUN_VALUES = [
+    1234567890123456789, -1234567890123456789, 12345678901234567890, -12345678901234567890,
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, -(2**64), 10**400,
+    [1234567890123456789, 0.5, -12345678901234567890], {"12345678901234567890": "-12345678901234567890"},
+]
+DIGIT_RUN_TEXTS = [
+    "12345678901234567890", "-1234567890123456789", "1234567890123456789.5", "[1234567890123456789.5]",
+    "0.0012345678901234567", "[0.0012345678901234567, 12345678901234567890e-5, 1234567890123456789E2]",
+    '["12345678901234567890", {"a": "1234567890123456789012"}]',
+    "[1.00000000000000011102230246251565404236316680908203125, "
+    "1.00000000000000011102230246251565404236316680908203126, 9007199254740993.0]",
+    "[2.2250738585072011e-308, 2.4703282292062328e-324, 1.7976931348623158e308, 1e-400]",
+    "[1e400, -1e400, NaN, -Infinity, 1e1234567890123456789]",
+]
+
+
+class TestReaderParity:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_load_json_reads_what_json_reads(self, tmp_path_factory, value):
+        self.check_both_writers(tmp_path_factory.getbasetemp() / "parity.json", value)
+
+    @pytest.mark.parametrize("value", DIGIT_RUN_VALUES, ids=lambda v: repr(v)[:24])
+    def test_digit_run_values(self, tmp_path, value):
+        self.check_both_writers(tmp_path / "parity.json", value)
+
+    @pytest.mark.parametrize("text", DIGIT_RUN_TEXTS)
+    def test_digit_run_texts(self, tmp_path, text):
+        path = tmp_path / "parity.json"
+        path.write_text(text)
+        assert same_as_json(path)
+
+    @pytest.mark.parametrize("text, fast", [
+        ('{"rows": 1, "cols": 2, "entries": [[0.5, -1e-07], [1e+16, 0.0012345678901234567]]}', True),
+        ("[1234567890123456789.5, 1234567890123456789e2, -123456789012345678]", True),
+        ('["]]]]", [[1]], "{{"]', True),
+        ("[" * 256 + "]" * 256, True),
+        ("", True),
+        ("[" * 257 + "]" * 257, False),
+        ('"' + "[" * 257 + '"', False),  # every [ counts, so the depth is an upper bound
+        ("12345678901234567890", False),
+        ("[-1234567890123456789]", False),
+        ('["\\u00e9"]', False),
+    ])
+    def test_fast_path_check(self, text, fast):
+        assert io._orjson_reads_as_json(text.encode()) is fast
+
+    def test_operator_files_take_the_fast_path(self, tmp_path):
+        path = tmp_path / "op.json"
+        d = io.operator_to_dict(crandom(np.random.default_rng(36), 16, 16))
+        io.save_json(path, d)
+        assert io._orjson_reads_as_json(path.read_bytes())
+        assert io._orjson_reads_as_json(json.dumps(d).encode())
+
+    @staticmethod
+    def check_both_writers(path, value):
+        path.write_text(json.dumps(value))
+        assert same_as_json(path)
+        try:
+            io.save_json(path, value)
+        except ValueError:  # NaN and inf, which save_json refuses
+            return
+        assert same_as_json(path)
 
 
 def reject_constant(name):
@@ -1082,7 +1213,8 @@ class TestVerifyCommand:
     def test_seed_beyond_64_bits_is_written_to_the_report(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         assert cli.main(["verify", "all", "--seed", str(2**64), "--trials", "1", "--report", str(path)]) == 0
-        assert io.load_json(path)["seed"] == 2**64
+        seed = io.load_json(path)["seed"]
+        assert type(seed) is int and seed == 2**64
 
     def test_seed_7_makes_at_most_500_eigvalsh_calls(self, tmp_path, monkeypatch, capsys):
         # the solves no draw's retry depends on go to the stacked eigen core in batches
