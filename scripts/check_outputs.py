@@ -13,9 +13,9 @@ The runs: ``verify all --trials 50`` at seeds 0-3 and 7 and at the six op
 seeds of the ``verify_suites`` benchmark at seed 1; ``gabor sweep`` at
 N in {12, 120, 840, 1024} for every sampled window; ``schmidt decompose`` of
 256x256 operators of planted Schmidt rank 8, 32 and 128 with both methods;
-``frames verify-main`` at three shapes; ``gabor perturb`` on the 12 instances
-of ``verify.PERTURB_INSTANCES``; ``frames classify`` of a seeded sequence;
-and the four demos.
+``frames verify-main`` at four shapes, one of them a single factor;
+``gabor perturb`` on the 12 instances of ``verify.PERTURB_INSTANCES``;
+``frames classify`` of a seeded sequence; and the four demos.
 """
 
 import argparse
@@ -37,7 +37,7 @@ from frameforge import cli, gabor, verify  # noqa: E402
 VERIFY_SEEDS = (0, 1, 2, 3, 7, 755165, 511819, 950461, 473186, 144159, 34852)
 SWEEP_NS = (12, 120, 840, 1024)
 SCHMIDT_RANKS, SCHMIDT_DIMS = (8, 32, 128), (16, 16, 16, 16)  # h1, h2, k1, k2
-VERIFY_MAIN_SHAPES = (("2,2", "3,3", 2), ("2,3", "4,5", 1), ("2,2,2", "3,3,3", 3))
+VERIFY_MAIN_SHAPES = (("2,2", "3,3", 2), ("2,3", "4,5", 1), ("2,2,2", "3,3,3", 3), ("4", "6", 2))
 
 
 def entries(z) -> list:

@@ -21,6 +21,7 @@ _MAX_FAST_DEPTH = 256  # orjson.loads has no nesting limit: 200,000 levels crash
 _NOT_STRUCTURAL = bytes(b for b in range(256) if b not in b'[]{}"')
 _DEPTH_STEP = np.array([(b in b"[{") - (b in b"]}") for b in range(256)], np.int8)
 _DIGIT_RUNS = bytes(ord("0") if b in b"0123456789" else ord(" ") for b in range(256))
+_DEPTH_CHUNK = 1 << 20  # marks per step of the depth count: its arrays take about 9 bytes a mark, about 9 MiB a step
 
 
 def _entries_to_list(a) -> list:
@@ -153,11 +154,16 @@ def save_json(path, payload) -> None:
 def _orjson_reads_as_json(data: bytes) -> bool:
     """Whether ``orjson.loads(data)`` returns or raises as ``json.loads`` does: ``data`` has no backslash, nests
     at most ``_MAX_FAST_DEPTH`` deep and has no integer of 19 digits or more, which orjson may read as a float."""
-    marks = np.frombuffer(data.translate(None, _NOT_STRUCTURAL), np.uint8)
-    steps = _DEPTH_STEP[marks]
-    steps[np.logical_xor.accumulate(marks == ord('"')) & (steps < 0)] = 0  # a ] or } in a string closes nothing
-    if b"\\" in data or np.cumsum(steps, dtype=np.int32).max(initial=0) > _MAX_FAST_DEPTH:
+    if b"\\" in data:
         return False
+    marks, depth, in_string = np.frombuffer(data.translate(None, _NOT_STRUCTURAL), np.uint8), 0, False
+    for chunk in (marks[i:i + _DEPTH_CHUNK] for i in range(0, len(marks), _DEPTH_CHUNK)):
+        steps, inside = _DEPTH_STEP[chunk], np.logical_xor.accumulate(chunk == ord('"')) ^ in_string
+        steps[inside & (steps < 0)] = 0  # a ] or } in a string closes nothing
+        walk, in_string = np.cumsum(steps, dtype=np.int32), inside[-1]
+        if depth + int(walk.max()) > _MAX_FAST_DEPTH:
+            return False
+        depth += int(walk[-1])
     digits, end = data.translate(_DIGIT_RUNS), 0
     while (start := digits.find(b"0" * 19, end)) >= 0:
         end = digits.find(b" ", start) % (len(data) + 1)  # a run that ends the file ends at len(data)

@@ -65,15 +65,15 @@ def tensor_op(a, b) -> np.ndarray:
     return _kron(as_coperator(a), as_coperator(b))
 
 
-def kron_all(arrays) -> np.ndarray:
-    """Kronecker product of a nonempty list of vectors or of matrices, left to right.
-
-    For row matrices V_j of shape (N_j, m_j), row (n_1, ..., n_d) of the
-    result (flattened in the package convention) is the tensor product
-    V_1[n_1] (x) ... (x) V_d[n_d]; for vectors it is their tensor product.
-    A single array is returned as it is, not copied.
-    """
-    return functools.reduce(_kron, arrays)
+def kron_sum(terms) -> np.ndarray:
+    """sum_k X_{1,k} (x) ... (x) X_{d,k} as a new array, for a nonempty iterable of terms, each a tuple of d
+    vectors or d matrices.  For row matrices V_{j,k} of shape (N_j, m_j), row (n_1, ..., n_d) of the result
+    (package flattening) is sum_k V_{1,k}[n_1] (x) ... (x) V_{d,k}[n_d].  The terms add in order onto 0, in
+    place, so one product at a time is alive beside the result."""
+    out = 0
+    for term in terms:
+        out += functools.reduce(_kron, term)
+    return out
 
 
 def op_norm_extremes(a) -> tuple[float, float]:

@@ -70,7 +70,9 @@ class FSROperator:
         return len(self.terms)
 
     def materialize(self) -> np.ndarray:
-        """sum_k A_k (x) B_k as one contraction over k of the stacked factors."""
+        """sum_k A_k (x) B_k as one BLAS contraction over k of the stacked factors.  ``linalg.kron_sum``'s sum
+        in term order rounds otherwise, which moves three ``worst_*`` fields of every ``verify all`` report,
+        and at r = 128 on 16x16 factors takes over ten times as long (about 30 ms against 2 ms, 2 vCPUs)."""
         s = self.shape
         if not self.terms:
             return np.zeros((s.codomain_dim, s.domain_dim), dtype=complex)

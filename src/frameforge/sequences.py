@@ -134,7 +134,7 @@ def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:
     if not seqs:
         raise DimensionMismatch("need at least one factor sequence")
     vs = [s.vectors for s in seqs]
-    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_all(vs), "a tensor product of sequences", *vs))
+    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_sum([vs]), "a tensor product of sequences", *vs))
 
 
 def concatenate(seqs: list[VectorSequence]) -> VectorSequence:
@@ -196,13 +196,8 @@ def materialize(ms: MinimalSumSequence) -> VectorSequence:
 
     Length is prod(N_j), dimension prod(m_j), lexicographic order over the
     multi-index (n_1, ..., n_d).  An overflow raises ``OutOfFloatRange``."""
-    def expand() -> np.ndarray:
-        out = np.zeros((int(np.prod(ms.lengths)), int(np.prod(ms.dims))), dtype=complex)
-        for k in range(ms.r):
-            out += linalg.kron_all([g[k].vectors for g in ms.groups])
-        return out
-    vs = [s.vectors for g in ms.groups for s in g]
-    return VectorSequence(linalg.within_float_range(expand, "a minimal sum", *vs))
+    vs = [[s.vectors for s in g] for g in ms.groups]
+    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_sum(zip(*vs)), "a minimal sum", *sum(vs, [])))
 
 
 def verify_main_theorem(ms: MinimalSumSequence) -> dict:

@@ -633,12 +633,54 @@ class TestReaderParity:
     def test_fast_path_check(self, text, fast):
         assert io._orjson_reads_as_json(text.encode()) is fast
 
+    @pytest.mark.parametrize("opens, fast", [(255, True), (256, False)])
+    def test_string_that_opens_across_a_chunk_end(self, tmp_path, opens, fast):
+        # the quote is the last mark of the first chunk, so the ] in the string are the next chunk's first
+        pad = "[]," * ((io._DEPTH_CHUNK - 2) // 2)
+        text = "[" + pad + '"' + "]" * 300 + '", ' + "[" * opens + "]" * opens + "]"
+        assert 1 + 2 * len(pad) // 3 == io._DEPTH_CHUNK - 1
+        self.check_verdict(tmp_path, text, fast)
+
+    @pytest.mark.parametrize("opens, fast", [(255, True), (256, False)])
+    def test_depth_257_reached_across_a_chunk_end(self, tmp_path, opens, fast):
+        # the deepest nest opens 99 marks before the first chunk ends, and its 257th level in the next chunk
+        pad = "[]," * ((io._DEPTH_CHUNK - 100) // 2)
+        text = "[" + pad + "[" * opens + "]" * opens + "]"
+        assert 1 + 2 * len(pad) // 3 == io._DEPTH_CHUNK - 99
+        self.check_verdict(tmp_path, text, fast)
+
     def test_operator_files_take_the_fast_path(self, tmp_path):
         path = tmp_path / "op.json"
         d = io.operator_to_dict(crandom(np.random.default_rng(36), 16, 16))
         io.save_json(path, d)
         assert io._orjson_reads_as_json(path.read_bytes())
         assert io._orjson_reads_as_json(json.dumps(d).encode())
+
+    def test_deep_brackets_stay_within_memory(self, tmp_path):
+        # the depth count runs in chunks, so a file of brackets costs about its own size twice, not ten times
+        path = tmp_path / "brackets.json"
+        path.write_bytes(b"[" * 20_000_000)
+        code = (
+            "import resource, sys\n"
+            "from frameforge import io\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    io.load_json(sys.argv[1])\n"
+            "except ValueError:\n"
+            "    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 0 and proc.stdout, proc.stderr
+        assert int(proc.stdout) < 64, f"peak RSS rose by {proc.stdout.strip()} MB"
+
+    @staticmethod
+    def check_verdict(tmp_path, text, fast):
+        assert io._orjson_reads_as_json(text.encode()) is fast
+        path = tmp_path / "parity.json"
+        path.write_text(text)
+        assert same_as_json(path)
 
     @staticmethod
     def check_both_writers(path, value):

@@ -40,7 +40,7 @@ def test_detects_kron_uses():
         "b = functools.reduce(np.kron, arrays)\n"
         "c = numpy.kron(x, y)\n"
         "d = _kron(x, y)  # the package's own helper\n"
-        "e = linalg.kron_all([x, y])\n"
+        "e = linalg.kron_sum([(x, y)])\n"
         "'''np.kron in a docstring'''\n"
     )
     assert kron_uses(source) == [2, 3, 4, 5]

@@ -117,7 +117,7 @@ class TestKron:
         a, b = crandom(rng, *sa), crandom(rng, *sb)
         want = np.kron(a, b)
         assert np.array_equal(linalg._kron(a, b), want)
-        assert np.array_equal(linalg.kron_all([a, b]), want)
+        assert np.array_equal(linalg.kron_sum([(a, b)]), want)
         public = tensor_vec if a.ndim == 1 else tensor_op
         assert np.array_equal(public(a, b), want)
 
@@ -127,12 +127,45 @@ class TestKron:
     def test_chain_of_row_matrices_equals_np_kron(self, dims, lens):
         rng = np.random.default_rng(13)
         rows = [crandom(rng, n, m) for m, n in zip(dims, lens)]
-        assert np.array_equal(linalg.kron_all(rows), functools.reduce(np.kron, rows))
+        assert np.array_equal(linalg.kron_sum([rows]), functools.reduce(np.kron, rows))
 
     def test_chain_of_vectors_equals_np_kron(self):
         rng = np.random.default_rng(14)
         vecs = [crandom(rng, n) for n in (2, 1, 3, 2)]
-        assert np.array_equal(linalg.kron_all(vecs), functools.reduce(np.kron, vecs))
+        assert np.array_equal(linalg.kron_sum([vecs]), functools.reduce(np.kron, vecs))
+
+
+def kron_sum_by_loop(terms):
+    """Reference: zeros of the result's shape plus one ``np.kron`` chain per term, in order."""
+    prods = [functools.reduce(np.kron, term) for term in terms]
+    out = np.zeros(prods[0].shape, dtype=complex)
+    for prod in prods:
+        out += prod
+    return out
+
+
+def random_terms(rng, d, r, vectors):
+    """r terms of d factors: vectors of lengths 1-4, or matrices of 1-4 rows and 1-3 columns."""
+    shapes = [(int(rng.integers(1, 5)),) if vectors else (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+              for _ in range(d)]
+    return [tuple(crandom(rng, *shape) for shape in shapes) for _ in range(r)]
+
+
+@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "matrices"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+class TestKronSum:
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_equals_np_kron_loop(self, d, r, vectors):
+        rng = np.random.default_rng(10 * d + r)
+        for _ in range(5):
+            terms = random_terms(rng, d, r, vectors)
+            assert np.array_equal(linalg.kron_sum(terms), kron_sum_by_loop(terms))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_result_shares_no_memory_with_an_input(self, d, r, vectors):
+        terms = random_terms(np.random.default_rng(20 * d + r), d, r, vectors)
+        out = linalg.kron_sum(iter(terms))
+        assert not any(np.shares_memory(out, x) for term in terms for x in term)
 
 
 class TestOpNormExtremes:

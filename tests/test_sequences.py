@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frameforge import linalg
+from frameforge import linalg, schmidt
 from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, NonFiniteData, OutOfFloatRange
 from frameforge.sequences import (
     FrameReport,
@@ -321,6 +321,12 @@ class TestTensorSequences:
         with raises_without_warning(NonFiniteData, "tensor product of sequences has non-finite entries"):
             tensor_sequences([onb(2), VectorSequence(np.array([[bad, 0]], dtype=complex))])
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_product_is_a_new_array(self, count):
+        seqs = [VectorSequence(crandom(np.random.default_rng(count), 3, 2)) for _ in range(count)]
+        prod = tensor_sequences(seqs)
+        assert not any(np.shares_memory(prod.vectors, s.vectors) for s in seqs)
+
 
 class TestMinimalSum:
     def groups(self):
@@ -461,6 +467,33 @@ class TestKroneckerMatchesRowLoop:
         for lengths, dims in random_shapes(rng, d, r):
             seqs = [VectorSequence(crandom(rng, n, m)) for n, m in zip(lengths, dims)]
             assert np.array_equal(tensor_sequences(seqs).vectors, tensor_by_rows(seqs))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimal_sum_is_a_schmidt_rank_r_operator(seed):
+    """A d = 2 minimal sum's family matrix is the FSR operator sum_k V_{1,k} (x) V_{2,k} on
+    BipartiteShape(m_1, m_2, N_1, N_2), of Schmidt rank r exactly when both groups are independent."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        dims = [int(m) for m in rng.integers(2, 5, size=2)]
+        lengths = [m + int(rng.integers(0, 3)) for m in dims]
+        r = int(rng.integers(1, 4))
+        vs = [[crandom(rng, n, m) for _ in range(r)] for n, m in zip(lengths, dims)]
+        if r > 1 and rng.random() < 0.5:  # plant a dependent group: its last term mixes the others
+            j = int(rng.integers(2))
+            vs[j][-1] = sum(c * v for c, v in zip(crandom(rng, r - 1), vs[j][:-1]))
+        shape = schmidt.BipartiteShape(dims[0], dims[1], lengths[0], lengths[1])
+        fsr = schmidt.FSROperator(shape, tuple(zip(*vs)))
+        rank = schmidt.reshuffle_rank(fsr.materialize(), shape)[0]
+        groups = [[VectorSequence(v) for v in g] for g in vs]
+        try:
+            ms = build_minimal_sum(groups)
+        except DependentGroup:
+            assert rank < r
+            continue
+        assert rank == r
+        f, want = materialize(ms).vectors, fsr.materialize()
+        assert np.linalg.norm(f - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestConcatenate:
