@@ -15,7 +15,12 @@ N in {12, 120, 840, 1024} for every sampled window; ``schmidt decompose`` of
 256x256 operators of planted Schmidt rank 8, 32 and 128 with both methods;
 ``frames verify-main`` at four shapes, one of them a single factor;
 ``gabor perturb`` on the 12 instances of ``verify.PERTURB_INSTANCES``;
-``frames classify`` of a seeded sequence; and the four demos.
+``frames classify`` of a seeded sequence; and the four demos.  Two library
+checks with no command are called directly and their reports written as
+JSON: ``sequences.two_term_disjunction_check`` on seeded
+``verify.branch1_minimal_sum`` and ``verify.branch3_minimal_sum`` draws, and
+``gabor.verify_rank_r_frame_implication`` on the fixed lattice-aligned d = 2
+specs of ``RANK_R_SPECS``.
 """
 
 import argparse
@@ -32,12 +37,21 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from frameforge import cli, gabor, verify  # noqa: E402
+from frameforge import cli, gabor, sequences, verify  # noqa: E402
 
 VERIFY_SEEDS = (0, 1, 2, 3, 7, 755165, 511819, 950461, 473186, 144159, 34852)
 SWEEP_NS = (12, 120, 840, 1024)
 SCHMIDT_RANKS, SCHMIDT_DIMS = (8, 32, 128), (16, 16, 16, 16)  # h1, h2, k1, k2
 VERIFY_MAIN_SHAPES = (("2,2", "3,3", 2), ("2,3", "4,5", 1), ("2,2,2", "3,3,3", 3), ("4", "6", 2))
+DISJUNCTION_DRAWS = 4  # per draw kind
+# (window generators, lattices (N, a, b), alphas[j][k], betas[j][k]): shifts are multiples of (a_j, b_j)
+RANK_R_SPECS = (
+    (("gaussian", "sech"), ((6, 2, 2), (4, 2, 1)), ((0,), (2,)), ((2,), (0,))),
+    (("twoexp", "gaussian"), ((4, 4, 2), (4, 2, 2)), ((0,), (2,)), ((2,), (2,))),  # 8 atoms in C^16: no claim
+    (("gaussian", "twoexp"), ((6, 2, 1), (4, 1, 2)), ((0, 2), (0, 1)), ((0, 1), (0, 2))),
+    (("sech", "rational"), ((8, 2, 2), (6, 3, 2)), ((0, 2), (0, 3)), ((0, 2), (0, 2))),
+    (("gaussian", "twoexp"), ((6, 2, 2), (4, 2, 2)), ((0, 2), (0, 2)), ((0, 2), (0, 2))),  # not a frame
+)
 
 
 def entries(z) -> list:
@@ -55,7 +69,8 @@ def run(out: pathlib.Path, name: str, argv: list[str]) -> None:
 
 
 def main(out: pathlib.Path) -> None:
-    dirs = {d: out / d for d in ("inputs", "verify", "sweep", "schmidt", "verify_main", "perturb", "classify", "demos")}
+    dirs = {d: out / d for d in ("inputs", "verify", "sweep", "schmidt", "verify_main", "perturb", "classify", "demos",
+                                 "library")}
     for d in dirs.values():
         d.mkdir(parents=True, exist_ok=True)
 
@@ -100,6 +115,19 @@ def main(out: pathlib.Path) -> None:
     seq_path = dirs["inputs"] / "sequence.json"
     seq_path.write_text(json.dumps({"space_dim": 4, "vectors": [{"dim": 4, "entries": entries(v)} for v in vectors]}))
     run(dirs["classify"], "sequence", ["frames", "classify", "--input", str(seq_path)])
+
+    rng = verify.suite_rng(3, 0)
+    for i in range(DISJUNCTION_DRAWS):
+        for kind, draw in (("branch1", verify.branch1_minimal_sum), ("branch3", verify.branch3_minimal_sum)):
+            ms, _ = draw(rng)
+            report = sequences.two_term_disjunction_check(ms)
+            (dirs["library"] / f"disjunction_{kind}_{i}.json").write_text(json.dumps(report, indent=2) + "\n")
+
+    for i, (gens, lats, alphas, betas) in enumerate(RANK_R_SPECS):
+        lattices = [gabor.ZNLattice(*lat) for lat in lats]
+        windows = tuple(gabor.sample_window(gen, lat.N) for gen, lat in zip(gens, lattices))
+        report = gabor.verify_rank_r_frame_implication(gabor.RankRWindowSpec(windows, alphas, betas), lattices)
+        (dirs["library"] / f"rank_r_{i}.json").write_text(json.dumps(report, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):

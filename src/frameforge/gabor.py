@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg, sequences
 from .errors import ConditionViolated, DimensionMismatch, NonFiniteData
 from .linalg import as_cvector
-from .sequences import FrameReport, VectorSequence, classify
+from .sequences import FrameReport, VectorSequence
 
 _PROFILES = {  # the continuous profile u(t) of each window generator, in the order of WINDOW_GENERATORS
     "gaussian": lambda t: np.exp(-np.abs(t) ** 2),
@@ -329,9 +329,9 @@ def build_rank_r_window(spec: RankRWindowSpec) -> ZNWindow:
 def verify_rank_r_frame_implication(spec: RankRWindowSpec, lattices: list[ZNLattice]) -> dict:
     """Frame implication for rank-r windows with lattice-aligned shifts.
 
-    Requires alpha[j][k] = 0 mod a_j and beta[j][k] = 0 mod b_j.  If the
-    d-dimensional system is a frame, each 1-d system G(g_j, a_j, b_j) must be
-    a frame and a_j * b_j <= N_j.
+    Requires alpha[j][k] = 0 mod a_j and beta[j][k] = 0 mod b_j.  Extends ``sequences.verify_main_theorem``'s
+    report on the minimal sum of the 1-d systems G(M_beta T_alpha g_j, a_j, b_j): if it is a frame, each
+    G(g_j, a_j, b_j) must be a frame and a_j * b_j <= N_j (``per_factor``).
     """
     if len(lattices) != spec.d:
         raise DimensionMismatch("need one lattice per factor")
@@ -342,12 +342,9 @@ def verify_rank_r_frame_implication(spec: RankRWindowSpec, lattices: list[ZNLatt
                     f"factor {j} term {k}: shifts ({spec.alphas[j][k]}, {spec.betas[j][k]}) "
                     f"are not multiples of (a, b)=({lat.a}, {lat.b})"
                 )
-    # group (j, k): the 1-d Gabor system of the k-th modulated translate of g_j
     groups = [[gabor_system(w, lat) for w in spec.modulated_translates(j)] for j, lat in enumerate(lattices)]
-    full = classify(sequences.materialize(sequences.build_minimal_sum(groups)))
-    report: dict = {"full": full.to_dict(), "d": spec.d, "r": spec.r}
-    if not full.is_frame:
-        report["claim"] = "no claim"
+    report = sequences.verify_main_theorem(sequences.build_minimal_sum(groups))
+    if not report["full"]["is_frame"]:
         return report
     reports = gabor_frame_reports(list(zip(spec.windows, lattices)))
     density = [lat.a * lat.b <= lat.N for lat in lattices]

@@ -204,9 +204,10 @@ def verify_main_theorem(ms: MinimalSumSequence) -> dict:
     """Check the frame implication for a minimal sum of tensor products.
 
     Classifies the materialized family.  If it is a frame, every group's
-    concatenation over k must be a frame; per-group spectral extremes are
-    reported.  For r = 1 the product bounds must equal the products of the
-    component bounds (both directions of the rank-one equivalence).
+    concatenation over k must be a frame; one ``classify_all`` reports each
+    concatenation, ``per_group[j]``, and component, ``per_component[j][k]``.
+    For r = 1 the product bounds must equal the products of the component
+    bounds (both directions of the rank-one equivalence).
     """
     full = classify(materialize(ms))
     report: dict = {"full": full.to_dict(), "r": ms.r, "d": ms.d}
@@ -214,8 +215,10 @@ def verify_main_theorem(ms: MinimalSumSequence) -> dict:
         report["claim"] = "no claim"
         return report
     report["claim"] = "every concatenated group must be a frame"
-    per_group = classify_all([concatenate(list(g)) for g in ms.groups])
+    reps = classify_all([concatenate(list(g)) for g in ms.groups] + [s for g in ms.groups for s in g])
+    per_group, comps = reps[:ms.d], iter(reps[ms.d:])
     report["per_group"] = [rep.to_dict() for rep in per_group]
+    report["per_component"] = [[next(comps).to_dict() for _ in g] for g in ms.groups]
     report["all_groups_frames"] = all(rep.is_frame for rep in per_group)
     if ms.r == 1:
         # a one-sequence group concatenates to itself: per_group holds the component reports
@@ -234,26 +237,25 @@ def verify_main_theorem(ms: MinimalSumSequence) -> dict:
 
 
 def two_term_disjunction_check(ms: MinimalSumSequence) -> dict:
-    """For r = 2 frame sums, verify the three-branch disjunction.
+    """For r = 2 frame sums, ``verify_main_theorem``'s report and the branch
+    of the three-branch disjunction that holds.
 
     Either the first pure tensor family is a frame (branch 1), or the second
-    is (branch 2), or some factor index i can be dropped from both groups so
-    that every remaining component sequence is a frame (branch 3).
+    is (branch 2), or some factor index i (``dropped_index``) can be dropped from
+    both groups so that every remaining ``per_component`` is a frame (branch 3).
     """
     if ms.r != 2:
         raise ConditionViolated(f"disjunction check needs r = 2, got r = {ms.r}")
-    full = classify(materialize(ms))
-    report: dict = {"full": full.to_dict()}
-    if not full.is_frame:
+    report = verify_main_theorem(ms)
+    if not report["full"]["is_frame"]:
         report["branch"] = None
-        report["claim"] = "no claim"
         return report
-    for k in (0, 1):
-        if classify(tensor_sequences([g[k] for g in ms.groups])).is_frame:
+    for k, pure in enumerate(classify_all([tensor_sequences(list(term)) for term in zip(*ms.groups)])):
+        if pure.is_frame:
             report["branch"] = k + 1
             return report
     # index i can be dropped iff every other group has only frame components
-    bad = [j for j, g in enumerate(ms.groups) if not all(classify(s).is_frame for s in g)]
+    bad = [j for j, comps in enumerate(report["per_component"]) if not all(c["is_frame"] for c in comps)]
     if len(bad) <= 1:
         report["branch"] = 3
         report["dropped_index"] = bad[0] if bad else 0

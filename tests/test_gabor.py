@@ -750,6 +750,35 @@ def rank_r_window_by_terms(spec):
     return total
 
 
+def test_rank_r_components_match_the_zak_factor_reports():
+    # With aligned shifts every atom of G(M_beta T_alpha g_j, a_j, b_j) is a unimodular multiple of an atom
+    # of G(g_j, a_j, b_j), so the main theorem's dense per_component[j][k] has the bounds of per_factor[j]
+    rng = np.random.default_rng(31)
+    frames = 0
+    for _ in range(40):
+        r = int(rng.integers(1, 4))
+        windows, lats, alphas, betas = [], [], [], []
+        for n in rng.choice([4, 6, 8], size=2):
+            pairs = [(a, b) for a in gabor.divisors(n) for b in gabor.divisors(n) if a * b <= n]
+            lat = ZNLattice(int(n), *pairs[rng.integers(len(pairs))])
+            points = rng.choice(lat.count, size=r, replace=False)  # r distinct lattice points (m, l)
+            alphas.append(tuple(int(lat.a * (p // (n // lat.b))) for p in points))
+            betas.append(tuple(int(lat.b * (p % (n // lat.b))) for p in points))
+            windows.append(ZNWindow(2.0 ** int(rng.integers(-20, 21)) * crandom(rng, int(n))))
+            lats.append(lat)
+        report = verify_rank_r_frame_implication(RankRWindowSpec(tuple(windows), tuple(alphas), tuple(betas)), lats)
+        if not report["full"]["is_frame"]:
+            continue
+        frames += 1
+        for comps, factor in zip(report["per_component"], report["per_factor"], strict=True):
+            assert len(comps) == r
+            for comp in comps:
+                assert abs(comp["A"] - factor["A"]) <= 1e-13 * factor["B"]
+                assert abs(comp["B"] - factor["B"]) <= 1e-13 * factor["B"]
+                assert (comp["is_frame"], comp["is_riesz"]) == (factor["is_frame"], factor["is_riesz"])
+    assert frames >= 30
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rank_r_window_matches_term_loop(d, r):

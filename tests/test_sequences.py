@@ -534,6 +534,24 @@ class TestVerifyMainTheorem:
         assert report["rank_one_check"]["bounds_multiply"]
         assert report["rank_one_check"]["all_components_frames"]
 
+    def test_component_reports_are_their_own_classify(self):
+        # group j scaled by 2**e_j with sum_j e_j = 0 keeps the family but gives every group and
+        # component its own exponent; one classify_all call must still give each the bits of its own call
+        rng = np.random.default_rng(44)
+        for t in range(24):
+            d, r = 2 + t % 2, 1 + t % 3
+            dims = [int(m) for m in rng.integers(2, 4, size=d)]
+            ms, _ = random_frame_minimal_sum(rng, dims, [m + int(rng.integers(0, 3)) for m in dims], r)
+            exps = [int(e) for e in rng.integers(-60, 61, size=d - 1)]
+            exps.append(-sum(exps))
+            ms = build_minimal_sum([[VectorSequence(2.0**e * s.vectors) for s in g] for e, g in zip(exps, ms.groups)])
+            report = verify_main_theorem(ms)
+            assert report["full"]["is_frame"]
+            assert report["per_component"] == [[classify(s).to_dict() for s in g] for g in ms.groups]
+            concatenated = [concatenate(list(g)) for g in ms.groups]
+            assert report["per_group"] == [rep.to_dict() for rep in classify_all(concatenated)]
+            assert report["per_group"] == [classify(c).to_dict() for c in concatenated]
+
     def test_non_frame_gives_no_claim(self):
         line1 = VectorSequence(np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex))
         line2 = VectorSequence(np.array([[0.0, 1.0], [0.0, 3.0]], dtype=complex))
@@ -558,6 +576,18 @@ class TestTwoTermDisjunction:
         # cross components must classify as frames
         for k in (0, 1):
             assert classify(ms.groups[0][k]).is_frame
+
+    def test_a_component_out_of_float_range_raises(self):
+        # every term (1e160 f_k) (x) (1e-160 g_k) is in range, and the first pure family is a frame, but a
+        # component of group 0 has B ~ 1e320; the check classifies every group and component, so it raises
+        rng = np.random.default_rng(14)
+        groups = [[VectorSequence(scale * crandom(rng, 3, 2)) for _ in range(2)] for scale in (1e160, 1e-160)]
+        ms = build_minimal_sum(groups)
+        assert classify(materialize(ms)).is_frame
+        assert classify(tensor_sequences([g[0] for g in ms.groups])).is_frame
+        for check in (verify_main_theorem, two_term_disjunction_check):
+            with pytest.raises(OutOfFloatRange, match=r"of sequence 0 with largest part ~2\*\*\d+ leave"):
+                check(ms)
 
     def test_wrong_rank(self):
         rng = np.random.default_rng(12)
