@@ -12,7 +12,8 @@ as plain JSON, so both versions read the same bytes.
 The runs: ``verify all --trials 50`` at seeds 0-3 and 7 and at the six op
 seeds of the ``verify_suites`` benchmark at seed 1; ``gabor sweep`` at
 N in {12, 120, 840, 1024} for every sampled window; ``schmidt decompose`` of
-256x256 operators of planted Schmidt rank 8, 32 and 128 with both methods;
+256x256 operators of planted Schmidt rank 8, 32 and 128 with both methods, and with both methods of a
+real-valued operator (every imaginary part 0) and of one with integer entries, both of planted rank 8;
 ``frames verify-main`` at four shapes, one of them a single factor;
 ``gabor perturb`` on the 12 instances of ``verify.PERTURB_INSTANCES``;
 ``frames classify`` of a seeded sequence; and the four demos.  Two library
@@ -87,18 +88,28 @@ def main(out: pathlib.Path) -> None:
             run(dirs["sweep"], f"N{n}_{gen}", ["gabor", "sweep", "--N", str(n), "--window", gen, "--output", str(csv_path)])
 
     h1, h2, k1, k2 = SCHMIDT_DIMS
-    rng = np.random.default_rng(1)
-    for r in SCHMIDT_RANKS:
-        a = rng.standard_normal((r, k1, h1)) + 1j * rng.standard_normal((r, k1, h1))
-        b = rng.standard_normal((r, k2, h2)) + 1j * rng.standard_normal((r, k2, h2))
-        f = np.einsum("kac,kbd->abcd", a, b).reshape(k1 * k2, h1 * h2)  # sum_k A_k (x) B_k: Schmidt rank r
-        op_path = dirs["inputs"] / f"op_rank{r}.json"
-        op_path.write_text(json.dumps({"rows": k1 * k2, "cols": h1 * h2, "entries": entries(f)}))
+
+    def decompose(stem: str, op_entries: list) -> None:
+        op_path = dirs["inputs"] / f"op_{stem}.json"
+        op_path.write_text(json.dumps({"rows": k1 * k2, "cols": h1 * h2, "entries": op_entries}))
         for method in ("deflate", "svd"):
-            name = f"rank{r}_{method}"
+            name = f"{stem}_{method}"
             run(dirs["schmidt"], name, ["schmidt", "decompose", "--input", str(op_path), "--shape",
                                         ",".join(map(str, SCHMIDT_DIMS)), "--method", method,
                                         "--output", str(dirs["schmidt"] / f"{name}.json")])
+
+    def planted(rng, r, draw):
+        """sum_k A_k (x) B_k as a (k1 k2) x (h1 h2) matrix, of Schmidt rank r, factors drawn by ``draw``."""
+        a, b = draw(rng, (r, k1, h1)), draw(rng, (r, k2, h2))
+        return np.einsum("kac,kbd->abcd", a, b).reshape(k1 * k2, h1 * h2)
+
+    rng = np.random.default_rng(1)
+    for r in SCHMIDT_RANKS:
+        decompose(f"rank{r}", entries(planted(rng, r, lambda g, s: g.standard_normal(s) + 1j * g.standard_normal(s))))
+    rng = np.random.default_rng(4)
+    decompose("real_rank8", entries(planted(rng, 8, lambda g, s: g.standard_normal(s))))
+    ints = planted(rng, 8, lambda g, s: g.integers(-3, 4, size=s))
+    decompose("int_rank8", [[int(x), 0] for x in ints.ravel()])  # JSON integers, as a user may write them
 
     for dims, lens, rank in VERIFY_MAIN_SHAPES:
         run(dirs["verify_main"], f"dims{dims}_lens{lens}_rank{rank}",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import re
 import sys
@@ -191,7 +192,13 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        return args.fn(args)
+        collecting = gc.isenabled()
+        gc.disable()  # a command builds no reference cycles, so passes over its many new containers free nothing
+        try:
+            return args.fn(args)
+        finally:
+            if collecting:
+                gc.enable()
     except (OSError, ValueError, MemoryError, FrameForgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -55,17 +55,17 @@ def _field(d, kind: str, name: str, json_type: type):
 
 def _finite_entries(d, kind: str) -> np.ndarray:
     """Complex entries of a vector or operator file; booleans, NaN and inf are data errors."""
-    pairs = np.asarray(raw := _field(d, kind, "entries", list))
-    if pairs.shape == (0,):
-        pairs = pairs.reshape(0, 2)
-    if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+    raw = _field(d, kind, "entries", list)
+    try:  # one flat list of the parts spares numpy's nested-list discovery; a number or null has no len
+        parts = np.array(flat := list(itertools.chain.from_iterable(raw))) if set(map(len, raw)) <= {2} else None
+    except TypeError:
+        parts = None
+    if parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 1:  # two characters or keys fail here
         raise ValueError(f"{kind} file entries must be a list of [re, im] pairs of numbers")
-    parts = np.ascontiguousarray(pairs, dtype=float)
-    # numpy reads a true or false among numbers as 1 or 0, so only a pair holding a 0 or 1 can hide one
-    hits = np.flatnonzero(((parts == 0) | (parts == 1)).view(np.uint16)).tolist()
-    if bool in map(type, itertools.chain.from_iterable(map(raw.__getitem__, hits))):
+    # numpy reads a true or false among numbers as 1 or 0, so only a part equal to 0 or 1 can be one
+    if bool in map(type, map(flat.__getitem__, np.flatnonzero((parts == 0) | (parts == 1)).tolist())):
         raise ValueError(f"{kind} file entries must be numbers, not the booleans true and false")
-    entries = parts.view(complex).reshape(-1)
+    entries = parts.astype(float, copy=False).view(complex)
     if not np.isfinite(entries).all():
         raise NonFiniteData(f"{kind} file has non-finite entries (NaN or inf)")
     return entries

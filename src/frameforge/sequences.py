@@ -215,13 +215,13 @@ def verify_main_theorem(ms: MinimalSumSequence) -> dict:
         report["claim"] = "no claim"
         return report
     report["claim"] = "every concatenated group must be a frame"
-    reps = classify_all([concatenate(list(g)) for g in ms.groups] + [s for g in ms.groups for s in g])
-    per_group, comps = reps[:ms.d], iter(reps[ms.d:])
+    groups = [concatenate(list(g)) for g in ms.groups] if ms.r > 1 else []  # at r = 1 a group is its component
+    reps = classify_all(groups + [s for g in ms.groups for s in g])
+    per_group, comps = reps[:ms.d], iter(reps[len(groups):])
     report["per_group"] = [rep.to_dict() for rep in per_group]
     report["per_component"] = [[next(comps).to_dict() for _ in g] for g in ms.groups]
     report["all_groups_frames"] = all(rep.is_frame for rep in per_group)
     if ms.r == 1:
-        # a one-sequence group concatenates to itself: per_group holds the component reports
         prod_a = float(np.prod([c.lower_bound for c in per_group]))
         prod_b = float(np.prod([c.bessel_bound for c in per_group]))
         report["rank_one_check"] = {

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import functools
+import gc
 import json
 import operator
 import os
@@ -230,6 +231,13 @@ class TestEntryCodec:
         back = io.window_from_dict(io.load_json(path))
         assert back.generator is None and np.array_equal(bits(back.g), bits(w.g))
 
+    def test_integers_at_the_int64_edge_decode_as_floats(self, tmp_path):
+        # numpy reads 2**63 beside -1 as float64, not as an object array, so the pair is a number
+        path = tmp_path / "op.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[9223372036854775808, -1]]}')
+        got = io.operator_from_dict(io.load_json(path))
+        assert got.dtype == complex and np.array_equal(bits(got), bits(np.array([[2.0**63 - 1j]])))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
     def test_save_json_refuses_non_finite_and_keeps_the_file(self, tmp_path, bad):
         path = tmp_path / "x.json"
@@ -314,6 +322,15 @@ BAD_ENTRIES = {
     "string_imag": '[[1, "a"]]',
     "string_real": '[["1.5", 0]]',
     "int_too_large_for_float": "[[1" + "0" * 400 + ", 0]]",
+    "empty_pair": "[[]]",
+    "pair_of_pairs": "[[[1, 2], [3, 4]]]",
+    "ragged_pair_of_lists": "[[[1], [2, 3]]]",
+    "two_character_string": '["ab"]',
+    "two_key_object": '[{"a": 1, "b": 2}]',
+    "null_part": "[[null, 1]]",
+    "triple": "[[1, 2, 3]]",
+    "bare_numbers": "[1, 2]",
+    "int_beyond_64_bits": "[[1180591620717411303424, 1.0]]",
 }
 INPUT_LAYOUTS = {
     "classify": ('{"space_dim": 1, "vectors": [{"dim": 1, "entries": %s}]}', ["frames", "classify"]),
@@ -438,6 +455,40 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Per case, the argv of a command run in a directory that holds op.json and bad.json, and its exit code.
+COLLECTOR_CASES = {
+    "exit_0": (["schmidt", "decompose", "--shape", "1,1,1,1", "--input", "op.json"], 0),
+    "exit_1": (["frames", "verify-main", "--dims", "2", "--lens", "3", "--rank", "1", "--trials", "1"], 1),
+    "exit_2_bad_file": (["schmidt", "decompose", "--shape", "1,1,1,1", "--input", "bad.json"], 2),
+    "usage_error": (["schmidt", "decompose", "--shape"], 2),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["caller_collects", "caller_paused"])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, capsys, case, collecting):
+    monkeypatch.chdir(tmp_path)
+    io.save_json("op.json", VALID_FILES["operator"][1])
+    Path("bad.json").write_text('{"rows": 1, "cols": 1, "entries": [[null, 1]]}')
+    seen, load, verify_main = [], io.load_json, sequences.verify_main_theorem
+
+    def failed_rank_one(ms):  # a false rank-one check makes verify-main exit 1
+        report = verify_main(ms)
+        report["rank_one_check"]["bounds_multiply"] = False
+        return report
+
+    monkeypatch.setattr(io, "load_json", lambda path: seen.append(gc.isenabled()) or load(path))
+    monkeypatch.setattr(sequences, "verify_main_theorem", lambda ms: seen.append(gc.isenabled()) or failed_rank_one(ms))
+    argv, code = COLLECTOR_CASES[case]
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert (cli.main(argv), gc.isenabled()) == (code, collecting)
+    finally:
+        gc.enable()
+    assert (seen == []) == (case == "usage_error") and not any(seen)  # a command runs with the collector off
+    capsys.readouterr()
 
 
 def cap_address_space():

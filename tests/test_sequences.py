@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frameforge import linalg, schmidt
+from frameforge import linalg, schmidt, sequences
 from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, NonFiniteData, OutOfFloatRange
 from frameforge.sequences import (
     FrameReport,
@@ -533,6 +533,16 @@ class TestVerifyMainTheorem:
         report = verify_main_theorem(ms)
         assert report["rank_one_check"]["bounds_multiply"]
         assert report["rank_one_check"]["all_components_frames"]
+
+    def test_rank_one_solves_each_group_once(self, monkeypatch):
+        # a one-sequence group is its own component: one solve for the full family, then one per group
+        rng = np.random.default_rng(45)
+        ms, _ = random_frame_minimal_sum(rng, [2, 3, 2], [3, 4, 2], 1)
+        real, sizes = sequences.classify_all, []
+        monkeypatch.setattr(sequences, "classify_all", lambda seqs: sizes.append(len(seqs)) or real(seqs))
+        report = verify_main_theorem(ms)
+        assert sizes == [1, 3]
+        assert report["per_component"] == [[rep] for rep in report["per_group"]]
 
     def test_component_reports_are_their_own_classify(self):
         # group j scaled by 2**e_j with sum_j e_j = 0 keeps the family but gives every group and
