@@ -12,7 +12,9 @@ import numpy as np
 
 from frameforge.schmidt import (
     BipartiteShape,
+    deflate,
     inverse_factors,
+    pairing,
     reshuffle_rank,
     schmidt_decompose_deflation,
     spans_equal,
@@ -68,3 +70,13 @@ v2 = paired(u2, rng.standard_normal(2) + 1j * rng.standard_normal(2))
 left = inverse_factors(fsr2, inv, "left", u1, u2, v1, v2)
 s1 = sum(l1 @ a for (l1, _), (a, _) in zip(left, fsr2.terms))
 print(f"sum_k L_1k A_k = I up to {np.linalg.norm(s1 - np.eye(2)):.2e}")
+
+# One deflation step by hand: unit u1, u2, v1, v2 at the largest entry of F,
+# with v1 scaled so that the pairing <F(u1 (x) u2), v1 (x) v2> is 1.
+i, j = np.unravel_index(np.argmax(np.abs(f)), f.shape)
+i1, i2 = divmod(int(i), shape.k2)
+j1, j2 = divmod(int(j), shape.h2)
+u1, u2, v1, v2 = np.eye(shape.h1)[j1], np.eye(shape.h2)[j2], np.eye(shape.k1)[i1], np.eye(shape.k2)[i2]
+v1 = v1 / np.conj(pairing(f, u1, u2, v1, v2, shape))
+rank = reshuffle_rank(deflate(f, u1, u2, v1, v2, shape), shape, tol=1e-7, scale=norm_f)[0]
+print(f"one hand-made deflation step: reshuffled rank {reshuffle_rank(f, shape)[0]} -> {rank}")

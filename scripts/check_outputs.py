@@ -16,12 +16,13 @@ N in {12, 120, 840, 1024} for every sampled window; ``schmidt decompose`` of
 real-valued operator (every imaginary part 0) and of one with integer entries, both of planted rank 8;
 ``frames verify-main`` at four shapes, one of them a single factor;
 ``gabor perturb`` on the 12 instances of ``verify.PERTURB_INSTANCES``;
-``frames classify`` of a seeded sequence; and the four demos.  Two library
-checks with no command are called directly and their reports written as
-JSON: ``sequences.two_term_disjunction_check`` on seeded
-``verify.branch1_minimal_sum`` and ``verify.branch3_minimal_sum`` draws, and
+``frames classify`` of a seeded sequence; and the four demos.  Three library
+checks with no command of their own are called directly and their reports
+written as JSON: ``sequences.two_term_disjunction_check`` on seeded
+``verify.branch1_minimal_sum`` and ``verify.branch3_minimal_sum`` draws,
 ``gabor.verify_rank_r_frame_implication`` on the fixed lattice-aligned d = 2
-specs of ``RANK_R_SPECS``.
+specs of ``RANK_R_SPECS``, and ``gabor.oversample_checks`` in full on one
+seeded, shuffled list of cases at N in ``OVERSAMPLE_NS``, in one call.
 """
 
 import argparse
@@ -45,6 +46,7 @@ SWEEP_NS = (12, 120, 840, 1024)
 SCHMIDT_RANKS, SCHMIDT_DIMS = (8, 32, 128), (16, 16, 16, 16)  # h1, h2, k1, k2
 VERIFY_MAIN_SHAPES = (("2,2", "3,3", 2), ("2,3", "4,5", 1), ("2,2,2", "3,3,3", 3), ("4", "6", 2))
 DISJUNCTION_DRAWS = 4  # per draw kind
+OVERSAMPLE_NS, OVERSAMPLE_DRAWS = (8, 12), 12  # the N of the refinement cases, and the cases drawn per window
 # (window generators, lattices (N, a, b), alphas[j][k], betas[j][k]): shifts are multiples of (a_j, b_j)
 RANK_R_SPECS = (
     (("gaussian", "sech"), ((6, 2, 2), (4, 2, 1)), ((0,), (2,)), ((2,), (0,))),
@@ -139,6 +141,22 @@ def main(out: pathlib.Path) -> None:
         windows = tuple(gabor.sample_window(gen, lat.N) for gen, lat in zip(gens, lattices))
         report = gabor.verify_rank_r_frame_implication(gabor.RankRWindowSpec(windows, alphas, betas), lattices)
         (dirs["library"] / f"rank_r_{i}.json").write_text(json.dumps(report, indent=2) + "\n")
+
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in OVERSAMPLE_NS:
+        windows = [gabor.sample_window(gen, n) for gen in gabor.WINDOW_GENERATORS]
+        windows.append(gabor.ZNWindow(rng.standard_normal(n) + 1j * rng.standard_normal(n), "random"))
+        lattices = [gabor.ZNLattice(n, a, b) for a in gabor.divisors(n) for b in gabor.divisors(n)]
+        for w in windows:
+            for i in rng.integers(len(lattices), size=OVERSAMPLE_DRAWS):
+                lat = lattices[i]
+                cases.append((w, lat, int(rng.choice(gabor.divisors(lat.a))), int(rng.choice(gabor.divisors(lat.b)))))
+    cases = [cases[i] for i in rng.permutation(len(cases))]  # windows of both N interleaved
+    reports = gabor.oversample_checks(cases)
+    payload = [{"N": lat.N, "a": lat.a, "b": lat.b, "window": w.generator, **report}
+               for (w, lat, _, _), report in zip(cases, reports)]
+    (dirs["library"] / "oversample.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):

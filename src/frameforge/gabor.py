@@ -163,7 +163,7 @@ def gabor_frame_report(w: ZNWindow, lat: ZNLattice) -> FrameReport:
     x + L (u - v), x = r + q i - a mu, so a DFT over Z_d splits block r into
     d Hermitian p x p blocks Phi Phi^*, Phi[i, mu] = Z_L(r + q i - a mu, k).
     As 0 <= r + q i < L and 0 <= a mu <= L - a, x lies in (-L, L): one Z_L
-    over [-L, L), 2N entries from one length-d FFT per call and L, serves
+    over [-L, L), 2N entries from one length-d FFT per window and L, serves
     every lattice with that L.
 
     Adjoint lattice.  When ab > N, the N^2/(ab) < N atoms cannot span C^N,
@@ -204,51 +204,48 @@ def _walnut_blocks(z: np.ndarray, zc: np.ndarray, N: int, a: int, b: int) -> np.
     return (phi @ phic.swapaxes(-1, -2)).reshape(len(z), -1, p, p)
 
 
-def _solve(gs: dict[int, list], keys) -> tuple[dict, dict]:
-    """The exponents e_j = ``linalg.max_exponent(g_j)`` of the windows g_j = ``gs[N][j]``, a list per N,
-    and the (lo, hi) of 2**-2e_j S_j / q on the lattice of each key (N, j, a, b): on itself when ab <= N,
-    else on its adjoint (N/b, N/a) with lo = 0.  The windows of one N are scaled together, those that
-    need one L share one batched FFT and one conjugate, each solved lattice is built once for all its
-    windows, and one ``linalg.hermitian_extremes`` call solves every block stack."""
+def _solve(systems: list[tuple[ZNWindow, int, int]]) -> list[tuple[float, float, bool, bool]]:
+    """(A, B, is_frame, is_riesz) of each system (window, a, b), in order, from the (lo, hi) of 2**-2e S / q
+    on (a, b) when ab <= N, else on its adjoint (N/b, N/a) with lo = 0.  Windows are told apart by ``id`` and
+    scaled together per N.  One Z_L stack, from one batched FFT, and one conjugate serve each (N, L, window set),
+    the windows a solved lattice needs: one per L in a sweep, or when every window asks for the same lattices.
+    Each solved lattice is built once for all its windows, one ``linalg.hermitian_extremes`` call solves every
+    stack, and ``sequences.scaled_bounds`` runs per system in input order, so errors name the first failing one."""
+    gs, rows, keys = {}, {}, []  # rows[id(w)]: (N, the row of w in gs[N]); keys[i]: (N, row, a, b) of system i
+    for w, a, b in systems:
+        if id(w) not in rows:
+            rows[id(w)] = w.N, len(gs.setdefault(w.N, []))
+            gs[w.N].append(w.g)
+        keys.append(rows[id(w)] + (a, b))
     exps, scaled = {}, {}
     for N, g in gs.items():
         e = linalg.max_exponents(g := np.array(g))
         exps[N], scaled[N] = e.tolist(), linalg.times_power_of_two(g, -e[:, None])
     solved = {(N, j, a, b): (N, j, a, b) if a * b <= N else (N, j, N // b, N // a) for N, j, a, b in keys}
-    by_zak: dict[tuple, dict] = {}  # (N, L) -> {solved (a, b): rows of the windows it is solved for}
+    windows: dict[tuple, list] = {}  # solved (N, a, b) -> rows of the windows it is solved for
     for N, j, a, b in dict.fromkeys(solved.values()):
-        by_zak.setdefault((N, math.lcm(a, N // b)), {}).setdefault((a, b), []).append(j)
+        windows.setdefault((N, a, b), []).append(j)
+    by_zak: dict[tuple, list] = {}  # (N, L, sorted rows) -> the solved (a, b) that need exactly those windows
+    for (N, a, b), js in windows.items():
+        by_zak.setdefault((N, math.lcm(a, N // b), tuple(sorted(js))), []).append((a, b))
     stacks = {}
-    for (N, L), lattices in by_zak.items():
-        rows = list(dict.fromkeys(j for js in lattices.values() for j in js))
-        z = _zaks(scaled[N][rows], L)
-        zc, pos = z.conj(), {j: i for i, j in enumerate(rows)}
-        for (a, b), js in lattices.items():
-            if len(js) == len(rows):  # every window of this L: take them in the stack's order
-                js, blocks = rows, _walnut_blocks(z, zc, N, a, b)
-            else:
-                pick = [pos[j] for j in js]
-                blocks = _walnut_blocks(z[pick], zc[pick], N, a, b)
-            stacks.update(zip([(N, j, a, b) for j in js], blocks))
+    for (N, L, js), lattices in by_zak.items():
+        z = _zaks(scaled[N][list(js)], L)
+        zc = z.conj()
+        for a, b in lattices:
+            stacks.update(zip([(N, j, a, b) for j in js], _walnut_blocks(z, zc, N, a, b)))
     bounds = dict(zip(stacks, linalg.hermitian_extremes(list(stacks.values()))))
-    return exps, {k: bounds[s] if k == s else (0.0, bounds[s][1]) for k, s in solved.items()}
+    bounds.update({k: (0.0, bounds[s][1]) for k, s in solved.items() if k != s})
+    return [sequences.scaled_bounds(*bounds[N, j, a, b], (N // a) * (N // b), N, N // b, exps[N][j], _WHAT, a, b)
+            for N, j, a, b in keys]
 
 
 def gabor_frame_reports(systems: list[tuple[ZNWindow, ZNLattice]]) -> list[FrameReport]:
     """``gabor_frame_report`` of each (window, lattice) pair, in order, solved together, each
     lattice at most once per window.  An error names the first failing lattice in input order."""
-    gs, rows, keys = {}, {}, []  # rows[id(w)]: the row of w in gs[N]; keys[i]: (N, row, a, b) of pair i
     for w, lat in systems:
         _check_length(w, lat)
-        if id(w) not in rows:
-            rows[id(w)] = len(gs.setdefault(lat.N, []))
-            gs[lat.N].append(w.g)
-        keys.append((lat.N, rows[id(w)], lat.a, lat.b))
-    exps, bounds = _solve(gs, keys)
-    return [
-        FrameReport(*sequences.scaled_bounds(*bounds[N, j, a, b], lat.count, N, N // b, exps[N][j], _WHAT, a, b))
-        for (_, lat), (N, j, a, b) in zip(systems, keys)
-    ]
+    return [FrameReport(*r) for r in _solve([(w, lat.a, lat.b) for w, lat in systems])]
 
 
 def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
@@ -402,11 +399,9 @@ def density_sweep(w: ZNWindow) -> dict[str, list]:
     if N > MAX_SWEEP_N:
         raise ValueError(f"N={N} exceeds the supported sweep size {MAX_SWEEP_N}")
     pairs = list(itertools.product(divisors(N), repeat=2))
-    exps, bounds = _solve({N: [w.g]}, [(N, 0, a, b) for a, b in pairs])
-    e, rule, rows = exps[N][0], sequences.scaled_bounds, []
-    for a, b in pairs:
+    rows = []
+    for (a, b), (A, B, frame, riesz) in zip(pairs, _solve([(w, a, b) for a, b in pairs])):
         ab, count = a * b, (N // a) * (N // b)
-        A, B, frame, riesz = rule(*bounds[N, 0, a, b], count, N, N // b, e, _WHAT, a, b)
         density_ok = (not frame or ab <= N) and riesz == (frame and ab == N)
         rows.append((N, a, b, count, A, B, frame, riesz, ab / N, density_ok))
     return dict(zip(SWEEP_COLUMNS, map(list, zip(*rows))))

@@ -58,7 +58,7 @@ def _finite_entries(d, kind: str) -> np.ndarray:
     raw = _field(d, kind, "entries", list)
     try:  # one flat list of the parts spares numpy's nested-list discovery; a number or null has no len
         parts = np.array(flat := list(itertools.chain.from_iterable(raw))) if set(map(len, raw)) <= {2} else None
-    except TypeError:
+    except (TypeError, ValueError):  # ValueError: ragged parts such as [[1], [2, 3]]
         parts = None
     if parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 1:  # two characters or keys fail here
         raise ValueError(f"{kind} file entries must be a list of [re, im] pairs of numbers")

@@ -363,6 +363,33 @@ class TestBatchedReports:
         want = [(8, n // L, 2 * L) for n in (8, 12, 30) for L in gabor.divisors(n)[:-1]]
         assert sorted(calls["ifft"]) == sorted(want)
 
+    def test_windows_asking_for_different_lattices_of_one_l(self, monkeypatch):
+        # on Z_12, (1, 3), (2, 3), (4, 3) and (4, 6), solved on its adjoint (2, 3), all have L = 4
+        w0, w1, w2 = oracle_windows(12)[:3]
+        asks = [(w0, [(1, 3), (2, 3)]), (w1, [(2, 3), (4, 3)]), (w2, [(1, 3), (4, 6)])]
+        pairs = [(w, ZNLattice(12, a, b)) for w, lattices in asks for a, b in lattices]
+        calls = {"ifft": [], "_walnut_blocks": []}
+        for owner, name in ((np.fft, "ifft"), (gabor, "_walnut_blocks")):
+            monkeypatch.setattr(owner, name, shape_logging(getattr(owner, name), calls[name]))
+        got = gabor_frame_reports(pairs)
+        monkeypatch.undo()
+        assert [rep.to_dict() for rep in got] == [gabor_frame_report(w, lat).to_dict() for w, lat in pairs]
+        # (2, 3) for all three windows, (1, 3) for w0 and w2, (4, 3) for w1: one Z_4 stack per window set
+        assert sorted(calls["ifft"]) == [(1, 3, 8), (2, 3, 8), (3, 3, 8)]
+        assert sorted(calls["_walnut_blocks"]) == [(1, 3, 8), (2, 3, 8), (3, 3, 8)]
+
+    def test_mixed_call_error_names_first_failing_lattice_in_input_order(self):
+        # B = (N/b) 1e308 overflows exactly when b < N; the N = 8 windows are scaled and solved first
+        big8, big12 = (ZNWindow(np.where(np.arange(n) == 0, 1e154, 0)) for n in (8, 12))
+        small8, small12 = sample_window("sech", 8), sample_window("gaussian", 12)
+        pairs = [(big8, ZNLattice(8, 8, 8)), (small12, ZNLattice(12, 2, 2)), (small8, ZNLattice(8, 2, 4)),
+                 (big12, ZNLattice(12, 4, 3)), (big8, ZNLattice(8, 1, 2)), (big12, ZNLattice(12, 1, 6))]
+        with pytest.raises(OutOfFloatRange, match=r"\(a, b\)=\(4, 3\)"):
+            gabor_frame_reports(pairs)
+        with pytest.raises(OutOfFloatRange, match=r"\(a, b\)=\(1, 2\)"):
+            gabor_frame_reports(pairs[:3] + pairs[4:] + pairs[3:4])
+        assert len(gabor_frame_reports(pairs[:3])) == 3
+
     def test_one_eigvalsh_per_block_size(self, monkeypatch):
         sizes = []
         eigvalsh = np.linalg.eigvalsh

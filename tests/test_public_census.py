@@ -17,8 +17,6 @@ READERS = [p for d in (PACKAGE, ROOT / "scripts", ROOT / "demos") for p in sorte
 SPANS = ROOT / "perfbench" / "spans.py"
 
 ALLOWED = {
-    "schmidt.pairing": "the paper's pairing <F(u1 (x) u2), v1 (x) v2>, documented in README; deflate reads it inline",
-    "schmidt.deflate": "the paper's deflation step, documented in README; the loop inlines its unit-vector case",
     "gabor.build_rank_r_window": "rank-r windows on product groups; ROADMAP item 3 gives them a suite and a command",
     "io.sequence_to_dict": "the only writer of the sequence files that `frames classify --input` reads",
 }
