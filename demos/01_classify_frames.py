@@ -6,9 +6,13 @@ optimal frame bounds A and B.  This walk-through classifies a few
 hand-picked sequences and checks the bounds against first principles.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from frameforge import VectorSequence, analysis_operator, classify, concatenate
+from frameforge.io import load_json, save_json, sequence_from_dict, sequence_to_dict
 
 # An orthonormal basis is the prototypical Riesz basis: A = B = 1.
 onb = VectorSequence(np.eye(2, dtype=complex))
@@ -38,3 +42,11 @@ samples = [
     for f in rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
 ]
 print(f"sampled max coefficient energy {max(samples):.6f} <= B = {rep.bessel_bound:.6f}")
+
+# A sequence file holds the vectors exactly: the frame read back classifies as the one in memory.
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "mercedes.json"
+    save_json(path, sequence_to_dict(mercedes))
+    loaded = sequence_from_dict(load_json(path))
+print("mercedes from file:", classify(loaded).to_dict())
+print("same classification as in memory:", classify(loaded) == rep)

@@ -25,9 +25,8 @@ rng = suite_rng(2025, 0)
 shape = BipartiteShape(2, 3, 2, 3)
 
 # Build a rank-3 operator and watch deflation recover exactly 3 terms.
-fsr = random_fsr_operator(rng, shape, 3)
-f = fsr.materialize()
-print("reshuffled rank (SVD oracle):", reshuffle_rank(f, shape)[0])
+_, f, canon = random_fsr_operator(rng, shape, 3)
+print("reshuffled rank (SVD oracle):", canon.rank_bound)
 
 dec = schmidt_decompose_deflation(f, shape)
 print("deflation produced", len(dec.terms), "elementary tensors")
@@ -43,7 +42,6 @@ for step, (a, b) in enumerate(dec.terms, start=1):
     print(f"after step {step}: reshuffled rank = {r}")
 
 # The factor spans are canonical: deflation and the SVD route agree.
-_, canon = reshuffle_rank(f, shape)
 print("A-factor spans agree:", spans_equal(dec.terms, canon.terms, 1))
 print("B-factor spans agree:", spans_equal(dec.terms, canon.terms, 2))
 
@@ -51,8 +49,7 @@ print("B-factor spans agree:", spans_equal(dec.terms, canon.terms, 2))
 # factor decompositions that resolve the identity on each tensor leg.
 shape2 = BipartiteShape(2, 2, 2, 2)
 while True:
-    fsr2 = random_fsr_operator(rng, shape2, 2)
-    f2 = fsr2.materialize()
+    fsr2, f2, _ = random_fsr_operator(rng, shape2, 2)
     if np.linalg.cond(f2) < 1e6:
         break
 inv = np.linalg.inv(f2)
@@ -79,4 +76,4 @@ j1, j2 = divmod(int(j), shape.h2)
 u1, u2, v1, v2 = np.eye(shape.h1)[j1], np.eye(shape.h2)[j2], np.eye(shape.k1)[i1], np.eye(shape.k2)[i2]
 v1 = v1 / np.conj(pairing(f, u1, u2, v1, v2, shape))
 rank = reshuffle_rank(deflate(f, u1, u2, v1, v2, shape), shape, tol=1e-7, scale=norm_f)[0]
-print(f"one hand-made deflation step: reshuffled rank {reshuffle_rank(f, shape)[0]} -> {rank}")
+print(f"one hand-made deflation step: reshuffled rank {canon.rank_bound} -> {rank}")

@@ -16,7 +16,11 @@ N in {12, 120, 840, 1024} for every sampled window; ``schmidt decompose`` of
 real-valued operator (every imaginary part 0) and of one with integer entries, both of planted rank 8;
 ``frames verify-main`` at four shapes, one of them a single factor;
 ``gabor perturb`` on the 12 instances of ``verify.PERTURB_INSTANCES``;
-``frames classify`` of a seeded sequence; and the four demos.  Three library
+``frames classify`` of a seeded sequence; and the four demos.  The ``errors``
+group runs commands on deliberate bad inputs whose messages name no file path:
+``verify all`` and ``frames verify-main`` at seed -1, ``gabor sweep`` of a
+window file whose ``generator`` is an object, and, as a control, ``frames
+classify`` of a sequence file with a boolean entry.  Three library
 checks with no command of their own are called directly and their reports
 written as JSON: ``sequences.two_term_disjunction_check`` on seeded
 ``verify.branch1_minimal_sum`` and ``verify.branch3_minimal_sum`` draws,
@@ -73,7 +77,7 @@ def run(out: pathlib.Path, name: str, argv: list[str]) -> None:
 
 def main(out: pathlib.Path) -> None:
     dirs = {d: out / d for d in ("inputs", "verify", "sweep", "schmidt", "verify_main", "perturb", "classify", "demos",
-                                 "library")}
+                                 "library", "errors")}
     for d in dirs.values():
         d.mkdir(parents=True, exist_ok=True)
 
@@ -128,6 +132,17 @@ def main(out: pathlib.Path) -> None:
     seq_path = dirs["inputs"] / "sequence.json"
     seq_path.write_text(json.dumps({"space_dim": 4, "vectors": [{"dim": 4, "entries": entries(v)} for v in vectors]}))
     run(dirs["classify"], "sequence", ["frames", "classify", "--input", str(seq_path)])
+
+    run(dirs["errors"], "verify_all_seed-1", ["verify", "all", "--seed", "-1", "--trials", "1"])
+    run(dirs["errors"], "verify_main_seed-1",
+        ["frames", "verify-main", "--seed", "-1", "--dims", "2", "--lens", "2", "--trials", "1"])
+    window_path = dirs["inputs"] / "window_object_generator.json"
+    g = gabor.sample_window("gaussian", 4).g
+    window_path.write_text(json.dumps({"dim": 4, "entries": entries(g), "N": 4, "generator": {"x": 1}}))
+    run(dirs["errors"], "sweep_object_generator", ["gabor", "sweep", "--N", "4", "--window", f"file:{window_path}"])
+    bool_path = dirs["inputs"] / "sequence_bool_entries.json"
+    bool_path.write_text(json.dumps({"space_dim": 1, "vectors": [{"dim": 1, "entries": [[0.5, True]]}]}))
+    run(dirs["errors"], "classify_bool_entries", ["frames", "classify", "--input", str(bool_path)])
 
     rng = verify.suite_rng(3, 0)
     for i in range(DISJUNCTION_DRAWS):

@@ -128,12 +128,14 @@ def window_to_dict(w: ZNWindow) -> dict:
 
 
 def window_from_dict(d) -> ZNWindow:
-    """The window of a file written by ``window_to_dict``; its ``N`` must equal ``dim``."""
+    """The window of a file written by ``window_to_dict``: ``N`` equals ``dim``, ``generator`` is a string or null."""
     g = vector_from_dict(d)
     n = _field(d, "window", "N", int)
     if n != g.shape[0]:
         raise ValueError(f"window field 'N' is {n}, but the window has {g.shape[0]} entries")
-    return ZNWindow(g, d.get("generator"))
+    if (gen := d.get("generator")) is not None and type(gen) is not str:
+        raise ValueError(f"window field 'generator' must be a string or null, got {type(gen).__name__} {gen!r:.40}")
+    return ZNWindow(g, gen)
 
 
 def save_json(path, payload) -> None:

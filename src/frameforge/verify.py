@@ -22,6 +22,8 @@ MAX_MINIMAL_SUM_ENTRIES = 1 << 22
 
 
 def suite_rng(seed: int, key: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
@@ -29,9 +31,10 @@ def _cnormal(rng, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> FSROperator:
-    """Random FSR operator whose oracle Schmidt rank is exactly r; raises
-    ``DrawFailed`` before drawing unless 0 <= r <= min(k1*h1, k2*h2)."""
+def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> tuple[FSROperator, np.ndarray, FSROperator]:
+    """``(fsr, f, canon)``: random FSR terms of oracle Schmidt rank exactly r, ``f = fsr.materialize()`` and the
+    ``schmidt.reshuffle_rank(f, shape)`` decomposition whose rank accepted the draw; raises ``DrawFailed``
+    before drawing unless 0 <= r <= min(k1*h1, k2*h2)."""
     if not 0 <= r <= min(shape.k1 * shape.h1, shape.k2 * shape.h2):
         raise DrawFailed(f"no operator of {shape} has Schmidt rank {r}, outside 0..min(k1*h1, k2*h2)")
     while True:
@@ -39,9 +42,10 @@ def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> FSROperator:
             (_cnormal(rng, shape.k1, shape.h1), _cnormal(rng, shape.k2, shape.h2))
             for _ in range(r)
         )
-        f = FSROperator(shape, terms)
-        if schmidt.reshuffle_rank(f.materialize(), shape)[0] == r:
-            return f
+        fsr = FSROperator(shape, terms)
+        rank, canon = schmidt.reshuffle_rank(f := fsr.materialize(), shape)
+        if rank == r:
+            return fsr, f, canon
 
 
 def random_vector_sequence(rng, dim: int, count: int) -> VectorSequence:
@@ -168,7 +172,7 @@ def suite_rank_one_fixed_point(rng, trials: int) -> dict:
     for t in range(trials):
         shape = BipartiteShape(2, 3, 2, 3)
         r = 1 if t % 2 == 0 else 2
-        f = random_fsr_operator(rng, shape, r).materialize()
+        _, f, _ = random_fsr_operator(rng, shape, r)
         u1, u2 = _cnormal(rng, shape.h1), _cnormal(rng, shape.h2)
         v1, v2 = _cnormal(rng, shape.k1), _cnormal(rng, shape.k2)
         a, b = schmidt.D_uv(f, u1, u2, v1, v2, shape)
@@ -192,7 +196,7 @@ def suite_deflation_rank_law(rng, trials: int) -> dict:
         shape = BipartiteShape(*dims)
         max_rank = min(shape.k1 * shape.h1, shape.k2 * shape.h2, 4)
         r = 1 + t % max_rank
-        f = random_fsr_operator(rng, shape, r).materialize()
+        _, f, _ = random_fsr_operator(rng, shape, r)
         norm_f = np.linalg.norm(f)
         dec = schmidt.schmidt_decompose_deflation(f, shape)
         # walk the deflation's terms to watch the rank drop by one per step
@@ -215,8 +219,7 @@ def suite_inverse_factors(rng, trials: int) -> dict:
     shape = BipartiteShape(2, 2, 2, 2)
     for _ in range(trials):
         while True:
-            fsr = random_fsr_operator(rng, shape, 2)
-            f = fsr.materialize()
+            fsr, f, _ = random_fsr_operator(rng, shape, 2)
             if np.linalg.cond(f) < 1e6:
                 break
         inv = np.linalg.inv(f)
@@ -246,9 +249,8 @@ def suite_span_uniqueness(rng, trials: int) -> dict:
     for t in range(trials):
         shape = BipartiteShape(2, 3, 2, 3)
         r = 1 + t % 3
-        f = random_fsr_operator(rng, shape, r).materialize()
+        _, f, canon = random_fsr_operator(rng, shape, r)
         dec = schmidt.schmidt_decompose_deflation(f, shape)
-        _, canon = schmidt.reshuffle_rank(f, shape)
         if len(dec.terms) != len(canon.terms):
             ok = False
             continue

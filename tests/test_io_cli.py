@@ -72,7 +72,7 @@ class TestRoundTrips:
         np.testing.assert_allclose(back.vectors, seq.vectors, atol=1e-15)
 
     def test_fsr(self):
-        fsr = random_fsr_operator(suite_rng(3, 0), BipartiteShape(2, 3, 2, 3), 2)
+        fsr = random_fsr_operator(suite_rng(3, 0), BipartiteShape(2, 3, 2, 3), 2)[0]
         d = io.fsr_to_dict(fsr)
         assert d["shape"] == {"h1": 2, "h2": 3, "k1": 2, "k2": 3}
         back = FSROperator(fsr.shape, fsr_terms(d))
@@ -200,7 +200,7 @@ class TestEntryCodec:
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(32)
         x = np.concatenate([SPECIAL, crandom(rng, 5)])
-        fsr = random_fsr_operator(suite_rng(32, 0), BipartiteShape(2, 3, 1, 2), 2)
+        fsr = random_fsr_operator(suite_rng(32, 0), BipartiteShape(2, 3, 1, 2), 2)[0]
         path = tmp_path / "x.json"
         io.save_json(path, io.vector_to_dict(x))
         assert np.array_equal(bits(io.vector_from_dict(io.load_json(path))), bits(x))
@@ -264,7 +264,7 @@ class TestEntryCodec:
         x = np.concatenate([SPECIAL, crandom(np.random.default_rng(34), 3)])
         back = io.vector_from_dict(io.load_json(write_indented(io.vector_to_dict(x))))
         assert np.array_equal(bits(back), bits(x))
-        fsr = random_fsr_operator(suite_rng(34, 0), BipartiteShape(2, 2, 2, 2), 2)
+        fsr = random_fsr_operator(suite_rng(34, 0), BipartiteShape(2, 2, 2, 2), 2)[0]
         back = fsr_terms(io.load_json(write_indented(io.fsr_to_dict(fsr))))
         assert np.array_equal(FSROperator(fsr.shape, back).materialize(), fsr.materialize())
 
@@ -781,7 +781,7 @@ class TestSchmidtCommand:
         assert len(fsr_terms(io.load_json(out))) == 1
 
     def test_deflate_and_svd_agree(self, tmp_path, capsys):
-        f = random_fsr_operator(suite_rng(5, 0), BipartiteShape(2, 3, 2, 3), 3).materialize()
+        f = random_fsr_operator(suite_rng(5, 0), BipartiteShape(2, 3, 2, 3), 3)[1]
         path = self.write_operator(tmp_path, f)
         ranks = []
         for method in ("deflate", "svd"):
@@ -828,7 +828,7 @@ class TestSchmidtCommand:
     @pytest.mark.parametrize("value", ["abc", "-1e-9", "-1", "0", "1e-400", "1", "inf", "nan"])
     def test_tol_outside_unit_interval_exits_2(self, tmp_path, capsys, value, method):
         # tol <= 0 kept rank 4 and tol >= 1 ranked 0, both with exit 0
-        f = random_fsr_operator(suite_rng(6, 0), BipartiteShape(2, 2, 2, 2), 2).materialize()
+        f = random_fsr_operator(suite_rng(6, 0), BipartiteShape(2, 2, 2, 2), 2)[1]
         code = cli.main(["schmidt", "decompose", "--input", self.write_operator(tmp_path, f),
                          "--shape", "2,2,2,2", "--method", method, "--tol", value])
         assert code == 2
@@ -853,7 +853,7 @@ class TestSchmidtCommand:
 
     def test_planted_rank_three_near_the_float_max(self, tmp_path, capsys):
         # --method svd printed rank 0 and exited 1: sigma_max of the unscaled reshuffle overflowed
-        f = random_fsr_operator(suite_rng(0, 99), BipartiteShape(4, 4, 4, 4), 3).materialize()
+        f = random_fsr_operator(suite_rng(0, 99), BipartiteShape(4, 4, 4, 4), 3)[1]
         f *= 9.97e307 / np.abs(f.view(float)).max()
         path = self.write_operator(tmp_path, f)
         for method in ("deflate", "svd"):
@@ -1153,7 +1153,7 @@ class TestFramesCommands:
     def test_fsr_draw_of_extreme_rank(self, r):
         # 0 and min(k1*h1, k2*h2) = 4 are the extreme ranks on this shape
         shape = BipartiteShape(2, 3, 2, 3)
-        f = random_fsr_operator(suite_rng(0, 0), shape, r)
+        f = random_fsr_operator(suite_rng(0, 0), shape, r)[0]
         assert schmidt.reshuffle_rank(f.materialize(), shape)[0] == r
 
 
@@ -1289,6 +1289,27 @@ class TestGaborCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "'N'" in captured.err
 
+    @pytest.mark.parametrize("generator", [{"x": 1}, ["gaussian"], 3, True])
+    def test_window_file_generator_must_be_a_string_or_null(self, tmp_path, capsys, generator):
+        # any JSON value loaded, swept and was written back as the window's label
+        payload = io.window_to_dict(gabor.sample_window("gaussian", 4))
+        payload["generator"] = generator
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(payload))
+        assert cli.main(["gabor", "sweep", "--N", "4", "--window", f"file:{wpath}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: window field 'generator' ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("generator", ["random", None, "absent"])
+    def test_window_file_generator_string_null_or_absent_loads(self, tmp_path, generator):
+        payload = io.window_to_dict(gabor.ZNWindow(np.ones(4, dtype=complex), generator))
+        if generator == "absent":
+            del payload["generator"]
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(payload))
+        assert io.window_from_dict(io.load_json(wpath)).generator == (None if generator == "absent" else generator)
+
     def test_perturb_bad_conditions(self, capsys):
         assert cli.main(["gabor", "perturb", "--N", "8", "--a", "2", "--b", "2",
                          "--alpha", "1", "--beta", "0"]) == 2
@@ -1306,6 +1327,21 @@ class TestVerifyCommand:
 
     def test_zero_trials(self):
         assert cli.main(["verify", "all", "--seed", "3", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--seed", "-5", "--trials", "1"],
+        ["frames", "verify-main", "--seed", "-5", "--dims", "2", "--lens", "2", "--trials", "1"],
+    ], ids=["verify-all", "verify-main"])
+    def test_negative_seed_is_named_in_its_error(self, capsys, argv):
+        # numpy's "expected non-negative integer" named neither the seed nor its value
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -5\n"
+
+    def test_run_all_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            verify.run_all(-1, 1)
 
     def test_seed_beyond_64_bits_is_written_to_the_report(self, tmp_path, capsys):
         path = tmp_path / "r.json"

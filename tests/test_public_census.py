@@ -18,7 +18,6 @@ SPANS = ROOT / "perfbench" / "spans.py"
 
 ALLOWED = {
     "gabor.build_rank_r_window": "rank-r windows on product groups; ROADMAP item 3 gives them a suite and a command",
-    "io.sequence_to_dict": "the only writer of the sequence files that `frames classify --input` reads",
 }
 
 

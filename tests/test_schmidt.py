@@ -1,9 +1,10 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from frameforge import schmidt
+from frameforge import schmidt, verify
 from frameforge.errors import ConditionViolated, DimensionMismatch, NonFiniteData
 from frameforge.linalg import (
     DEFAULT_RTOL,
@@ -356,7 +357,7 @@ class TestDecomposition:
     def test_rank_two(self):
         rng = np.random.default_rng(14)
         shape = BipartiteShape(2, 3, 2, 3)
-        f = random_fsr_operator(suite_rng(14, 0), shape, 2).materialize()
+        f = random_fsr_operator(suite_rng(14, 0), shape, 2)[1]
         assert reshuffle_rank(f, shape)[0] == 2
         dec = schmidt_decompose_deflation(f, shape)
         assert dec.rank_bound == 2
@@ -370,7 +371,7 @@ class TestDecomposition:
         shape = BipartiteShape(2, 3, 2, 3)
         for t in range(100):
             r = 1 + t % 4
-            f = random_fsr_operator(rng, shape, r).materialize()
+            f = random_fsr_operator(rng, shape, r)[1]
             dec = schmidt_decompose_deflation(f, shape)
             assert dec.rank_bound == reshuffle_rank(f, shape)[0] == r
             assert np.linalg.norm(f - dec.materialize()) <= 1e-8 * np.linalg.norm(f)
@@ -395,7 +396,7 @@ class TestReshuffleRank:
         for _ in range(300):
             shape = BipartiteShape(*rng.integers(1, 5, size=4))
             r = int(rng.integers(0, min(shape.k1 * shape.h1, shape.k2 * shape.h2) + 1))
-            f = random_fsr_operator(rng, shape, r).materialize() * 10.0 ** rng.uniform(-5, 5)
+            f = random_fsr_operator(rng, shape, r)[1] * 10.0 ** rng.uniform(-5, 5)
             scale = float(np.linalg.norm(f)) * rng.choice([0.0, 1.0, 10.0])
             rank, dec = reshuffle_rank(f, shape, 1e-9, scale)
             want_rank, want_terms = reshuffle_rank_unscaled(f, shape, 1e-9, scale)
@@ -407,7 +408,7 @@ class TestReshuffleRank:
     def test_planted_rank_three_at_extreme_magnitude(self, peak):
         # sigma_max of the unscaled reshuffle overflowed, and 9.97e307 ranked 0
         shape = BipartiteShape(4, 4, 4, 4)
-        f = random_fsr_operator(suite_rng(0, 99), shape, 3).materialize()
+        f = random_fsr_operator(suite_rng(0, 99), shape, 3)[1]
         f *= peak / np.abs(f.view(float)).max()
         rank, dec = reshuffle_rank(f, shape)
         assert rank == 3
@@ -417,7 +418,7 @@ class TestReshuffleRank:
 
     def test_scale_beyond_the_float_range_ranks_zero(self):
         # scale * 2**-2h overflows for a tiny operator and a huge scale; the unscaled rule also ranks 0
-        f = random_fsr_operator(suite_rng(0, 98), SHAPE22, 2).materialize() * 1e-300
+        f = random_fsr_operator(suite_rng(0, 98), SHAPE22, 2)[1] * 1e-300
         assert reshuffle_rank(f, SHAPE22, 1e-9, 1e300) == (0, FSROperator(SHAPE22, ()))
         assert reshuffle_rank_unscaled(f, SHAPE22, 1e-9, 1e300)[0] == 0
 
@@ -442,7 +443,7 @@ class TestReshuffleRank:
     def test_canonical_terms_reconstruct(self):
         rng = suite_rng(16, 0)
         shape = BipartiteShape(3, 2, 2, 3)
-        f = random_fsr_operator(rng, shape, 3).materialize()
+        f = random_fsr_operator(rng, shape, 3)[1]
         rank, dec = reshuffle_rank(f, shape)
         assert rank == 3
         assert np.linalg.norm(f - dec.materialize()) <= 1e-9 * np.linalg.norm(f)
@@ -464,7 +465,7 @@ class TestSpansEqual:
     def test_two_decompositions_agree(self):
         rng = suite_rng(17, 0)
         shape = BipartiteShape(2, 3, 2, 3)
-        f = random_fsr_operator(rng, shape, 2).materialize()
+        f = random_fsr_operator(rng, shape, 2)[1]
         dec = schmidt_decompose_deflation(f, shape)
         _, canon = reshuffle_rank(f, shape)
         assert spans_equal(dec.terms, canon.terms, 1)
@@ -526,8 +527,7 @@ class TestInverseFactors:
     def test_left_identities_on_random_rank_two(self):
         rng = suite_rng(21, 0)
         for _ in range(10):
-            fsr = random_fsr_operator(rng, SHAPE22, 2)
-            f = fsr.materialize()
+            fsr, f, _ = random_fsr_operator(rng, SHAPE22, 2)
             if np.linalg.cond(f) > 1e6:
                 continue
             pairs = inverse_factors(fsr, np.linalg.inv(f), "left", *self.normalized_vectors(rng))
@@ -538,8 +538,7 @@ class TestInverseFactors:
 
     def test_right_identities(self):
         rng = suite_rng(22, 0)
-        fsr = random_fsr_operator(rng, SHAPE22, 2)
-        f = fsr.materialize()
+        fsr, f, _ = random_fsr_operator(rng, SHAPE22, 2)
         pairs = inverse_factors(fsr, np.linalg.inv(f), "right", *self.normalized_vectors(rng))
         s1 = sum(a @ r1 for (r1, _), (a, _) in zip(pairs, fsr.terms))
         s2 = sum(b @ r2 for (_, r2), (_, b) in zip(pairs, fsr.terms))
@@ -603,7 +602,7 @@ def inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2):
 def test_inverse_factors_match_embedding_oracle(shape):
     rng = suite_rng(24, 0)
     for _ in range(8):
-        fsr = random_fsr_operator(rng, shape, 2)
+        fsr = random_fsr_operator(rng, shape, 2)[0]
         inv = np.linalg.inv(fsr.materialize())
         u1, v1 = crandom(rng, shape.h1), crandom(rng, shape.h1)
         v1 = v1 / np.conj(inner(u1, v1))
@@ -625,8 +624,7 @@ class TestRankOfLimits:
         rng = suite_rng(23, 0)
         shape = BipartiteShape(2, 3, 2, 3)
         r = 2
-        f_terms = random_fsr_operator(rng, shape, r)
-        f = f_terms.materialize()
+        f_terms, f, _ = random_fsr_operator(rng, shape, r)
         for n in (10, 100, 1000):
             g_terms = tuple(
                 (a + (1.0 / n) * crandom(rng, 2, 2), b) for a, b in f_terms.terms
@@ -786,7 +784,7 @@ def test_rank_law_walk_matches_replay():
     for t in range(40):
         shape = BipartiteShape(*(int(x) for x in rng.integers(1, 5, size=4)))
         r = 1 + t % min(shape.k1 * shape.h1, shape.k2 * shape.h2, 4)
-        f = random_fsr_operator(rng, shape, r).materialize()
+        f = random_fsr_operator(rng, shape, r)[1]
         residual = f
         walked = []
         for a, b in schmidt_decompose_deflation(f, shape).terms[:r]:
@@ -797,3 +795,37 @@ def test_rank_law_walk_matches_replay():
         assert all(np.array_equal(w, p) for w, p in zip(walked, replayed))
         ranks.add(r)
     assert ranks == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("dims, r", [
+    ((2, 3, 2, 3), 0), ((2, 3, 2, 3), 2), ((2, 3, 2, 3), 4), ((1, 2, 3, 1), 2), ((3, 2, 2, 2), 4), ((1, 1, 1, 1), 1),
+])
+def test_fsr_draw_returns_what_its_rank_check_read(dims, r):
+    # r = 0 and r = min(k1*h1, k2*h2) are the extreme ranks of each shape
+    shape = BipartiteShape(*dims)
+    fsr, f, canon = random_fsr_operator(suite_rng(0, 30 + r), shape, r)
+    assert fsr.shape == canon.shape == shape and fsr.rank_bound == canon.rank_bound == r
+    assert f.tobytes() == fsr.materialize().tobytes()
+    rank, want = reshuffle_rank(f, shape)
+    assert rank == r
+    assert len(canon.terms) == len(want.terms)
+    for (a, b), (a0, b0) in zip(canon.terms, want.terms):
+        assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+
+@pytest.mark.parametrize("suite", [verify.suite_span_uniqueness, verify.suite_rank_one_fixed_point])
+def test_fsr_suites_reuse_the_draws_matrix_and_decomposition(suite, monkeypatch):
+    # the suites read f and canon off the draw: every reshuffle and materialisation is one attempt's check
+    callers = {"reshuffle_rank": [], "materialize": []}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(schmidt, "reshuffle_rank", counted("reshuffle_rank", schmidt.reshuffle_rank))
+    monkeypatch.setattr(FSROperator, "materialize", counted("materialize", FSROperator.materialize))
+    assert suite(suite_rng(7, 0), 10)["passed"]
+    assert len(callers["reshuffle_rank"]) == len(callers["materialize"]) >= 10
+    assert set(callers["reshuffle_rank"]) == set(callers["materialize"]) == {"random_fsr_operator"}
