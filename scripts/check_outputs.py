@@ -27,6 +27,10 @@ written as JSON: ``sequences.two_term_disjunction_check`` on seeded
 ``gabor.verify_rank_r_frame_implication`` on the fixed lattice-aligned d = 2
 specs of ``RANK_R_SPECS``, and ``gabor.oversample_checks`` in full on one
 seeded, shuffled list of cases at N in ``OVERSAMPLE_NS``, in one call.
+``library/invariants.json`` records the exception class and message, or
+"accepted", of ``sequences.MinimalSumSequence`` and
+``sequences.build_minimal_sum`` on each group list of ``INVALID_GROUPS``, and
+of ``gabor.ZNWindow`` on each label of ``WINDOW_LABELS``.
 """
 
 import argparse
@@ -59,6 +63,25 @@ RANK_R_SPECS = (
     (("sech", "rational"), ((8, 2, 2), (6, 3, 2)), ((0, 2), (0, 3)), ((0, 2), (0, 2))),
     (("gaussian", "twoexp"), ((6, 2, 2), (4, 2, 2)), ((0, 2), (0, 2)), ((0, 2), (0, 2))),  # not a frame
 )
+
+_E1, _E2 = sequences.VectorSequence(np.eye(2)), sequences.VectorSequence(np.eye(2)[::-1])
+INVALID_GROUPS = {  # name: a group list that makes no minimal sum
+    "no_groups": [],
+    "empty_group": [[_E1, _E2], []],
+    "wrong_count": [[_E1, _E2], [_E1]],
+    "two_shapes": [[_E1, _E2], [_E1, sequences.VectorSequence(np.eye(3, 2))]],
+    "dependent_group": [[_E1, _E2], [_E2, sequences.VectorSequence(2 * np.eye(2)[::-1])]],
+}
+WINDOW_LABELS = ({"x": 1}, [1], 7, True, "random", None)
+
+
+def outcome(build, *args) -> str:
+    """The class and message of what ``build(*args)`` raises, or "accepted"."""
+    try:
+        build(*args)
+    except Exception as exc:  # what is raised is the record
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
 
 
 def entries(z) -> list:
@@ -172,6 +195,14 @@ def main(out: pathlib.Path) -> None:
     payload = [{"N": lat.N, "a": lat.a, "b": lat.b, "window": w.generator, **report}
                for (w, lat, _, _), report in zip(cases, reports)]
     (dirs["library"] / "oversample.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+    invariants = {
+        "groups": {name: {build.__name__: outcome(build, groups)
+                          for build in (sequences.MinimalSumSequence, sequences.build_minimal_sum)}
+                   for name, groups in INVALID_GROUPS.items()},
+        "window_labels": {repr(label): outcome(gabor.ZNWindow, np.ones(4, complex), label) for label in WINDOW_LABELS},
+    }
+    (dirs["library"] / "invariants.json").write_text(json.dumps(invariants, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):

@@ -67,7 +67,7 @@ class ZNLattice:
 
 @dataclass(frozen=True)
 class ZNWindow:
-    """Window vector on Z_N with an optional generator label.
+    """Window vector on Z_N with an optional generator label, a string or None.
 
     ``g`` is a read-only copy of the given entries, so the finiteness check
     of ``__post_init__`` holds for as long as the window lives.
@@ -77,6 +77,8 @@ class ZNWindow:
     generator: str | None = None
 
     def __post_init__(self):
+        if not isinstance(gen := self.generator, str | None):
+            raise ValueError(f"window field 'generator' must be a string or null, got {type(gen).__name__} {gen!r:.40}")
         g = as_cvector(self.g).copy()
         g.flags.writeable = False
         if g.shape[0] < 1:

@@ -29,13 +29,13 @@ def _entries_to_list(a) -> list:
     return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-_JSON_NAMES = {int: "non-negative integer", list: "list", dict: "object"}
+_JSON_NAMES = {int: "non-negative integer", list: "list"}
 
 
 def _field(d, kind: str, name: str, json_type: type):
     """Field ``name`` of the ``kind`` object ``d``, of exactly ``json_type``.
 
-    ``json_type`` is ``int``, ``list`` or ``dict``.  A ``d`` that is not a
+    ``json_type`` is ``int`` or ``list``.  A ``d`` that is not a
     JSON object, a missing field or a value of another JSON type is a data
     error; so is a negative integer.  ``true``, ``1.5``, ``1e400`` and
     ``"3"`` are not integers.
@@ -128,14 +128,12 @@ def window_to_dict(w: ZNWindow) -> dict:
 
 
 def window_from_dict(d) -> ZNWindow:
-    """The window of a file written by ``window_to_dict``: ``N`` equals ``dim``, ``generator`` is a string or null."""
+    """The window of a file written by ``window_to_dict``: ``N`` equals ``dim``; ``ZNWindow`` checks ``generator``."""
     g = vector_from_dict(d)
     n = _field(d, "window", "N", int)
     if n != g.shape[0]:
         raise ValueError(f"window field 'N' is {n}, but the window has {g.shape[0]} entries")
-    if (gen := d.get("generator")) is not None and type(gen) is not str:
-        raise ValueError(f"window field 'generator' must be a string or null, got {type(gen).__name__} {gen!r:.40}")
-    return ZNWindow(g, gen)
+    return ZNWindow(g, d.get("generator"))
 
 
 def save_json(path, payload) -> None:

@@ -12,6 +12,8 @@ realizes the family
     f_{n_1,...,n_d} = sum_{k=1}^{r} f_{1,k,n_1} (x) ... (x) f_{d,k,n_d},
 
 where for each group j the r component sequences are linearly independent.
+The type checks this when it is built; ``build_minimal_sum`` is the same
+call, kept by name.
 """
 
 from __future__ import annotations
@@ -148,9 +150,30 @@ def concatenate(seqs: list[VectorSequence]) -> VectorSequence:
 
 @dataclass(frozen=True)
 class MinimalSumSequence:
-    """d groups x r terms of component sequences; groups validated independent."""
+    """d groups x r terms of component sequences, ``groups[j][k]``, stored as tuples.
+
+    Building one checks that the sum is minimal: at least one group and no
+    empty one, r sequences of one shape (N_j vectors in C^m_j) in every group
+    j, and rank r of the r sequences flattened to vectors of length m_j * N_j,
+    by ``linalg.matrix_rank``.  Shapes that do not fit raise
+    ``DimensionMismatch``, the first dependent group ``DependentGroup(j)``.
+    """
 
     groups: tuple[tuple[VectorSequence, ...], ...]  # groups[j][k]
+
+    def __post_init__(self):
+        groups = tuple(tuple(g) for g in self.groups)
+        if not groups or any(not g for g in groups):
+            raise DimensionMismatch("need at least one nonempty group")
+        r = len(groups[0])
+        for j, group in enumerate(groups):
+            if len(group) != r:
+                raise DimensionMismatch(f"group {j} has {len(group)} sequences, expected {r}")
+            if len({seq.vectors.shape for seq in group}) > 1:
+                raise DimensionMismatch(f"sequences of group {j} must share length and dimension")
+            if linalg.matrix_rank(np.array([seq.vectors.ravel() for seq in group])) < r:
+                raise DependentGroup(j)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def d(self) -> int:
@@ -160,34 +183,9 @@ class MinimalSumSequence:
     def r(self) -> int:
         return len(self.groups[0])
 
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(g[0]) for g in self.groups)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(g[0].space_dim for g in self.groups)
-
 
 def build_minimal_sum(groups) -> MinimalSumSequence:
-    """Validate group shapes and per-group linear independence.
-
-    Group j must hold r sequences of equal length N_j in dimension m_j, and
-    the r sequences, flattened to vectors of length m_j * N_j, must have
-    rank r by ``linalg.matrix_rank``.
-    """
-    groups = tuple(tuple(g) for g in groups)
-    if not groups or any(not g for g in groups):
-        raise DimensionMismatch("need at least one nonempty group")
-    r = len(groups[0])
-    for j, group in enumerate(groups):
-        if len(group) != r:
-            raise DimensionMismatch(f"group {j} has {len(group)} sequences, expected {r}")
-        if len({seq.vectors.shape for seq in group}) > 1:
-            raise DimensionMismatch(f"sequences of group {j} must share length and dimension")
-        flat = np.array([seq.vectors.ravel() for seq in group])
-        if linalg.matrix_rank(flat) < r:
-            raise DependentGroup(j)
+    """``MinimalSumSequence(groups)``, which checks the groups; kept by name for its callers."""
     return MinimalSumSequence(groups)
 
 

@@ -876,6 +876,12 @@ class TestWindowEntries:
         with pytest.raises(ValueError):
             w.g[:] = 0
 
+    @pytest.mark.parametrize("label", [{"x": 1}, [1], 7, True])
+    def test_label_that_is_not_a_string_or_none_raises(self, label):
+        # any label was kept, and io wrote a window file that its own loader refused
+        with pytest.raises(ValueError, match="^window field 'generator' must be a string or null, got "):
+            ZNWindow(np.ones(4, dtype=complex), label)
+
     def test_a_sweep_leaves_nothing_on_the_window(self):
         # the window kept its scale and every Z_L of a sweep: 64 arrays, 15.5 MB at N = 7560
         w = sample_window("gaussian", 120)

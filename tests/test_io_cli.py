@@ -231,6 +231,22 @@ class TestEntryCodec:
         back = io.window_from_dict(io.load_json(path))
         assert back.generator is None and np.array_equal(bits(back.g), bits(w.g))
 
+    @pytest.mark.parametrize("label", [None, "random", "", "rank_r", 'quote " backslash \\ \u00fc'])
+    def test_every_window_the_type_accepts_round_trips(self, tmp_path, label):
+        w = gabor.ZNWindow(crandom(np.random.default_rng(36), 5), label)
+        path = tmp_path / "w.json"
+        io.save_json(path, io.window_to_dict(w))
+        back = io.window_from_dict(io.load_json(path))
+        assert back.generator == label and type(back.generator) is type(label)
+        assert np.array_equal(bits(back.g), bits(w.g))
+
+    def test_window_with_an_object_label_raises_before_a_file_is_written(self, tmp_path):
+        # the library wrote {"generator": {"x": 1}}, which window_from_dict then refused
+        path = tmp_path / "w.json"
+        with pytest.raises(ValueError, match="^window field 'generator' must be a string or null"):
+            io.save_json(path, io.window_to_dict(gabor.ZNWindow(np.ones(4, complex), {"x": 1})))
+        assert not path.exists()
+
     def test_integers_at_the_int64_edge_decode_as_floats(self, tmp_path):
         # numpy reads 2**63 beside -1 as float64, not as an object array, so the pair is a number
         path = tmp_path / "op.json"

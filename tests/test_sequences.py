@@ -338,6 +338,36 @@ class TestMinimalSum:
         ms = build_minimal_sum(self.groups())
         assert ms.d == 2 and ms.r == 2
 
+    def test_constructor_stores_the_groups_as_tuples(self):
+        groups = self.groups()
+        ms = MinimalSumSequence(groups)
+        assert type(ms.groups) is tuple and all(type(g) is tuple for g in ms.groups)
+        assert all(seq is given for g, h in zip(ms.groups, groups) for seq, given in zip(g, h, strict=True))
+
+    def invalid_groups(self):
+        """(groups, error, message) for each way a list of groups fails to make a minimal sum."""
+        e1, e2 = self.groups()[0]
+        return [
+            ([], DimensionMismatch, "need at least one nonempty group"),
+            ([[e1, e2], []], DimensionMismatch, "need at least one nonempty group"),
+            ([[e1, e2], [e1]], DimensionMismatch, "group 1 has 1 sequences, expected 2"),
+            ([[e1, e2], [e1, VectorSequence(np.eye(3, 2))]], DimensionMismatch,
+             "sequences of group 1 must share length and dimension"),
+            ([[e1, e2], [e2, VectorSequence(2 * e2.vectors)]], DependentGroup,
+             "component sequences of group 1 are linearly dependent"),
+        ]
+
+    @pytest.mark.parametrize("build", [MinimalSumSequence, build_minimal_sum])
+    @pytest.mark.parametrize("case", range(5))
+    def test_invalid_groups_raise_in_the_constructor(self, build, case):
+        # the constructor took any groups; only build_minimal_sum checked them
+        groups, error, message = self.invalid_groups()[case]
+        with pytest.raises(error) as err:
+            build(groups)
+        assert type(err.value) is error and str(err.value) == message
+        if error is DependentGroup:
+            assert err.value.group_index == 1
+
     def test_rejects_dependent_group(self):
         e1 = VectorSequence(np.array([[1, 0], [0, 1]], dtype=complex))
         twice = VectorSequence(2 * e1.vectors)
@@ -371,7 +401,10 @@ class TestMinimalSum:
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_materialize_of_non_finite_components_raises_non_finite_data(self, bad):
         e1, e2 = self.groups()[0]
-        ms = MinimalSumSequence(((e1, e2), (e2, VectorSequence(np.array([[1, bad], [0, 1]], dtype=complex)))))
+        with raises_without_warning(NonFiniteData, "NaN or inf"):
+            MinimalSumSequence(((e1, e2), (e2, VectorSequence(np.array([[1, bad], [0, 1]], dtype=complex)))))
+        ms = MinimalSumSequence(((e1, e2), (e2, VectorSequence(np.array([[1, 0], [0, 1]], dtype=complex)))))
+        ms.groups[1][1].vectors[0, 1] = bad  # past the constructor's check: materialize's own guard must see it
         with raises_without_warning(NonFiniteData, "minimal sum has non-finite entries"):
             materialize(ms)
 
@@ -419,8 +452,8 @@ def tensor_by_rows(seqs):
 def materialize_by_rows(ms):
     """Reference: the defining sum built row by row, term by term."""
     out = []
-    for multi in itertools.product(*(range(n) for n in ms.lengths)):
-        acc = np.zeros(int(np.prod(ms.dims)), dtype=complex)
+    for multi in itertools.product(*(range(len(g[0])) for g in ms.groups)):
+        acc = np.zeros(int(np.prod([g[0].space_dim for g in ms.groups])), dtype=complex)
         for k in range(ms.r):
             v = ms.groups[0][k][multi[0]]
             for j in range(1, ms.d):
