@@ -13,13 +13,16 @@ The runs: ``verify all --trials 50`` at seeds 0-3 and 7 and at the six op
 seeds of the ``verify_suites`` benchmark at seed 1; ``gabor sweep`` at
 N in {12, 120, 840, 1024} for every sampled window; ``schmidt decompose`` of
 256x256 operators of planted Schmidt rank 8, 32 and 128 with both methods, and with both methods of a
-real-valued operator (every imaginary part 0) and of one with integer entries, both of planted rank 8;
+real-valued operator (every imaginary part 0) and of one with integer entries, both of planted rank 8,
+and of the 256x256 zero operator;
 ``frames verify-main`` at four shapes, one of them a single factor;
 ``gabor perturb`` on the 12 instances of ``verify.PERTURB_INSTANCES``;
 ``frames classify`` of a seeded sequence; and the four demos.  The ``errors``
 group runs commands on deliberate bad inputs whose messages name no file path:
 ``verify all`` and ``frames verify-main`` at seed -1, ``gabor sweep`` of a
-window file whose ``generator`` is an object, and, as a control, ``frames
+window file whose ``generator`` is an object, ``schmidt decompose`` with both
+methods of the planted rank-8 operator under ``--shape 16,16,16,15``, whose
+240 rows fall 16 short of the operator's 256, and, as a control, ``frames
 classify`` of a sequence file with a boolean entry.  Three library
 checks with no command of their own are called directly and their reports
 written as JSON: ``sequences.two_term_disjunction_check`` on seeded
@@ -31,6 +34,8 @@ seeded, shuffled list of cases at N in ``OVERSAMPLE_NS``, in one call.
 "accepted", of ``sequences.MinimalSumSequence`` and
 ``sequences.build_minimal_sum`` on each group list of ``INVALID_GROUPS``, and
 of ``gabor.ZNWindow`` on each label of ``WINDOW_LABELS``.
+``library/shape_errors.json`` records the same for each call of
+``SHAPE_ERROR_CALLS``: an inverse, and factors, whose shapes do not fit.
 """
 
 import argparse
@@ -47,7 +52,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from frameforge import cli, gabor, sequences, verify  # noqa: E402
+from frameforge import cli, gabor, schmidt, sequences, verify  # noqa: E402
 
 VERIFY_SEEDS = (0, 1, 2, 3, 7, 755165, 511819, 950461, 473186, 144159, 34852)
 SWEEP_NS = (12, 120, 840, 1024)
@@ -73,6 +78,13 @@ INVALID_GROUPS = {  # name: a group list that makes no minimal sum
     "dependent_group": [[_E1, _E2], [_E2, sequences.VectorSequence(2 * np.eye(2)[::-1])]],
 }
 WINDOW_LABELS = ({"x": 1}, [1], 7, True, "random", None)
+_I2, _I3, _U = np.eye(2), np.eye(3), np.array([1.0, 0.0])
+SHAPE_ERROR_CALLS = {  # name: (function, args), each of whose arrays has a shape that does not fit
+    "inverse_factors_3x3_inverse": (schmidt.inverse_factors, (
+        schmidt.FSROperator(schmidt.BipartiteShape(2, 2, 2, 2), ((_I2, _I2),)), _I3, "left", _U, _U, _U, _U)),
+    "spans_equal_two_lists": (schmidt.spans_equal, ([(_I2, _I2)], [(_I3, _I3)], 1)),
+    "spans_equal_one_list": (schmidt.spans_equal, ([(_I2, _I2), (_I3, _I3)], [(_I2, _I2), (_I2, _I2)], 2)),
+}
 
 
 def outcome(build, *args) -> str:
@@ -139,6 +151,7 @@ def main(out: pathlib.Path) -> None:
     decompose("real_rank8", entries(planted(rng, 8, lambda g, s: g.standard_normal(s))))
     ints = planted(rng, 8, lambda g, s: g.integers(-3, 4, size=s))
     decompose("int_rank8", [[int(x), 0] for x in ints.ravel()])  # JSON integers, as a user may write them
+    decompose("zero", entries(np.zeros((k1 * k2, h1 * h2))))
 
     for dims, lens, rank in VERIFY_MAIN_SHAPES:
         run(dirs["verify_main"], f"dims{dims}_lens{lens}_rank{rank}",
@@ -163,6 +176,9 @@ def main(out: pathlib.Path) -> None:
     g = gabor.sample_window("gaussian", 4).g
     window_path.write_text(json.dumps({"dim": 4, "entries": entries(g), "N": 4, "generator": {"x": 1}}))
     run(dirs["errors"], "sweep_object_generator", ["gabor", "sweep", "--N", "4", "--window", f"file:{window_path}"])
+    short_shape = ["--input", str(dirs["inputs"] / "op_rank8.json"), "--shape", f"{h1},{h2},{k1},{k2 - 1}"]
+    for method in ("deflate", "svd"):
+        run(dirs["errors"], f"schmidt_shape_{method}", ["schmidt", "decompose", *short_shape, "--method", method])
     bool_path = dirs["inputs"] / "sequence_bool_entries.json"
     bool_path.write_text(json.dumps({"space_dim": 1, "vectors": [{"dim": 1, "entries": [[0.5, True]]}]}))
     run(dirs["errors"], "classify_bool_entries", ["frames", "classify", "--input", str(bool_path)])
@@ -203,6 +219,8 @@ def main(out: pathlib.Path) -> None:
         "window_labels": {repr(label): outcome(gabor.ZNWindow, np.ones(4, complex), label) for label in WINDOW_LABELS},
     }
     (dirs["library"] / "invariants.json").write_text(json.dumps(invariants, indent=2) + "\n")
+    shape_errors = {name: outcome(call, *args) for name, (call, args) in SHAPE_ERROR_CALLS.items()}
+    (dirs["library"] / "shape_errors.json").write_text(json.dumps(shape_errors, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):

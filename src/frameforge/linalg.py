@@ -8,7 +8,9 @@ factor dimensions (d_1, ..., d_m) maps to the flat index
     i_1 * d_2 * ... * d_m + i_2 * d_3 * ... * d_m + ... + i_m.
 
 This is exactly numpy's row-major (C order) convention, so the Kronecker
-product realizes the tensor product of both vectors and operators.
+product realizes the tensor product of both vectors and operators.  An operator
+C^{h1} (x) C^{h2} -> C^{k1} (x) C^{k2} is thus a (k1*k2) x (h1*h2) matrix, whose
+4-index form F4[i1, i2, j1, j2] is ``schmidt.BipartiteShape.view4``.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ def _cnormal(rng, *shape) -> np.ndarray:
 def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> tuple[FSROperator, np.ndarray, FSROperator]:
     """``(fsr, f, canon)``: random FSR terms of oracle Schmidt rank exactly r, ``f = fsr.materialize()`` and the
     ``schmidt.reshuffle_rank(f, shape)`` decomposition whose rank accepted the draw; raises ``DrawFailed``
-    before drawing unless 0 <= r <= min(k1*h1, k2*h2)."""
-    if not 0 <= r <= min(shape.k1 * shape.h1, shape.k2 * shape.h2):
+    before drawing unless 0 <= r <= ``shape.max_rank``."""
+    if not 0 <= r <= shape.max_rank:
         raise DrawFailed(f"no operator of {shape} has Schmidt rank {r}, outside 0..min(k1*h1, k2*h2)")
     while True:
         terms = tuple(
@@ -194,8 +194,7 @@ def suite_deflation_rank_law(rng, trials: int) -> dict:
     for t in range(trials):
         dims = tuple(rng.integers(2, 4, size=4))
         shape = BipartiteShape(*dims)
-        max_rank = min(shape.k1 * shape.h1, shape.k2 * shape.h2, 4)
-        r = 1 + t % max_rank
+        r = 1 + t % min(shape.max_rank, 4)
         _, f, _ = random_fsr_operator(rng, shape, r)
         norm_f = np.linalg.norm(f)
         dec = schmidt.schmidt_decompose_deflation(f, shape)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frameforge import schmidt, verify
-from frameforge.errors import ConditionViolated, DimensionMismatch, NonFiniteData
+from frameforge.errors import ConditionViolated, DimensionMismatch, DrawFailed, NonFiniteData
 from frameforge.linalg import (
     DEFAULT_RTOL,
     inner,
@@ -509,6 +509,20 @@ class TestSpansEqual:
         with pytest.raises(DimensionMismatch, match="term counts 1 and 2 differ"):
             spans_equal(t, t * 2, 1)
 
+    def test_factor_shapes_differ_between_the_lists(self):
+        match = r"^side-1 factors have shapes \[\(2, 2\), \(3, 3\)\], not one shape$"
+        with pytest.raises(DimensionMismatch, match=match):
+            spans_equal([(np.eye(2), np.eye(2))], [(np.eye(3), np.eye(3))], 1)
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_factor_shapes_differ_within_one_list(self, side):
+        # (2, 2) and (4, 1) flatten to one length, but they are not factors of one space
+        mixed = [(np.eye(2), np.eye(2)), (np.ones((4, 1)), np.ones((4, 1)))]
+        match = rf"^side-{side} factors have shapes \[\(2, 2\), \(4, 1\)\], not one shape$"
+        for terms_a, terms_b in ((mixed, mixed[:1] * 2), (mixed[:1] * 2, mixed)):
+            with pytest.raises(DimensionMismatch, match=match):
+                spans_equal(terms_a, terms_b, side)
+
 
 class TestInverseFactors:
     def normalized_vectors(self, rng):
@@ -829,3 +843,92 @@ def test_fsr_suites_reuse_the_draws_matrix_and_decomposition(suite, monkeypatch)
     assert suite(suite_rng(7, 0), 10)["passed"]
     assert len(callers["reshuffle_rank"]) == len(callers["materialize"]) >= 10
     assert set(callers["reshuffle_rank"]) == set(callers["materialize"]) == {"random_fsr_operator"}
+
+
+LAYOUT_SHAPE = BipartiteShape(2, 3, 2, 3)  # square, so inverse_factors takes it too
+LAYOUT_VECTORS = (E2[0], np.eye(3)[0], E2[0], np.eye(3)[0])  # u1, u2, v1, v2
+VIEW_CALLERS = {  # each reads its operator argument through BipartiteShape.view4
+    "P_uv": lambda f: P_uv(f, f, *LAYOUT_VECTORS, LAYOUT_SHAPE),
+    "D_uv": lambda f: D_uv(f, *LAYOUT_VECTORS, LAYOUT_SHAPE),
+    "deflate": lambda f: deflate(f, *LAYOUT_VECTORS, LAYOUT_SHAPE),
+    "schmidt_decompose_deflation": lambda f: schmidt_decompose_deflation(f, LAYOUT_SHAPE),
+    "reshuffle": lambda f: schmidt.reshuffle(f, LAYOUT_SHAPE),
+    "reshuffle_rank": lambda f: reshuffle_rank(f, LAYOUT_SHAPE),
+    "inverse_factors": lambda f: inverse_factors(
+        FSROperator(LAYOUT_SHAPE, ((E2, np.eye(3)),)), f, "left", *LAYOUT_VECTORS),
+}
+
+
+def seeded_shapes(seed, count=12):
+    """Seeded bipartite shapes with factor dims 1..4, the first of them 1 x 1 x 1 x 1."""
+    rng = np.random.default_rng(seed)
+    yield BipartiteShape(1, 1, 1, 1)
+    for _ in range(count - 1):
+        yield BipartiteShape(*(int(x) for x in rng.integers(1, 5, size=4)))
+
+
+def materialize_by_tensordot_chain(fsr):
+    """The stacked contraction with the permutation written out: oracle for FSROperator.materialize."""
+    s = fsr.shape
+    if not fsr.terms:
+        return np.zeros((s.codomain_dim, s.domain_dim), dtype=complex)
+    a = np.stack([a for a, _ in fsr.terms])
+    b = np.stack([b for _, b in fsr.terms])
+    return np.tensordot(a, b, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(s.codomain_dim, s.domain_dim)
+
+
+def reshuffle_by_reshape_chain(f, s):
+    """R[(i1, j1), (i2, j2)] with the reshapes written out: oracle for reshuffle."""
+    f = np.asarray(f, dtype=complex)
+    return f.reshape(s.k1, s.k2, s.h1, s.h2).transpose(0, 2, 1, 3).reshape(s.k1 * s.h1, s.k2 * s.h2)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("caller", VIEW_CALLERS)
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((5, 6)), r"operator shape \(5, 6\) does not match bipartite shape \(6, 6\)"),
+        (np.ones(36), r"expected a matrix, got array of shape \(36,\)"),
+    ], ids=["row_short", "vector"])
+    def test_every_view_caller_refuses_a_misshapen_operator(self, caller, bad, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            VIEW_CALLERS[caller](bad)
+
+    def test_view4_is_a_view_of_the_operator(self):
+        f = crandom(np.random.default_rng(40), 6, 6)
+        f4 = LAYOUT_SHAPE.view4(f)
+        assert f4.shape == (2, 3, 2, 3) and np.shares_memory(f4, f)
+        assert f4[1, 2, 0, 1] == f[1 * 3 + 2, 0 * 3 + 1]
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_materialize_equals_the_tensordot_chain(self, r):
+        rng = np.random.default_rng(41 + r)
+        for shape in seeded_shapes(r):
+            terms = tuple((crandom(rng, shape.k1, shape.h1), crandom(rng, shape.k2, shape.h2)) for _ in range(r))
+            fsr = FSROperator(shape, terms)
+            got, want = fsr.materialize(), materialize_by_tensordot_chain(fsr)
+            assert got.dtype == want.dtype == complex and np.array_equal(got, want)
+
+    def test_reshuffle_equals_the_reshape_chain(self):
+        rng = np.random.default_rng(44)
+        for shape in seeded_shapes(44):
+            f = crandom(rng, shape.codomain_dim, shape.domain_dim)
+            for g in (f, np.asfortranarray(f), f.real):
+                got, want = schmidt.reshuffle(g, shape), reshuffle_by_reshape_chain(g, shape)
+                assert got.dtype == complex and np.array_equal(got, want)
+
+    def test_max_rank_is_the_smaller_flattened_dimension(self):
+        for shape in seeded_shapes(45, count=40):
+            assert shape.max_rank == min(shape.k1 * shape.h1, shape.k2 * shape.h2)
+
+    def test_fsr_draw_stops_at_max_rank(self):
+        # dims 1..3 keep the full-rank draws small
+        rng = np.random.default_rng(46)
+        for _ in range(8):
+            shape = BipartiteShape(*(int(x) for x in rng.integers(1, 4, size=4)))
+            draws = suite_rng(0, 46)
+            fsr, _, canon = random_fsr_operator(draws, shape, shape.max_rank)
+            assert fsr.rank_bound == canon.rank_bound == shape.max_rank
+            state = draws.bit_generator.state
+            with pytest.raises(DrawFailed, match=f"has Schmidt rank {shape.max_rank + 1}, outside"):
+                random_fsr_operator(draws, shape, shape.max_rank + 1)
+            assert draws.bit_generator.state == state
