@@ -35,7 +35,12 @@ seeded, shuffled list of cases at N in ``OVERSAMPLE_NS``, in one call.
 ``sequences.build_minimal_sum`` on each group list of ``INVALID_GROUPS``, and
 of ``gabor.ZNWindow`` on each label of ``WINDOW_LABELS``.
 ``library/shape_errors.json`` records the same for each call of
-``SHAPE_ERROR_CALLS``: an inverse, and factors, whose shapes do not fit.
+``SHAPE_ERROR_CALLS``: an inverse, and factors, whose shapes do not fit;
+``library/fsr_stacks.json`` records the same for ``schmidt.FSROperator`` on
+each pair of factor stacks of ``FSR_STACKS``, each of which does not fit its
+shape.  ``library/tolerances.json`` records the rank, or the exception class
+and message, of both Schmidt routes on ``eye(4)`` and on the 4x4 zero operator
+at each ``tol`` of ``TOLERANCES``, with numpy's warnings raised as errors.
 """
 
 import argparse
@@ -46,6 +51,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -79,12 +85,22 @@ INVALID_GROUPS = {  # name: a group list that makes no minimal sum
 }
 WINDOW_LABELS = ({"x": 1}, [1], 7, True, "random", None)
 _I2, _I3, _U = np.eye(2), np.eye(3), np.array([1.0, 0.0])
-SHAPE_ERROR_CALLS = {  # name: (function, args), each of whose arrays has a shape that does not fit
-    "inverse_factors_3x3_inverse": (schmidt.inverse_factors, (
-        schmidt.FSROperator(schmidt.BipartiteShape(2, 2, 2, 2), ((_I2, _I2),)), _I3, "left", _U, _U, _U, _U)),
-    "spans_equal_two_lists": (schmidt.spans_equal, ([(_I2, _I2)], [(_I3, _I3)], 1)),
-    "spans_equal_one_list": (schmidt.spans_equal, ([(_I2, _I2), (_I3, _I3)], [(_I2, _I2), (_I2, _I2)], 2)),
+_S2, _S3 = schmidt.BipartiteShape(2, 2, 2, 2), schmidt.BipartiteShape(3, 3, 3, 3)
+SHAPE_ERROR_CALLS = {  # name: a call, built when it is made, each of whose arrays has a shape that does not fit
+    "inverse_factors_3x3_inverse": lambda: schmidt.inverse_factors(
+        schmidt.FSROperator(_S2, [_I2], [_I2]), _I3, "left", _U, _U, _U, _U),
+    "spans_equal_two_shapes": lambda: schmidt.spans_equal(
+        schmidt.FSROperator(_S2, [_I2], [_I2]), schmidt.FSROperator(_S3, [_I3], [_I3]), 1),
+    "fsr_operator_two_factor_shapes": lambda: schmidt.FSROperator(_S2, [_I2, _I3], [_I2, _I3]),
 }
+FSR_STACKS = {  # name: (A stack, B stack) on the 2,2,2,2 shape, none of which fits it
+    "ragged_list": ([_I2, _I3], [_I2, _I2]),
+    "2d_stacks": (_I2, _I2),
+    "mismatched_r": ([_I2, _I2], [_I2]),
+    "wrong_factor_shape": ([np.eye(2, 3)], [_I2]),
+    "bare_empty_list": ([], []),
+}
+TOLERANCES = (float("nan"), float("inf"), -1.0, 0.0, 0.5, 1.0)
 
 
 def outcome(build, *args) -> str:
@@ -94,6 +110,17 @@ def outcome(build, *args) -> str:
     except Exception as exc:  # what is raised is the record
         return f"{type(exc).__name__}: {exc}"
     return "accepted"
+
+
+def rank_or_error(decompose, f, tol):
+    """The ``rank_bound`` of ``decompose(f, _S2, tol)``, or the class and message of what it raises, with
+    numpy's warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return decompose(f, _S2, tol).rank_bound
+        except Exception as exc:  # what is raised is the record
+            return f"{type(exc).__name__}: {exc}"
 
 
 def entries(z) -> list:
@@ -219,8 +246,14 @@ def main(out: pathlib.Path) -> None:
         "window_labels": {repr(label): outcome(gabor.ZNWindow, np.ones(4, complex), label) for label in WINDOW_LABELS},
     }
     (dirs["library"] / "invariants.json").write_text(json.dumps(invariants, indent=2) + "\n")
-    shape_errors = {name: outcome(call, *args) for name, (call, args) in SHAPE_ERROR_CALLS.items()}
+    shape_errors = {name: outcome(call) for name, call in SHAPE_ERROR_CALLS.items()}
     (dirs["library"] / "shape_errors.json").write_text(json.dumps(shape_errors, indent=2) + "\n")
+    fsr_stacks = {name: outcome(schmidt.FSROperator, _S2, a, b) for name, (a, b) in FSR_STACKS.items()}
+    (dirs["library"] / "fsr_stacks.json").write_text(json.dumps(fsr_stacks, indent=2) + "\n")
+    tolerances = {f"{decompose.__name__}_{name}": {str(tol): rank_or_error(decompose, f, tol) for tol in TOLERANCES}
+                  for decompose in (schmidt.schmidt_decompose_deflation, schmidt.reshuffle_rank)
+                  for name, f in (("eye4", np.eye(4)), ("zero4", np.zeros((4, 4))))}
+    (dirs["library"] / "tolerances.json").write_text(json.dumps(tolerances, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):

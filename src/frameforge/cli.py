@@ -49,11 +49,8 @@ def cmd_schmidt_decompose(args) -> int:
         raise ValueError("--shape needs h1,h2,k1,k2")
     f = io.operator_from_dict(io.load_json(args.input))
     shape = schmidt.BipartiteShape(*dims)
-    tol = args.tol
-    if args.method == "deflate":
-        dec = schmidt.schmidt_decompose_deflation(f, shape, tol)
-    else:
-        _, dec = schmidt.reshuffle_rank(f, shape, tol)
+    decompose = schmidt.schmidt_decompose_deflation if args.method == "deflate" else schmidt.reshuffle_rank
+    dec = decompose(f, shape, args.tol)
     e = linalg.max_exponent(f)  # one exact power of two keeps both norms finite and nonzero
     f_s, rec_s = (linalg.times_power_of_two(x, -e) for x in (f, dec.materialize()))
     recon = np.linalg.norm(f_s - rec_s) / np.linalg.norm(f_s) if f_s.any() else 0.0
@@ -61,7 +58,7 @@ def cmd_schmidt_decompose(args) -> int:
         io.save_json(args.output, io.fsr_to_dict(dec))
     print(f"rank: {dec.rank_bound}")
     print(f"reconstruction_error: {recon:.3e}")
-    return EXIT_OK if recon <= max(tol, 1e-8) else EXIT_FAIL
+    return EXIT_OK if recon <= max(args.tol, 1e-8) else EXIT_FAIL
 
 
 def cmd_frames_classify(args) -> int:

@@ -116,7 +116,7 @@ def sequence_from_dict(d) -> VectorSequence:
 def fsr_to_dict(f: FSROperator) -> dict:
     return {
         "shape": {"h1": f.shape.h1, "h2": f.shape.h2, "k1": f.shape.k1, "k2": f.shape.k2},
-        "terms": [{"A": operator_to_dict(a), "B": operator_to_dict(b)} for a, b in f.terms],
+        "terms": [{"A": operator_to_dict(a), "B": operator_to_dict(b)} for a, b in zip(f.a, f.b)],
     }
 
 

@@ -1,9 +1,9 @@
 """Finite-Schmidt-rank operators on bipartite tensor spaces.
 
-An operator F : C^{h1} (x) C^{h2} -> C^{k1} (x) C^{k2} is stored as a dense
-(k1*k2) x (h1*h2) matrix under the package flattening convention.  Its
-Schmidt rank is the minimal r with F = sum_k A_k (x) B_k.  Two independent
-routes compute decompositions:
+An operator F : C^{h1} (x) C^{h2} -> C^{k1} (x) C^{k2} is stored as a dense (k1*k2) x (h1*h2) matrix under the
+package flattening convention.  Its Schmidt rank is the minimal r with F = sum_k A_k (x) B_k; an ``FSROperator``
+holds such a sum as the factor stacks A (r, k1, h1) and B (r, k2, h2), and r = 0 is the zero operator.  Two
+independent routes compute decompositions, and both refuse a NaN, infinite or negative ``tol``:
 
 * ``reshuffle_rank`` permutes indices so that ordinary matrix rank equals
   Schmidt rank and reads a canonical decomposition off the SVD (the oracle);
@@ -71,33 +71,32 @@ def _swap_middle(x4: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FSROperator:
-    """Sum of elementary tensor factor pairs (A_k, B_k) on a bipartite space."""
+    """sum_k A_k (x) B_k held as the factor stacks a = (A_k) of shape (r, k1, h1) and b = (B_k) of shape (r, k2, h2)."""
 
     shape: BipartiteShape
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        terms = []
-        for a, b in self.terms:
-            a, b = as_coperator(a), as_coperator(b)
-            if a.shape != (self.shape.k1, self.shape.h1) or b.shape != (self.shape.k2, self.shape.h2):
-                raise DimensionMismatch("term factor shapes do not match the bipartite shape")
-            terms.append((a, b))
-        object.__setattr__(self, "terms", tuple(terms))
+        try:
+            a, b = np.asarray(self.a, dtype=complex), np.asarray(self.b, dtype=complex)
+        except ValueError:  # a ragged list of factors has no stack shape
+            a = b = None
+        s = self.shape
+        if a is None or a.shape != (*a.shape[:1], s.k1, s.h1) or b.shape != (*a.shape[:1], s.k2, s.h2):
+            raise DimensionMismatch("term factor shapes do not match the bipartite shape")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def rank_bound(self) -> int:
-        return len(self.terms)
+        return len(self.a)
 
     def materialize(self) -> np.ndarray:
-        """sum_k A_k (x) B_k as one BLAS contraction over k of the stacked factors.  ``linalg.kron_sum``'s sum
-        in term order rounds otherwise, which moves three ``worst_*`` fields of every ``verify all`` report,
-        and at r = 128 on 16x16 factors takes over ten times as long (about 30 ms against 2 ms, 2 vCPUs)."""
-        if not self.terms:
-            return np.zeros((self.shape.codomain_dim, self.shape.domain_dim), dtype=complex)
-        a = np.stack([a for a, _ in self.terms])  # (r, k1, h1)
-        b = np.stack([b for _, b in self.terms])  # (r, k2, h2)
-        return _swap_middle(np.tensordot(a, b, axes=(0, 0)))  # (k1, h1, k2, h2) -> (k1 k2, h1 h2)
+        """sum_k A_k (x) B_k, zero when r = 0, as one BLAS contraction over k of the stacks.  ``linalg.kron_sum``'s
+        sum in term order rounds otherwise, which moves three ``worst_*`` fields of every ``verify all`` report, and
+        at r = 128 on 16x16 factors takes over ten times as long (about 30 ms against 2 ms, 2 vCPUs)."""
+        return _swap_middle(np.tensordot(self.a, self.b, axes=(0, 0)))  # (k1, h1, k2, h2) -> (k1 k2, h1 h2)
 
 
 def _check_vectors(u1, u2, v1, v2, shape: BipartiteShape) -> tuple[np.ndarray, ...]:
@@ -161,6 +160,12 @@ def deflate(f, u1, u2, v1, v2, shape: BipartiteShape) -> np.ndarray:
     return f - linalg.tensor_op(a, b)
 
 
+def _check_tol_value(value: float) -> None:
+    """Refuse a NaN, infinite or negative tolerance, which no stop test or rank rule reads as meant."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {value}")
+
+
 def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_RTOL) -> FSROperator:
     """Greedy deflation: one elementary term per step until the residual dies.
 
@@ -176,21 +181,22 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     The loop runs on 2**-e * F, e = ``linalg.max_exponent(F)``, and scales
     each A back by 2**e: exact scaling, but no norm overflows or underflows.
     """
+    _check_tol_value(tol)
     f4 = shape.view4(f)
     e = linalg.max_exponent(f4)
     r4 = linalg.times_power_of_two(f4, -e)
     residual = r4.reshape(shape.codomain_dim, shape.domain_dim)  # a view of r4
     norm0 = np.linalg.norm(residual)
-    terms: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(shape.max_rank):  # the zero operator stops at the first test, with no terms
-        if np.linalg.norm(residual) <= tol * norm0:
-            break
+    a = np.empty((shape.max_rank, shape.k1, shape.h1), dtype=complex)
+    b = np.empty((shape.max_rank, shape.k2, shape.h2), dtype=complex)
+    r = 0  # the zero operator stops at the first test, with no terms
+    while r < shape.max_rank and np.linalg.norm(residual) > tol * norm0:
         i1, i2, j1, j2 = np.unravel_index(np.argmax(np.abs(r4)), r4.shape)
-        a = r4[:, i2, :, j2].copy()
-        b = r4[i1, :, j1, :] / r4[i1, i2, j1, j2]
-        residual -= linalg.tensor_op(a, b)
-        terms.append((linalg.times_power_of_two(a, e), b))
-    return FSROperator(shape, tuple(terms))
+        a[r] = r4[:, i2, :, j2]
+        b[r] = r4[i1, :, j1, :] / r4[i1, i2, j1, j2]
+        residual -= linalg.tensor_op(a[r], b[r])
+        r += 1
+    return FSROperator(shape, linalg.times_power_of_two(a[:r], e), b[:r])
 
 
 def reshuffle(f, shape: BipartiteShape) -> np.ndarray:
@@ -203,8 +209,8 @@ def reshuffle(f, shape: BipartiteShape) -> np.ndarray:
 
 def reshuffle_rank(
     f, shape: BipartiteShape, tol: float = DEFAULT_RTOL, scale: float = 0.0
-) -> tuple[int, FSROperator]:
-    """Schmidt rank and a canonical decomposition via SVD of the reshuffle.
+) -> FSROperator:
+    """A canonical decomposition via SVD of the reshuffle; its ``rank_bound`` is the Schmidt rank.
 
     Singular values below tol * max(sigma_max, scale) count as zero; pass the
     original operator's magnitude as ``scale`` when ranking residuals of a
@@ -212,6 +218,7 @@ def reshuffle_rank(
     SVD is of 2**-2h R, h = ceil(``linalg.max_exponent(F)`` / 2), and ``scale``
     and the factors are scaled alike: exact, but sigma_max cannot overflow.
     """
+    _check_tol_value(tol)
     r = reshuffle(f, shape)
     h = -(-linalg.max_exponent(r) // 2)
     u, s, vh = np.linalg.svd(linalg.times_power_of_two(r, -2 * h))
@@ -220,31 +227,26 @@ def reshuffle_rank(
     root = np.sqrt(s[:rank])
     a = linalg.times_power_of_two((u[:, :rank] * root).T.reshape(rank, shape.k1, shape.h1), h)
     b = linalg.times_power_of_two((root[:, None] * vh[:rank]).reshape(rank, shape.k2, shape.h2), h)
-    return rank, FSROperator(shape, tuple(zip(a, b)))
+    return FSROperator(shape, a, b)
 
 
-def spans_equal(terms_a, terms_b, side: int) -> bool:
+def spans_equal(x: FSROperator, y: FSROperator, side: int) -> bool:
     """Whether the factor spans of two decompositions coincide on one side.
 
-    ``side`` is 1 (first factors) or 2 (second factors).  Both term lists
-    must have the same length; equality is decided by comparing the rank of
-    the stacked flattening against the per-list ranks.
+    ``side`` is 1 (first factors) or 2 (second factors).  Both stacks must
+    have one shape (term count and factor shape); equality is decided by comparing
+    the rank of the two stacks together against each one's rank (r = 0 spans {0}).
     """
-    terms_a, terms_b = list(terms_a), list(terms_b)
-    if len(terms_a) != len(terms_b):
-        raise DimensionMismatch(f"term counts {len(terms_a)} and {len(terms_b)} differ")
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    if not terms_a:
-        return True  # two empty lists both span {0}
-    factors = [as_coperator(t[side - 1]) for t in (*terms_a, *terms_b)]
-    if len(shapes := {x.shape for x in factors}) > 1:
-        raise DimensionMismatch(f"side-{side} factors have shapes {sorted(shapes)}, not one shape")
-    stacked = np.array([x.ravel() for x in factors])
-    ra, rb = linalg.matrix_rank(stacked[: len(terms_a)]), linalg.matrix_rank(stacked[len(terms_a) :])
+    xs, ys = (x.a, y.a) if side == 1 else (x.b, y.b)
+    if xs.shape != ys.shape:
+        raise DimensionMismatch(f"side-{side} factor stacks have shapes {xs.shape} and {ys.shape}, not one shape")
+    flat = np.concatenate((xs, ys)).reshape(2 * len(xs), xs.shape[1] * xs.shape[2])  # x's factors, then y's
+    ra, rb = linalg.matrix_rank(flat[: len(xs)]), linalg.matrix_rank(flat[len(xs) :])
     if ra != rb:
         return False
-    return linalg.matrix_rank(stacked) == ra
+    return linalg.matrix_rank(flat) == ra
 
 
 def inverse_factors(fsr: FSROperator, inv, side: str, u1, u2, v1, v2) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -276,7 +278,7 @@ def inverse_factors(fsr: FSROperator, inv, side: str, u1, u2, v1, v2) -> list[tu
     if not (abs(linalg.inner(u1, v1) - 1.0) <= PAIRING_TOL and abs(linalg.inner(u2, v2) - 1.0) <= PAIRING_TOL):
         raise ConditionViolated("need <u1, v1> = 1 and <u2, v2> = 1")
     if side == "left":
-        return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in fsr.terms]
+        return [D_uv(inv, a_k @ u1, b_k @ u2, v1, v2, shape) for a_k, b_k in zip(fsr.a, fsr.b)]
     inv_adj = inv.conj().T
-    pairs = [D_uv(inv_adj, a_k.conj().T @ v1, b_k.conj().T @ v2, u1, u2, shape) for a_k, b_k in fsr.terms]
+    pairs = [D_uv(inv_adj, a_k.conj().T @ v1, b_k.conj().T @ v2, u1, u2, shape) for a_k, b_k in zip(fsr.a, fsr.b)]
     return [(r1.conj().T, r2.conj().T) for r1, r2 in pairs]

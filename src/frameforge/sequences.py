@@ -136,7 +136,8 @@ def tensor_sequences(seqs: list[VectorSequence]) -> VectorSequence:
     if not seqs:
         raise DimensionMismatch("need at least one factor sequence")
     vs = [s.vectors for s in seqs]
-    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_sum([vs]), "a tensor product of sequences", *vs))
+    product = linalg.within_float_range(lambda: linalg.kron_sum([vs]), "a tensor product of sequences", *vs)
+    return VectorSequence(product)
 
 
 def concatenate(seqs: list[VectorSequence]) -> VectorSequence:

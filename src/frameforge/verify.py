@@ -38,13 +38,12 @@ def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> tuple[FSROperator
     if not 0 <= r <= shape.max_rank:
         raise DrawFailed(f"no operator of {shape} has Schmidt rank {r}, outside 0..min(k1*h1, k2*h2)")
     while True:
-        terms = tuple(
-            (_cnormal(rng, shape.k1, shape.h1), _cnormal(rng, shape.k2, shape.h2))
-            for _ in range(r)
-        )
-        fsr = FSROperator(shape, terms)
-        rank, canon = schmidt.reshuffle_rank(f := fsr.materialize(), shape)
-        if rank == r:
+        a, b = np.empty((r, shape.k1, shape.h1), dtype=complex), np.empty((r, shape.k2, shape.h2), dtype=complex)
+        for k in range(r):  # A_k, then B_k: each term's draws stay together in the stream
+            a[k], b[k] = _cnormal(rng, shape.k1, shape.h1), _cnormal(rng, shape.k2, shape.h2)
+        fsr = FSROperator(shape, a, b)
+        canon = schmidt.reshuffle_rank(f := fsr.materialize(), shape)
+        if canon.rank_bound == r:
             return fsr, f, canon
 
 
@@ -200,9 +199,9 @@ def suite_deflation_rank_law(rng, trials: int) -> dict:
         dec = schmidt.schmidt_decompose_deflation(f, shape)
         # walk the deflation's terms to watch the rank drop by one per step
         residual = f
-        for k, (a, b) in enumerate(dec.terms[:r]):
+        for k, (a, b) in enumerate(zip(dec.a[:r], dec.b)):
             residual = residual - tensor_op(a, b)
-            if schmidt.reshuffle_rank(residual, shape, tol=1e-7, scale=norm_f)[0] != r - 1 - k:
+            if schmidt.reshuffle_rank(residual, shape, tol=1e-7, scale=norm_f).rank_bound != r - 1 - k:
                 ok = False
                 break
         recon = np.linalg.norm(f - dec.materialize()) / norm_f
@@ -229,11 +228,11 @@ def suite_inverse_factors(rng, trials: int) -> dict:
         for side in ("left", "right"):
             pairs = schmidt.inverse_factors(fsr, inv, side, u1, u2, v1, v2)
             if side == "left":
-                s1 = sum(l1 @ a for (l1, _), (a, _) in zip(pairs, fsr.terms))
-                s2 = sum(l2 @ b for (_, l2), (_, b) in zip(pairs, fsr.terms))
+                s1 = sum(l1 @ a for (l1, _), a in zip(pairs, fsr.a))
+                s2 = sum(l2 @ b for (_, l2), b in zip(pairs, fsr.b))
             else:
-                s1 = sum(a @ r1 for (r1, _), (a, _) in zip(pairs, fsr.terms))
-                s2 = sum(b @ r2 for (_, r2), (_, b) in zip(pairs, fsr.terms))
+                s1 = sum(a @ r1 for (r1, _), a in zip(pairs, fsr.a))
+                s2 = sum(b @ r2 for (_, r2), b in zip(pairs, fsr.b))
             resid = max(
                 np.linalg.norm(s1 - np.eye(2)), np.linalg.norm(s2 - np.eye(2))
             )
@@ -250,11 +249,11 @@ def suite_span_uniqueness(rng, trials: int) -> dict:
         r = 1 + t % 3
         _, f, canon = random_fsr_operator(rng, shape, r)
         dec = schmidt.schmidt_decompose_deflation(f, shape)
-        if len(dec.terms) != len(canon.terms):
+        if dec.rank_bound != canon.rank_bound:
             ok = False
             continue
-        ok = ok and schmidt.spans_equal(dec.terms, canon.terms, 1)
-        ok = ok and schmidt.spans_equal(dec.terms, canon.terms, 2)
+        ok = ok and schmidt.spans_equal(dec, canon, 1)
+        ok = ok and schmidt.spans_equal(dec, canon, 2)
     return {"passed": bool(ok), "trials": trials}
 
 

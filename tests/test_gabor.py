@@ -678,6 +678,15 @@ class TestRankRWindow:
         w = build_rank_r_window(self.spec_d2_r2())
         assert w.N == 16
 
+    @pytest.mark.parametrize("windows, alphas, betas, message", [
+        ((), (), (), "need at least one factor"),
+        ((delta(4),), ((0,), (0,)), ((0,),), "shift tables must have one row per factor"),
+        ((delta(4), delta(4)), ((0,), (0, 2)), ((0,), (0, 2)), "all factors must carry the same number of terms"),
+    ], ids=["no_factor", "rows_short", "term_counts_differ"])
+    def test_misshapen_spec_rejected(self, windows, alphas, betas, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            RankRWindowSpec(windows, alphas, betas)
+
     def test_zero_window_rejected(self):
         spec = RankRWindowSpec(
             windows=(ZNWindow(np.zeros(4)), delta(4)),
@@ -747,6 +756,13 @@ class TestRankRWindow:
         f1 = classify(gabor_system(w1, lats[0])).is_frame
         f2 = classify(gabor_system(w2, lats[1])).is_frame
         assert report["full"]["is_frame"] == (f1 and f2)
+
+    def test_not_a_frame_reports_no_factors(self):
+        # a = b = N keeps one atom per factor: one vector in C^16 is no frame, so the implication has no premise
+        spec = RankRWindowSpec(windows=(delta(4), delta(4)), alphas=((0,), (0,)), betas=((0,), (0,)))
+        report = verify_rank_r_frame_implication(spec, [ZNLattice(4, 4, 4)] * 2)
+        assert not report["full"]["is_frame"]
+        assert "per_factor" not in report and "all_factors_frames" not in report
 
     def test_non_multiple_shift_rejected(self):
         spec = RankRWindowSpec(

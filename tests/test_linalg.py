@@ -209,6 +209,17 @@ class TestOpNormExtremes:
         with pytest.raises(NonFiniteData, match="NaN or inf"):
             op_norm_extremes(np.array([[x, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_matrix_has_no_singular_values(self, shape):
+        with pytest.raises(DimensionMismatch, match="^empty matrix has no singular values$"):
+            op_norm_extremes(np.zeros(shape))
+
+
+@pytest.mark.parametrize("x", [np.eye(2), np.ones((1, 3)), 1.0])
+def test_as_cvector_refuses_what_is_not_a_vector(x):
+    with pytest.raises(DimensionMismatch, match=r"^expected a vector, got array of shape \("):
+        linalg.as_cvector(x)
+
 
 class TestMatrixRank:
     def test_zero(self):

@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 
@@ -38,6 +39,18 @@ def crandom(rng, *shape):
 E2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SHAPE22 = BipartiteShape(2, 2, 2, 2)
+
+
+def fsr_of_pairs(shape, terms):
+    """The decomposition of (A_k, B_k) pairs as the two factor stacks; no pairs give the r = 0 stacks."""
+    terms = list(terms)
+    a = np.reshape([a for a, _ in terms], (-1, shape.k1, shape.h1))
+    return FSROperator(shape, a, np.reshape([b for _, b in terms], (-1, shape.k2, shape.h2)))
+
+
+def term_pairs(fsr):
+    """The (A_k, B_k) pairs of a decomposition, in term order."""
+    return list(zip(fsr.a, fsr.b))
 
 
 def embed_U1(u1, h2: int) -> np.ndarray:
@@ -159,6 +172,13 @@ class TestContractions:
         lhs = contract_V2(v2, 2 * h1 + 3j * h2, SHAPE22)
         rhs = 2 * contract_V2(v2, h1, SHAPE22) + 3j * contract_V2(v2, h2, SHAPE22)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("contract, v_len", [(contract_V1, 2), (contract_V2, 4)])
+    def test_wrong_lengths_raise(self, contract, v_len):
+        shape = BipartiteShape(2, 2, 2, 4)  # h has length k1 * k2 = 8; v1 has length k1 = 2, v2 length k2 = 4
+        for v, h in ((np.ones(v_len + 1), np.ones(8)), (np.ones(v_len), np.ones(7))):
+            with pytest.raises(DimensionMismatch, match=f"^{contract.__name__}: vector dims do not match the shape$"):
+                contract(v, h, shape)
 
 
 class TestPandD:
@@ -295,7 +315,7 @@ class TestDeflate:
         f = np.kron(E2, E2) + np.kron(X, X)
         # F(e1 (x) e1) = e1 (x) e1 + e2 (x) e2, so pairing with e1 (x) e1 is 1
         res = deflate(f, E2[0], E2[0], E2[0], E2[0], SHAPE22)
-        assert reshuffle_rank(res, SHAPE22)[0] == 1
+        assert reshuffle_rank(res, SHAPE22).rank_bound == 1
 
     def test_pairing_not_one(self):
         f = 0.5 * np.kron(E2, E2)
@@ -340,7 +360,7 @@ class TestVectorLengths:
                 deflate(f, *vectors, self.SHAPE)
 
     def test_inverse_factors(self):
-        fsr = FSROperator(SHAPE22, ((E2, E2),))
+        fsr = FSROperator(SHAPE22, [E2], [E2])
         with pytest.raises(DimensionMismatch, match="vector lengths"):
             inverse_factors(fsr, np.eye(4), "left", np.ones(3), E2[0], E2[0], E2[0])
 
@@ -358,7 +378,7 @@ class TestDecomposition:
         rng = np.random.default_rng(14)
         shape = BipartiteShape(2, 3, 2, 3)
         f = random_fsr_operator(suite_rng(14, 0), shape, 2)[1]
-        assert reshuffle_rank(f, shape)[0] == 2
+        assert reshuffle_rank(f, shape).rank_bound == 2
         dec = schmidt_decompose_deflation(f, shape)
         assert dec.rank_bound == 2
 
@@ -373,7 +393,7 @@ class TestDecomposition:
             r = 1 + t % 4
             f = random_fsr_operator(rng, shape, r)[1]
             dec = schmidt_decompose_deflation(f, shape)
-            assert dec.rank_bound == reshuffle_rank(f, shape)[0] == r
+            assert dec.rank_bound == reshuffle_rank(f, shape).rank_bound == r
             assert np.linalg.norm(f - dec.materialize()) <= 1e-8 * np.linalg.norm(f)
 
 
@@ -398,10 +418,10 @@ class TestReshuffleRank:
             r = int(rng.integers(0, min(shape.k1 * shape.h1, shape.k2 * shape.h2) + 1))
             f = random_fsr_operator(rng, shape, r)[1] * 10.0 ** rng.uniform(-5, 5)
             scale = float(np.linalg.norm(f)) * rng.choice([0.0, 1.0, 10.0])
-            rank, dec = reshuffle_rank(f, shape, 1e-9, scale)
+            dec = reshuffle_rank(f, shape, 1e-9, scale)
             want_rank, want_terms = reshuffle_rank_unscaled(f, shape, 1e-9, scale)
-            assert rank == want_rank
-            for (a, b), (want_a, want_b) in zip(dec.terms, want_terms, strict=True):
+            assert dec.rank_bound == want_rank
+            for (a, b), (want_a, want_b) in zip(term_pairs(dec), want_terms, strict=True):
                 assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
 
     @pytest.mark.parametrize("peak", [9.97e307, 1e-300])
@@ -410,8 +430,8 @@ class TestReshuffleRank:
         shape = BipartiteShape(4, 4, 4, 4)
         f = random_fsr_operator(suite_rng(0, 99), shape, 3)[1]
         f *= peak / np.abs(f.view(float)).max()
-        rank, dec = reshuffle_rank(f, shape)
-        assert rank == 3
+        dec = reshuffle_rank(f, shape)
+        assert dec.rank_bound == 3
         e = max_exponent(f)
         f_s, rec_s = (times_power_of_two(x, -e) for x in (f, dec.materialize()))
         assert np.linalg.norm(f_s - rec_s) <= 1e-12 * np.linalg.norm(f_s)
@@ -419,17 +439,18 @@ class TestReshuffleRank:
     def test_scale_beyond_the_float_range_ranks_zero(self):
         # scale * 2**-2h overflows for a tiny operator and a huge scale; the unscaled rule also ranks 0
         f = random_fsr_operator(suite_rng(0, 98), SHAPE22, 2)[1] * 1e-300
-        assert reshuffle_rank(f, SHAPE22, 1e-9, 1e300) == (0, FSROperator(SHAPE22, ()))
+        dec = reshuffle_rank(f, SHAPE22, 1e-9, 1e300)
+        assert dec.rank_bound == 0 and term_pairs(dec) == []
         assert reshuffle_rank_unscaled(f, SHAPE22, 1e-9, 1e300)[0] == 0
 
     def test_elementary_tensor(self):
         rng = np.random.default_rng(15)
         f = np.kron(crandom(rng, 2, 2), crandom(rng, 2, 2))
-        assert reshuffle_rank(f, SHAPE22)[0] == 1
+        assert reshuffle_rank(f, SHAPE22).rank_bound == 1
 
     def test_identity_is_rank_one(self):
-        rank, dec = reshuffle_rank(np.eye(4), SHAPE22)
-        assert rank == 1
+        dec = reshuffle_rank(np.eye(4), SHAPE22)
+        assert dec.rank_bound == 1
         np.testing.assert_allclose(dec.materialize(), np.eye(4), atol=1e-12)
 
     def test_swap_is_rank_four(self):
@@ -438,14 +459,14 @@ class TestReshuffleRank:
             for j in range(2):
                 swap[j * 2 + i, i * 2 + j] = 1.0
         # brute-force oracle: the reshuffled 4x4 matrix is a permutation
-        assert reshuffle_rank(swap, SHAPE22)[0] == 4
+        assert reshuffle_rank(swap, SHAPE22).rank_bound == 4
 
     def test_canonical_terms_reconstruct(self):
         rng = suite_rng(16, 0)
         shape = BipartiteShape(3, 2, 2, 3)
         f = random_fsr_operator(rng, shape, 3)[1]
-        rank, dec = reshuffle_rank(f, shape)
-        assert rank == 3
+        dec = reshuffle_rank(f, shape)
+        assert dec.rank_bound == 3
         assert np.linalg.norm(f - dec.materialize()) <= 1e-9 * np.linalg.norm(f)
 
 
@@ -467,20 +488,21 @@ class TestSpansEqual:
         shape = BipartiteShape(2, 3, 2, 3)
         f = random_fsr_operator(rng, shape, 2)[1]
         dec = schmidt_decompose_deflation(f, shape)
-        _, canon = reshuffle_rank(f, shape)
-        assert spans_equal(dec.terms, canon.terms, 1)
-        assert spans_equal(dec.terms, canon.terms, 2)
+        canon = reshuffle_rank(f, shape)
+        assert spans_equal(dec, canon, 1)
+        assert spans_equal(dec, canon, 2)
 
     def test_unrelated_terms_differ(self):
         rng = np.random.default_rng(18)
         t1 = [(crandom(rng, 2, 2), crandom(rng, 2, 2)) for _ in range(2)]
         t2 = [(crandom(rng, 2, 2), crandom(rng, 2, 2)) for _ in range(2)]
-        assert not spans_equal(t1, t2, 1)
+        assert not spans_equal(fsr_of_pairs(SHAPE22, t1), fsr_of_pairs(SHAPE22, t2), 1)
 
     def test_permutation_and_scaling_invariance(self):
         rng = np.random.default_rng(19)
         t = [(crandom(rng, 2, 2), crandom(rng, 2, 2)) for _ in range(2)]
         scrambled = [(3j * t[1][0], t[1][1]), (-2 * t[0][0], t[0][1])]
+        t, scrambled = fsr_of_pairs(SHAPE22, t), fsr_of_pairs(SHAPE22, scrambled)
         assert spans_equal(t, scrambled, 1)
         assert spans_equal(t, scrambled, 2)
 
@@ -488,40 +510,55 @@ class TestSpansEqual:
     def test_zero_operator_decompositions_agree(self, shape):
         f = np.zeros((shape.codomain_dim, shape.domain_dim))
         dec = schmidt_decompose_deflation(f, shape)
-        rank, canon = reshuffle_rank(f, shape)
-        assert rank == dec.rank_bound == canon.rank_bound == 0
+        canon = reshuffle_rank(f, shape)
+        assert dec.rank_bound == canon.rank_bound == 0
         for side in (1, 2):
-            assert spans_equal(dec.terms, canon.terms, side)
-            assert spans_equal([], [], side)
+            assert spans_equal(dec, canon, side)
+            assert spans_equal(fsr_of_pairs(shape, []), fsr_of_pairs(shape, []), side)
+
+    def test_unequal_ranks_differ(self):
+        # the A factors of y are parallel, so they span one dimension against x's two
+        rng = np.random.default_rng(26)
+        a, b = crandom(rng, 2, 2, 2), crandom(rng, 2, 2, 2)
+        x, y = FSROperator(SHAPE22, a, b), FSROperator(SHAPE22, [a[0], 2j * a[0]], b)
+        assert not spans_equal(x, y, 1) and not spans_equal(y, x, 1)
+        assert spans_equal(x, y, 2)
+
+    @pytest.mark.parametrize("side", [0, 3, "1"])
+    def test_unknown_side(self, side):
+        t = fsr_of_pairs(SHAPE22, [(E2, E2)])
+        with pytest.raises(ValueError, match="^side must be 1 or 2$"):
+            spans_equal(t, t, side)
 
     def test_equal_spans_near_the_float_max(self):
-        t = [(1e308 * np.eye(2), np.eye(2))]
+        t = fsr_of_pairs(SHAPE22, [(1e308 * np.eye(2), np.eye(2))])
         assert spans_equal(t, t, 1) and spans_equal(t, t, 2)
 
     def test_non_finite_factor_raises_non_finite_data(self):
-        t = [(np.eye(2), np.eye(2))]
+        t = fsr_of_pairs(SHAPE22, [(np.eye(2), np.eye(2))])
         with pytest.raises(NonFiniteData, match="NaN or inf"):
-            spans_equal([(np.full((2, 2), np.nan), np.eye(2))], t, 1)
+            spans_equal(fsr_of_pairs(SHAPE22, [(np.full((2, 2), np.nan), np.eye(2))]), t, 1)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(20)
         t = [(crandom(rng, 2, 2), crandom(rng, 2, 2))]
-        with pytest.raises(DimensionMismatch, match="term counts 1 and 2 differ"):
-            spans_equal(t, t * 2, 1)
+        match = r"^side-1 factor stacks have shapes \(1, 2, 2\) and \(2, 2, 2\), not one shape$"
+        with pytest.raises(DimensionMismatch, match=match):
+            spans_equal(fsr_of_pairs(SHAPE22, t), fsr_of_pairs(SHAPE22, t * 2), 1)
 
     def test_factor_shapes_differ_between_the_lists(self):
-        match = r"^side-1 factors have shapes \[\(2, 2\), \(3, 3\)\], not one shape$"
+        match = r"^side-1 factor stacks have shapes \(1, 2, 2\) and \(1, 3, 3\), not one shape$"
+        x = fsr_of_pairs(SHAPE22, [(np.eye(2), np.eye(2))])
+        y = fsr_of_pairs(BipartiteShape(3, 3, 3, 3), [(np.eye(3), np.eye(3))])
         with pytest.raises(DimensionMismatch, match=match):
-            spans_equal([(np.eye(2), np.eye(2))], [(np.eye(3), np.eye(3))], 1)
+            spans_equal(x, y, 1)
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_factor_shapes_differ_within_one_list(self, side):
-        # (2, 2) and (4, 1) flatten to one length, but they are not factors of one space
-        mixed = [(np.eye(2), np.eye(2)), (np.ones((4, 1)), np.ones((4, 1)))]
-        match = rf"^side-{side} factors have shapes \[\(2, 2\), \(4, 1\)\], not one shape$"
-        for terms_a, terms_b in ((mixed, mixed[:1] * 2), (mixed[:1] * 2, mixed)):
-            with pytest.raises(DimensionMismatch, match=match):
-                spans_equal(terms_a, terms_b, side)
+        # (2, 2) and (4, 1) flatten to one length, but they are not factors of one space: no stack holds both
+        mixed, plain = [np.eye(2), np.ones((4, 1))], [np.eye(2), np.eye(2)]
+        with pytest.raises(DimensionMismatch, match="^term factor shapes do not match the bipartite shape$"):
+            FSROperator(SHAPE22, *((mixed, plain) if side == 1 else (plain, mixed)))
 
 
 class TestInverseFactors:
@@ -533,7 +570,7 @@ class TestInverseFactors:
         return u1, u2, v1, v2
 
     def test_identity_operator(self):
-        fsr = FSROperator(SHAPE22, ((E2, E2),))
+        fsr = FSROperator(SHAPE22, [E2], [E2])
         pairs = inverse_factors(fsr, np.eye(4), "left", E2[0], E2[0], E2[0], E2[0])
         np.testing.assert_allclose(pairs[0][0], E2, atol=1e-12)
         np.testing.assert_allclose(pairs[0][1], E2, atol=1e-12)
@@ -545,8 +582,8 @@ class TestInverseFactors:
             if np.linalg.cond(f) > 1e6:
                 continue
             pairs = inverse_factors(fsr, np.linalg.inv(f), "left", *self.normalized_vectors(rng))
-            s1 = sum(l1 @ a for (l1, _), (a, _) in zip(pairs, fsr.terms))
-            s2 = sum(l2 @ b for (_, l2), (_, b) in zip(pairs, fsr.terms))
+            s1 = sum(l1 @ a for (l1, _), a in zip(pairs, fsr.a))
+            s2 = sum(l2 @ b for (_, l2), b in zip(pairs, fsr.b))
             np.testing.assert_allclose(s1, E2, atol=1e-8)
             np.testing.assert_allclose(s2, E2, atol=1e-8)
 
@@ -554,18 +591,18 @@ class TestInverseFactors:
         rng = suite_rng(22, 0)
         fsr, f, _ = random_fsr_operator(rng, SHAPE22, 2)
         pairs = inverse_factors(fsr, np.linalg.inv(f), "right", *self.normalized_vectors(rng))
-        s1 = sum(a @ r1 for (r1, _), (a, _) in zip(pairs, fsr.terms))
-        s2 = sum(b @ r2 for (_, r2), (_, b) in zip(pairs, fsr.terms))
+        s1 = sum(a @ r1 for (r1, _), a in zip(pairs, fsr.a))
+        s2 = sum(b @ r2 for (_, r2), b in zip(pairs, fsr.b))
         np.testing.assert_allclose(s1, E2, atol=1e-8)
         np.testing.assert_allclose(s2, E2, atol=1e-8)
 
     def test_not_an_inverse(self):
-        fsr = FSROperator(SHAPE22, ((E2, E2), (X, X)))
+        fsr = FSROperator(SHAPE22, [E2, X], [E2, X])
         with pytest.raises(ConditionViolated, match="not a left inverse of F"):
             inverse_factors(fsr, np.zeros((4, 4)), "left", E2[0], E2[0], E2[0], E2[0])
 
     def test_bad_normalization(self):
-        fsr = FSROperator(SHAPE22, ((E2, E2),))
+        fsr = FSROperator(SHAPE22, [E2], [E2])
         with pytest.raises(ConditionViolated, match="need <u1, v1> = 1 and <u2, v2> = 1"):
             inverse_factors(fsr, np.eye(4), "left", E2[0], E2[0], 2 * E2[0], E2[0])
 
@@ -574,24 +611,30 @@ class TestInverseFactors:
         inv = np.eye(4, dtype=complex)
         inv[1, 2] = np.nan
         with pytest.raises(ConditionViolated, match=f"not a {side} inverse of F"):
-            inverse_factors(FSROperator(SHAPE22, ((E2, E2),)), inv, side, E2[0], E2[0], E2[0], E2[0])
+            inverse_factors(FSROperator(SHAPE22, [E2], [E2]), inv, side, E2[0], E2[0], E2[0], E2[0])
 
     @pytest.mark.parametrize("position", range(4))
     def test_nan_normalization_fails(self, position):
         vectors = [E2[0]] * 4
         vectors[position] = np.array([np.nan, 0])
         with pytest.raises(ConditionViolated, match="need <u1, v1> = 1 and <u2, v2> = 1"):
-            inverse_factors(FSROperator(SHAPE22, ((E2, E2),)), np.eye(4), "left", *vectors)
+            inverse_factors(FSROperator(SHAPE22, [E2], [E2]), np.eye(4), "left", *vectors)
 
     def test_not_a_right_inverse(self):
-        fsr = FSROperator(SHAPE22, ((E2, E2), (X, X)))
+        fsr = FSROperator(SHAPE22, [E2, X], [E2, X])
         with pytest.raises(ConditionViolated, match="not a right inverse of F"):
             inverse_factors(fsr, np.zeros((4, 4)), "right", E2[0], E2[0], E2[0], E2[0])
 
     def test_unknown_side(self):
-        fsr = FSROperator(SHAPE22, ((E2, E2),))
+        fsr = FSROperator(SHAPE22, [E2], [E2])
         with pytest.raises(ValueError, match="side"):
             inverse_factors(fsr, np.eye(4), "up", E2[0], E2[0], E2[0], E2[0])
+
+    def test_non_square_shape(self):
+        # C^2 (x) C^3 -> C^2 (x) C^2 has no inverse of either side
+        fsr = FSROperator(BipartiteShape(2, 3, 2, 2), [E2], [np.ones((2, 3))])
+        with pytest.raises(DimensionMismatch, match="^inverse factors need a square bipartite shape$"):
+            inverse_factors(fsr, np.eye(4, 6), "left", E2[0], np.ones(3), E2[0], E2[0])
 
 
 def inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2):
@@ -599,11 +642,11 @@ def inverse_factors_by_embeddings(fsr, inv, side, u1, u2, v1, v2):
     by einsum; the right case through adjoints: oracle for inverse_factors."""
     s = fsr.shape
     if side == "right":
-        adj = FSROperator(s, tuple((a.conj().T, b.conj().T) for a, b in fsr.terms))
+        adj = FSROperator(s, fsr.a.conj().transpose(0, 2, 1), fsr.b.conj().transpose(0, 2, 1))
         left = inverse_factors_by_embeddings(adj, inv.conj().T, "left", v1, v2, u1, u2)
         return [(l1.conj().T, l2.conj().T) for l1, l2 in left]
     out = []
-    for a_k, b_k in fsr.terms:
+    for a_k, b_k in zip(fsr.a, fsr.b):
         m1 = inv @ embed_U2(b_k @ u2, s.h1)
         l1 = np.einsum("j,ijc->ic", v2.conj(), m1.reshape(s.h1, s.h2, s.h1))
         m2 = inv @ embed_U1(a_k @ u1, s.h2)
@@ -640,12 +683,10 @@ class TestRankOfLimits:
         r = 2
         f_terms, f, _ = random_fsr_operator(rng, shape, r)
         for n in (10, 100, 1000):
-            g_terms = tuple(
-                (a + (1.0 / n) * crandom(rng, 2, 2), b) for a, b in f_terms.terms
-            )
-            fn = FSROperator(shape, g_terms).materialize()
-            assert reshuffle_rank(fn, shape)[0] <= r
-        assert reshuffle_rank(f, shape)[0] <= r
+            g_a = [a + (1.0 / n) * crandom(rng, 2, 2) for a in f_terms.a]
+            fn = FSROperator(shape, g_a, f_terms.b).materialize()
+            assert reshuffle_rank(fn, shape).rank_bound <= r
+        assert reshuffle_rank(f, shape).rank_bound <= r
 
 
 def deflation_by_D_uv(f, shape, tol=1e-9):
@@ -702,7 +743,7 @@ def assert_terms_equal(got, want):
 def materialize_by_kron_loop(fsr):
     """One np.kron per term, summed in term order: oracle for FSROperator.materialize."""
     out = np.zeros((fsr.shape.codomain_dim, fsr.shape.domain_dim), dtype=complex)
-    for a, b in fsr.terms:
+    for a, b in zip(fsr.a, fsr.b):
         out += np.kron(a, b)
     return out
 
@@ -729,9 +770,9 @@ class TestStructuredRoutesMatchOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_deflation_matches_D_uv_loop(self, seed):
         for shape, terms in random_terms_cases(seed):
-            f = materialize_by_kron_loop(FSROperator(shape, terms))
+            f = materialize_by_kron_loop(fsr_of_pairs(shape, terms))
             scale = np.abs(f).max()
-            got = schmidt_decompose_deflation(f, shape).terms
+            got = term_pairs(schmidt_decompose_deflation(f, shape))
             want = deflation_by_D_uv(f, shape)
             assert len(got) == len(want) == len(terms)
             for (a, b), (a0, b0) in zip(got, want):
@@ -743,13 +784,13 @@ class TestStructuredRoutesMatchOracles:
         shape = BipartiteShape(16, 16, 16, 16)
         a, b = crandom(rng, r, 16, 16), crandom(rng, r, 16, 16)
         f = np.einsum("kac,kbd->abcd", a, b).reshape(256, 256)
-        assert_terms_equal(schmidt_decompose_deflation(f, shape).terms, deflation_unscaled(f, shape))
+        assert_terms_equal(term_pairs(schmidt_decompose_deflation(f, shape)), deflation_unscaled(f, shape))
 
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e5])
     def test_scaled_deflation_is_exact_on_small_shapes(self, magnitude):
         for shape, terms in random_terms_cases(7):
-            f = magnitude * materialize_by_kron_loop(FSROperator(shape, terms))
-            assert_terms_equal(schmidt_decompose_deflation(f, shape).terms, deflation_unscaled(f, shape))
+            f = magnitude * materialize_by_kron_loop(fsr_of_pairs(shape, terms))
+            assert_terms_equal(term_pairs(schmidt_decompose_deflation(f, shape)), deflation_unscaled(f, shape))
 
     @pytest.mark.parametrize("entries", [[1e308, 1e308], [5e-324, 0.0], [-1e-310, 3e-320j]])
     def test_extreme_magnitudes_deflate_to_rank_one(self, entries):
@@ -765,7 +806,7 @@ class TestStructuredRoutesMatchOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_materialize_matches_kron_loop(self, seed):
         for shape, terms in random_terms_cases(seed):
-            fsr = FSROperator(shape, terms)
+            fsr = fsr_of_pairs(shape, terms)
             want = materialize_by_kron_loop(fsr)
             got = fsr.materialize()
             assert got.shape == want.shape and got.dtype == complex
@@ -773,9 +814,9 @@ class TestStructuredRoutesMatchOracles:
 
     def test_materialize_without_terms_is_zero(self):
         shape = BipartiteShape(2, 3, 1, 4)
-        got = FSROperator(shape, ()).materialize()
+        got = fsr_of_pairs(shape, ()).materialize()
         assert got.dtype == complex
-        assert np.array_equal(got, materialize_by_kron_loop(FSROperator(shape, ())))
+        assert np.array_equal(got, materialize_by_kron_loop(fsr_of_pairs(shape, ())))
         assert got.shape == (4, 6) and not got.any()
 
 
@@ -786,7 +827,7 @@ def rank_law_by_replay(f, shape, r):
     residual = f.copy()
     out = []
     for _ in range(r):
-        a, b = schmidt_decompose_deflation(residual, shape).terms[0]
+        a, b = term_pairs(schmidt_decompose_deflation(residual, shape))[0]
         residual = residual - np.kron(a, b)
         out.append(residual)
     return out
@@ -801,7 +842,7 @@ def test_rank_law_walk_matches_replay():
         f = random_fsr_operator(rng, shape, r)[1]
         residual = f
         walked = []
-        for a, b in schmidt_decompose_deflation(f, shape).terms[:r]:
+        for a, b in term_pairs(schmidt_decompose_deflation(f, shape))[:r]:
             residual = residual - np.kron(a, b)
             walked.append(residual)
         replayed = rank_law_by_replay(f, shape, r)
@@ -820,10 +861,10 @@ def test_fsr_draw_returns_what_its_rank_check_read(dims, r):
     fsr, f, canon = random_fsr_operator(suite_rng(0, 30 + r), shape, r)
     assert fsr.shape == canon.shape == shape and fsr.rank_bound == canon.rank_bound == r
     assert f.tobytes() == fsr.materialize().tobytes()
-    rank, want = reshuffle_rank(f, shape)
-    assert rank == r
-    assert len(canon.terms) == len(want.terms)
-    for (a, b), (a0, b0) in zip(canon.terms, want.terms):
+    want = reshuffle_rank(f, shape)
+    assert want.rank_bound == r
+    assert len(term_pairs(canon)) == len(term_pairs(want))
+    for (a, b), (a0, b0) in zip(term_pairs(canon), term_pairs(want)):
         assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
 
 
@@ -855,7 +896,7 @@ VIEW_CALLERS = {  # each reads its operator argument through BipartiteShape.view
     "reshuffle": lambda f: schmidt.reshuffle(f, LAYOUT_SHAPE),
     "reshuffle_rank": lambda f: reshuffle_rank(f, LAYOUT_SHAPE),
     "inverse_factors": lambda f: inverse_factors(
-        FSROperator(LAYOUT_SHAPE, ((E2, np.eye(3)),)), f, "left", *LAYOUT_VECTORS),
+        FSROperator(LAYOUT_SHAPE, [E2], [np.eye(3)]), f, "left", *LAYOUT_VECTORS),
 }
 
 
@@ -867,13 +908,13 @@ def seeded_shapes(seed, count=12):
         yield BipartiteShape(*(int(x) for x in rng.integers(1, 5, size=4)))
 
 
-def materialize_by_tensordot_chain(fsr):
-    """The stacked contraction with the permutation written out: oracle for FSROperator.materialize."""
-    s = fsr.shape
-    if not fsr.terms:
+def materialize_by_tensordot_chain(s, terms):
+    """The (A_k, B_k) pairs stacked, then contracted, with the permutation written out, and zeros for no
+    pairs, as ``materialize`` did when a decomposition was a tuple of pairs: oracle for FSROperator.materialize."""
+    if not terms:
         return np.zeros((s.codomain_dim, s.domain_dim), dtype=complex)
-    a = np.stack([a for a, _ in fsr.terms])
-    b = np.stack([b for _, b in fsr.terms])
+    a = np.stack([a for a, _ in terms])
+    b = np.stack([b for _, b in terms])
     return np.tensordot(a, b, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(s.codomain_dim, s.domain_dim)
 
 
@@ -904,8 +945,7 @@ class TestLayout:
         rng = np.random.default_rng(41 + r)
         for shape in seeded_shapes(r):
             terms = tuple((crandom(rng, shape.k1, shape.h1), crandom(rng, shape.k2, shape.h2)) for _ in range(r))
-            fsr = FSROperator(shape, terms)
-            got, want = fsr.materialize(), materialize_by_tensordot_chain(fsr)
+            got, want = fsr_of_pairs(shape, terms).materialize(), materialize_by_tensordot_chain(shape, terms)
             assert got.dtype == want.dtype == complex and np.array_equal(got, want)
 
     def test_reshuffle_equals_the_reshape_chain(self):
@@ -932,3 +972,129 @@ class TestLayout:
             with pytest.raises(DrawFailed, match=f"has Schmidt rank {shape.max_rank + 1}, outside"):
                 random_fsr_operator(draws, shape, shape.max_rank + 1)
             assert draws.bit_generator.state == state
+
+
+class TestTolerance:
+    """Both routes refuse a tol that is NaN, infinite or negative, before any arithmetic reads it."""
+
+    @pytest.mark.parametrize("decompose", [schmidt_decompose_deflation, reshuffle_rank])
+    @pytest.mark.parametrize("f, tol", [
+        # deflation divided by a zero pivot at nan and -1; the SVD route ranked eye(4) 0 at nan and 4 at -1
+        (np.eye(4), np.nan), (np.eye(4), -1.0), (np.eye(4), -np.inf),
+        # inf * 0 warned in both routes on the zero operator
+        (np.zeros((4, 4)), np.inf), (np.zeros((4, 4)), np.nan),
+    ], ids=["eye_nan", "eye_negative", "eye_minus_inf", "zero_inf", "zero_nan"])
+    def test_refused_with_its_value(self, decompose, f, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {re.escape(str(tol))}$"):
+                decompose(f, SHAPE22, tol)
+
+    @pytest.mark.parametrize("decompose", [schmidt_decompose_deflation, reshuffle_rank])
+    def test_zero_is_accepted(self, decompose):
+        assert decompose(np.eye(4), SHAPE22, 0.0).rank_bound == 1
+        assert decompose(np.zeros((4, 4)), SHAPE22, 0.0).rank_bound == 0
+
+
+class TestStacks:
+    """A decomposition is the two factor stacks; each route fills them as it filled its (A_k, B_k) pairs."""
+
+    def test_takes_stacks_and_lists_of_equal_shape_matrices(self):
+        rng = np.random.default_rng(50)
+        shape = BipartiteShape(2, 3, 4, 1)  # A_k is 4 x 2, B_k is 1 x 3
+        a, b = crandom(rng, 2, 4, 2), crandom(rng, 2, 1, 3)
+        for fsr in (FSROperator(shape, a, b), FSROperator(shape, list(a), list(b))):
+            assert fsr.rank_bound == 2 and np.array_equal(fsr.a, a) and np.array_equal(fsr.b, b)
+        real = FSROperator(shape, a.real, b.real.tolist())
+        assert real.a.dtype == real.b.dtype == complex and np.array_equal(real.b, b.real)
+        empty = FSROperator(shape, np.zeros((0, 4, 2)), np.zeros((0, 1, 3)))
+        assert empty.rank_bound == 0 and empty.a.dtype == empty.b.dtype == complex
+
+    @pytest.mark.parametrize("a, b", [
+        ([E2, np.eye(3)], [E2, E2]),
+        ([E2, E2], [np.eye(3), E2]),
+        (E2, E2),
+        (np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2))),
+        (1.0, 1.0),
+        ([E2, E2], [E2]),
+        (np.ones((0, 2, 2)), np.ones((1, 2, 2))),
+        ([np.eye(2, 3)], [E2]),
+        ([E2], [np.eye(3, 2)]),
+        ([], []),
+    ], ids=["ragged_a", "ragged_b", "2d_stacks", "4d_stacks", "scalars", "mismatched_r", "r0_against_r1",
+            "wrong_a_shape", "wrong_b_shape", "bare_empty_list"])
+    def test_refuses_stacks_that_do_not_fit(self, a, b):
+        with pytest.raises(DimensionMismatch, match="^term factor shapes do not match the bipartite shape$"):
+            FSROperator(SHAPE22, a, b)
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1.0, 1e300])
+    def test_deflation_stacks_are_the_pairs_of_the_pair_loop(self, magnitude):
+        cases = [(shape, magnitude * materialize_by_kron_loop(fsr_of_pairs(shape, terms)))
+                 for shape, terms in random_terms_cases(8)]
+        cases += [(shape, np.zeros((shape.codomain_dim, shape.domain_dim))) for shape in seeded_shapes(8, count=4)]
+        for shape, f in cases:
+            dec = schmidt_decompose_deflation(f, shape)
+            want = deflation_as_pairs(f, shape)
+            assert dec.a.shape == (len(want), shape.k1, shape.h1) and dec.b.shape == (len(want), shape.k2, shape.h2)
+            for (a, b), (a0, b0) in zip(term_pairs(dec), want, strict=True):
+                assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1.0, 1e300])
+    def test_reshuffle_stacks_are_the_pairs_of_the_svd(self, magnitude):
+        for shape, terms in random_terms_cases(9):
+            f = magnitude * materialize_by_kron_loop(fsr_of_pairs(shape, terms))
+            for scale in (0.0, np.abs(f).max()):
+                dec = reshuffle_rank(f, shape, DEFAULT_RTOL, scale)
+                rank, want = reshuffle_rank_as_pairs(f, shape, DEFAULT_RTOL, scale)
+                assert dec.rank_bound == rank == len(terms)
+                for (a, b), (a0, b0) in zip(term_pairs(dec), want, strict=True):
+                    assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+    @pytest.mark.parametrize("dims, r", [((2, 3, 2, 3), 0), ((2, 3, 2, 3), 3), ((1, 2, 3, 1), 2), ((3, 2, 2, 2), 4)])
+    def test_fsr_draw_is_the_pairwise_draw(self, dims, r):
+        shape = BipartiteShape(*dims)
+        rng, pairwise = suite_rng(0, 60 + r), suite_rng(0, 60 + r)
+        fsr, f, _ = random_fsr_operator(rng, shape, r)
+        while True:  # A_k, then B_k, for each k, until the oracle rank is r
+            terms = [(crandom(pairwise, shape.k1, shape.h1), crandom(pairwise, shape.k2, shape.h2)) for _ in range(r)]
+            if reshuffle_rank(fsr_of_pairs(shape, terms).materialize(), shape).rank_bound == r:
+                break
+        assert rng.bit_generator.state == pairwise.bit_generator.state
+        for (a, b), (a0, b0) in zip(term_pairs(fsr), terms, strict=True):
+            assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+        assert f.tobytes() == materialize_by_tensordot_chain(shape, terms).tobytes()
+
+
+def deflation_as_pairs(f, shape, tol=DEFAULT_RTOL):
+    """The scaled deflation loop as it was written when a decomposition was a tuple of (A_k, B_k) pairs:
+    oracle for the stacks of schmidt_decompose_deflation."""
+    f4 = shape.view4(f)
+    e = max_exponent(f4)
+    r4 = times_power_of_two(f4, -e)
+    residual = r4.reshape(shape.codomain_dim, shape.domain_dim)
+    norm0 = np.linalg.norm(residual)
+    terms = []
+    for _ in range(shape.max_rank):
+        if np.linalg.norm(residual) <= tol * norm0:
+            break
+        i1, i2, j1, j2 = np.unravel_index(np.argmax(np.abs(r4)), r4.shape)
+        a = r4[:, i2, :, j2].copy()
+        b = r4[i1, :, j1, :] / r4[i1, i2, j1, j2]
+        residual -= np.kron(a, b)
+        terms.append((times_power_of_two(a, e), b))
+    return terms
+
+
+def reshuffle_rank_as_pairs(f, shape, tol, scale):
+    """Rank and (A_k, B_k) pairs of the scaled reshuffle SVD, one pair per singular value above the rule:
+    oracle for the stacks of reshuffle_rank at any magnitude."""
+    r = schmidt.reshuffle(f, shape)
+    h = -(-max_exponent(r) // 2)
+    u, s, vh = np.linalg.svd(times_power_of_two(r, -2 * h))
+    rank = singular_value_rank(s, tol, np.ldexp(scale, -2 * h))
+    roots = np.sqrt(s[:rank])
+    return rank, [
+        (times_power_of_two(roots[k] * u[:, k].reshape(shape.k1, shape.h1), h),
+         times_power_of_two(roots[k] * vh[k, :].reshape(shape.k2, shape.h2), h))
+        for k in range(rank)
+    ]

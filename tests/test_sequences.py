@@ -516,8 +516,8 @@ def test_minimal_sum_is_a_schmidt_rank_r_operator(seed):
             j = int(rng.integers(2))
             vs[j][-1] = sum(c * v for c, v in zip(crandom(rng, r - 1), vs[j][:-1]))
         shape = schmidt.BipartiteShape(dims[0], dims[1], lengths[0], lengths[1])
-        fsr = schmidt.FSROperator(shape, tuple(zip(*vs)))
-        rank = schmidt.reshuffle_rank(fsr.materialize(), shape)[0]
+        fsr = schmidt.FSROperator(shape, vs[0], vs[1])
+        rank = schmidt.reshuffle_rank(fsr.materialize(), shape).rank_bound
         groups = [[VectorSequence(v) for v in g] for g in vs]
         try:
             ms = build_minimal_sum(groups)
@@ -619,6 +619,13 @@ class TestTwoTermDisjunction:
         # cross components must classify as frames
         for k in (0, 1):
             assert classify(ms.groups[0][k]).is_frame
+
+    def test_not_a_frame_has_no_branch(self):
+        # two rank-2 groups of one vector each materialise to one vector in C^4, which is no frame
+        e1, e2 = VectorSequence(np.eye(2)[:1]), VectorSequence(np.eye(2)[1:])
+        report = two_term_disjunction_check(build_minimal_sum([[e1, e2], [e1, e2]]))
+        assert not report["full"]["is_frame"]
+        assert report["branch"] is None and "dropped_index" not in report
 
     def test_a_component_out_of_float_range_raises(self):
         # every term (1e160 f_k) (x) (1e-160 g_k) is in range, and the first pure family is a frame, but a
