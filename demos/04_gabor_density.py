@@ -30,7 +30,7 @@ s = frame_operator(gabor.gabor_system(w, ZNLattice(n, 1, 1)))
 print(f"\nfull-lattice tightness defect: {np.linalg.norm(s - n * np.eye(n)):.2e}")
 
 # Oversampling a=4, b=6 by u=2, v=3 lands on the full lattice.
-rep = gabor.oversample_check(w, ZNLattice(n, 4, 6), 2, 3)
+[rep] = gabor.oversample_checks([(w, ZNLattice(n, 4, 6), 2, 3)])
 print(
     f"oversampling (4,6) -> (2,2): A' = {rep['fine']['A']:.4f} >= "
     f"{2 * 3 * rep['coarse']['A']:.4f} = uv*A"

@@ -39,8 +39,12 @@ of ``gabor.ZNWindow`` on each label of ``WINDOW_LABELS``.
 ``library/fsr_stacks.json`` records the same for ``schmidt.FSROperator`` on
 each pair of factor stacks of ``FSR_STACKS``, each of which does not fit its
 shape.  ``library/tolerances.json`` records the rank, or the exception class
-and message, of both Schmidt routes on ``eye(4)`` and on the 4x4 zero operator
-at each ``tol`` of ``TOLERANCES``, with numpy's warnings raised as errors.
+and message, of both Schmidt routes on ``eye(4)``, on the 4x4 zero operator and
+on ``ones((4, 4))`` (the ``ones4`` rows) at each ``tol`` of ``TOLERANCES``, up to
+1e308, with numpy's warnings raised as errors.  ``library/objects.json`` records,
+for two separately built equal twins of each class of ``OBJECT_TWINS``, the value,
+or the exception class and message, of ``x == twin``, ``hash(x) == hash(x)`` and
+``x in {x}``.
 """
 
 import argparse
@@ -100,7 +104,14 @@ FSR_STACKS = {  # name: (A stack, B stack) on the 2,2,2,2 shape, none of which f
     "wrong_factor_shape": ([np.eye(2, 3)], [_I2]),
     "bare_empty_list": ([], []),
 }
-TOLERANCES = (float("nan"), float("inf"), -1.0, 0.0, 0.5, 1.0)
+TOLERANCES = (float("nan"), float("inf"), -1.0, 0.0, 0.5, 1.0, 1e308)
+OBJECT_TWINS = {  # name: a call that builds a new object of a class that holds arrays; two calls build equal twins
+    "VectorSequence": lambda: sequences.VectorSequence(np.eye(2)),
+    "MinimalSumSequence": lambda: sequences.MinimalSumSequence(((sequences.VectorSequence(np.eye(2)),),)),
+    "FSROperator": lambda: schmidt.FSROperator(_S2, [_I2], [_I2]),
+    "ZNWindow": lambda: gabor.ZNWindow(np.ones(4)),
+    "RankRWindowSpec": lambda: gabor.RankRWindowSpec((gabor.ZNWindow(np.ones(4)),), ((0,),), ((0,),)),
+}
 
 
 def outcome(build, *args) -> str:
@@ -112,15 +123,20 @@ def outcome(build, *args) -> str:
     return "accepted"
 
 
+def value_or_error(call):
+    """What ``call()`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # what is raised is the record
+        return f"{type(exc).__name__}: {exc}"
+
+
 def rank_or_error(decompose, f, tol):
-    """The ``rank_bound`` of ``decompose(f, _S2, tol)``, or the class and message of what it raises, with
-    numpy's warnings raised as errors."""
+    """``value_or_error`` of the ``rank_bound`` of ``decompose(f, _S2, tol)``, with numpy's warnings raised
+    as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            return decompose(f, _S2, tol).rank_bound
-        except Exception as exc:  # what is raised is the record
-            return f"{type(exc).__name__}: {exc}"
+        return value_or_error(lambda: decompose(f, _S2, tol).rank_bound)
 
 
 def entries(z) -> list:
@@ -252,8 +268,15 @@ def main(out: pathlib.Path) -> None:
     (dirs["library"] / "fsr_stacks.json").write_text(json.dumps(fsr_stacks, indent=2) + "\n")
     tolerances = {f"{decompose.__name__}_{name}": {str(tol): rank_or_error(decompose, f, tol) for tol in TOLERANCES}
                   for decompose in (schmidt.schmidt_decompose_deflation, schmidt.reshuffle_rank)
-                  for name, f in (("eye4", np.eye(4)), ("zero4", np.zeros((4, 4))))}
+                  for name, f in (("eye4", np.eye(4)), ("zero4", np.zeros((4, 4))), ("ones4", np.ones((4, 4))))}
     (dirs["library"] / "tolerances.json").write_text(json.dumps(tolerances, indent=2) + "\n")
+    objects = {}
+    for name, build in OBJECT_TWINS.items():
+        x, twin = build(), build()
+        objects[name] = {"x == twin": value_or_error(lambda: x == twin),
+                         "hash(x) == hash(x)": value_or_error(lambda: hash(x) == hash(x)),
+                         "x in {x}": value_or_error(lambda: x in {x})}
+    (dirs["library"] / "objects.json").write_text(json.dumps(objects, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):

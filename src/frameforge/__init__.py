@@ -46,7 +46,6 @@ from .gabor import (
     density_sweep,
     gabor_system,
     modulate,
-    oversample_check,
     perturb_window,
     sample_window,
     translate,

@@ -30,7 +30,7 @@ _PROFILES = {  # the continuous profile u(t) of each window generator, in the or
 WINDOW_GENERATORS = tuple(_PROFILES)
 
 # A sampled window covers WINDOW_SPAN units of its continuous profile; the
-# refined-bound inequalities of ``oversample_check`` have absolute slack OVERSAMPLE_TOL.
+# refined-bound inequalities of ``oversample_checks`` have absolute slack OVERSAMPLE_TOL.
 WINDOW_SPAN = 8
 OVERSAMPLE_TOL = 1e-9
 
@@ -57,15 +57,11 @@ class ZNLattice:
             raise ConditionViolated(f"a={self.a} and b={self.b} must divide N={self.N}")
 
     @property
-    def count(self) -> int:
-        return (self.N // self.a) * (self.N // self.b)
-
-    @property
     def density_ratio(self) -> float:
         return self.a * self.b / self.N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZNWindow:
     """Window vector on Z_N with an optional generator label, a string or None.
 
@@ -208,17 +204,17 @@ def _walnut_blocks(z: np.ndarray, zc: np.ndarray, N: int, a: int, b: int) -> np.
 
 def _solve(systems: list[tuple[ZNWindow, int, int]]) -> list[tuple[float, float, bool, bool]]:
     """(A, B, is_frame, is_riesz) of each system (window, a, b), in order, from the (lo, hi) of 2**-2e S / q
-    on (a, b) when ab <= N, else on its adjoint (N/b, N/a) with lo = 0.  Windows are told apart by ``id`` and
-    scaled together per N.  One Z_L stack, from one batched FFT, and one conjugate serve each (N, L, window set),
+    on (a, b) when ab <= N, else on its adjoint (N/b, N/a) with lo = 0.  Windows are told apart by identity
+    and scaled together per N.  One Z_L stack, from one batched FFT, and one conjugate serve each (N, L, window set),
     the windows a solved lattice needs: one per L in a sweep, or when every window asks for the same lattices.
     Each solved lattice is built once for all its windows, one ``linalg.hermitian_extremes`` call solves every
     stack, and ``sequences.scaled_bounds`` runs per system in input order, so errors name the first failing one."""
-    gs, rows, keys = {}, {}, []  # rows[id(w)]: (N, the row of w in gs[N]); keys[i]: (N, row, a, b) of system i
+    gs, rows, keys = {}, {}, []  # rows[w]: (N, the row of w in gs[N]); keys[i]: (N, row, a, b) of system i
     for w, a, b in systems:
-        if id(w) not in rows:
-            rows[id(w)] = w.N, len(gs.setdefault(w.N, []))
+        if w not in rows:
+            rows[w] = w.N, len(gs.setdefault(w.N, []))
             gs[w.N].append(w.g)
-        keys.append(rows[id(w)] + (a, b))
+        keys.append(rows[w] + (a, b))
     exps, scaled = {}, {}
     for N, g in gs.items():
         e = linalg.max_exponents(g := np.array(g))
@@ -250,19 +246,12 @@ def gabor_frame_reports(systems: list[tuple[ZNWindow, ZNLattice]]) -> list[Frame
     return [FrameReport(*r) for r in _solve([(w, lat.a, lat.b) for w, lat in systems])]
 
 
-def oversample_check(w: ZNWindow, lat: ZNLattice, u: int, v: int) -> dict:
-    """Frame-bound scaling under lattice refinement (a, b) -> (a/u, b/v).
-
-    The refined system must admit u*v*A as a lower and u*v*B as an upper
-    frame bound, so the optimal refined bounds satisfy A' >= u*v*A and
-    B' <= u*v*B.
-    """
-    return oversample_checks([(w, lat, u, v)])[0]
-
-
 def oversample_checks(cases: list[tuple[ZNWindow, ZNLattice, int, int]]) -> list[dict]:
-    """``oversample_check`` of each (w, lat, u, v), in order, with every
-    coarse and refined lattice solved in one ``gabor_frame_reports`` call."""
+    """Frame-bound scaling under lattice refinement (a, b) -> (a/u, b/v) of each (w, lat, u, v), in order.
+
+    The refined system must admit u*v*A as a lower and u*v*B as an upper frame bound, so the optimal refined
+    bounds satisfy A' >= u*v*A and B' <= u*v*B.  Every coarse and refined lattice is solved in one
+    ``gabor_frame_reports`` call."""
     for w, lat, u, v in cases:
         if u < 1 or v < 1 or lat.a % u or lat.b % v:
             raise ConditionViolated(f"need u | a and v | b, got u={u}, v={v} for (a, b)=({lat.a}, {lat.b})")
@@ -281,7 +270,7 @@ def oversample_checks(cases: list[tuple[ZNWindow, ZNLattice, int, int]]) -> list
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankRWindowSpec:
     """Rank-r window on a product group: sum over k of tensor products of
     modulated translates M_{beta[j][k]} T_{alpha[j][k]} g_j.  Its independence, which

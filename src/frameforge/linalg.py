@@ -51,15 +51,13 @@ def inner(x, y) -> complex:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two vectors or two matrices, bit-identical: the same products in one broadcast."""
-    if a.ndim == 1:
-        return (a[:, None] * b[None, :]).reshape(-1)
+    """``np.kron`` of two matrices, bit-identical: the same products in one broadcast."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def tensor_vec(x, y) -> np.ndarray:
     """Tensor product of vectors under the package flattening convention."""
-    return _kron(as_cvector(x), as_cvector(y))
+    return _kron(as_cvector(x)[None], as_cvector(y)[None])[0]
 
 
 def tensor_op(a, b) -> np.ndarray:
@@ -69,7 +67,7 @@ def tensor_op(a, b) -> np.ndarray:
 
 def kron_sum(terms) -> np.ndarray:
     """sum_k X_{1,k} (x) ... (x) X_{d,k} as a new array, for a nonempty iterable of terms, each a tuple of d
-    vectors or d matrices.  For row matrices V_{j,k} of shape (N_j, m_j), row (n_1, ..., n_d) of the result
+    matrices.  For row matrices V_{j,k} of shape (N_j, m_j), row (n_1, ..., n_d) of the result
     (package flattening) is sum_k V_{1,k}[n_1] (x) ... (x) V_{d,k}[n_d].  The terms add in order onto 0, in
     place, so one product at a time is alive beside the result."""
     out = 0

@@ -69,7 +69,7 @@ def _swap_middle(x4: np.ndarray) -> np.ndarray:
     return x4.transpose(0, 2, 1, 3).reshape(a * c, b * d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FSROperator:
     """sum_k A_k (x) B_k held as the factor stacks a = (A_k) of shape (r, k1, h1) and b = (B_k) of shape (r, k2, h2)."""
 
@@ -172,7 +172,8 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     Each step picks the elementary pair (u, v) = (e_{j1} (x) e_{j2},
     e_{i1} (x) e_{i2}) at the largest-modulus residual entry (full-pivot
     style), rescales v1 so the pairing is exactly 1, extracts the D term and
-    subtracts it.  Stops when ||residual|| <= tol * ||F||.
+    subtracts it.  Stops when ||residual|| <= min(tol, 1) * ||F||; a tol >= 1
+    stops at once, as the residual starts at F, and the clamp keeps the product finite.
 
     With unit vectors, D_uv(residual) reduces to two slices of the residual
     R viewed as R4[i1, i2, j1, j2]: A = R4[:, i2, :, j2] and
@@ -186,11 +187,11 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     e = linalg.max_exponent(f4)
     r4 = linalg.times_power_of_two(f4, -e)
     residual = r4.reshape(shape.codomain_dim, shape.domain_dim)  # a view of r4
-    norm0 = np.linalg.norm(residual)
+    stop = min(tol, 1.0) * np.linalg.norm(residual)
     a = np.empty((shape.max_rank, shape.k1, shape.h1), dtype=complex)
     b = np.empty((shape.max_rank, shape.k2, shape.h2), dtype=complex)
     r = 0  # the zero operator stops at the first test, with no terms
-    while r < shape.max_rank and np.linalg.norm(residual) > tol * norm0:
+    while r < shape.max_rank and np.linalg.norm(residual) > stop:
         i1, i2, j1, j2 = np.unravel_index(np.argmax(np.abs(r4)), r4.shape)
         a[r] = r4[:, i2, :, j2]
         b[r] = r4[i1, :, j1, :] / r4[i1, i2, j1, j2]

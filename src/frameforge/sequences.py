@@ -30,7 +30,7 @@ from .errors import ConditionViolated, DependentGroup, DimensionMismatch, OutOfF
 FRAME_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSequence:
     """Finite family of vectors in one space, stored as rows of a matrix."""
 
@@ -49,9 +49,6 @@ class VectorSequence:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def __getitem__(self, n) -> np.ndarray:
-        return self.vectors[n]
 
 
 def scaled_bounds(lo: float, hi: float, count: int, space_dim: int, factor: int, e: int, what: str = "", *where):
@@ -149,7 +146,7 @@ def concatenate(seqs: list[VectorSequence]) -> VectorSequence:
     return VectorSequence(np.vstack([s.vectors for s in seqs]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalSumSequence:
     """d groups x r terms of component sequences, ``groups[j][k]``, stored as tuples.
 

@@ -24,7 +24,6 @@ from frameforge.gabor import (
     gabor_frame_reports,
     gabor_system,
     modulate,
-    oversample_check,
     oversample_checks,
     perturb_window,
     sample_window,
@@ -140,6 +139,11 @@ class TestGaborSystem:
         with pytest.raises(ConditionViolated, match="a=3 and b=1 must divide N=4"):
             ZNLattice(4, 3, 1)
 
+    @pytest.mark.parametrize("nab", [(0, 1, 1), (4, 0, 1), (4, 1, -2)])
+    def test_non_positive_steps_rejected(self, nab):
+        with pytest.raises(ConditionViolated, match="^N, a, b must be positive$"):
+            ZNLattice(*nab)
+
     def test_tensor_gabor_equals_gabor_of_tensor(self):
         rng = np.random.default_rng(6)
         w1, w2 = ZNWindow(crandom(rng, 4)), ZNWindow(crandom(rng, 6))
@@ -198,7 +202,8 @@ def walnut_blocks_report(w, lat):
     g = w.g[idx % N]
     blocks = q * (g @ g.conj().transpose(0, 2, 1))
     eig = np.linalg.eigvalsh(blocks)
-    return FrameReport(*scaled_bounds(float(eig.min()), float(eig.max()), lat.count, N, 1, 0, "of the oracle"))
+    count = (N // a) * (N // b)
+    return FrameReport(*scaled_bounds(float(eig.min()), float(eig.max()), count, N, 1, 0, "of the oracle"))
 
 
 def assert_same_report(rep, ref, rtol):
@@ -342,7 +347,7 @@ class TestBatchedReports:
     def test_sweep_rows_equal_single_lattice_stats(self, n):
         for w in oracle_windows(n):
             for row, lat in zip(sweep_rows(density_sweep(w)), divisor_lattices(n), strict=True):
-                assert (row["N"], row["a"], row["b"], row["count"]) == (n, lat.a, lat.b, lat.count)
+                assert (row["N"], row["a"], row["b"], row["count"]) == (n, lat.a, lat.b, (n // lat.a) * (n // lat.b))
                 rep = gabor_frame_report(w, lat).to_dict()
                 assert {k: row[k] for k in rep} == rep
 
@@ -606,13 +611,13 @@ class TestGaborStats:
 class TestOversampleCheck:
     def test_trivial_refinement(self):
         w = sample_window("sech", 8)
-        rep = oversample_check(w, ZNLattice(8, 4, 2), 1, 1)
+        [rep] = oversample_checks([(w, ZNLattice(8, 4, 2), 1, 1)])
         assert rep["coarse"] == rep["fine"]
 
     def test_bounds_scale(self):
         rng = np.random.default_rng(8)
         w = ZNWindow(crandom(rng, 8))
-        rep = oversample_check(w, ZNLattice(8, 4, 2), 2, 1)
+        [rep] = oversample_checks([(w, ZNLattice(8, 4, 2), 2, 1)])
         assert rep["lower_ok"] and rep["upper_ok"]
         assert rep["fine"]["A"] >= 2 * rep["coarse"]["A"] - 1e-9
 
@@ -621,7 +626,7 @@ class TestOversampleCheck:
         g = crandom(rng, 8)
         w = ZNWindow(g / np.linalg.norm(g))
         # a=b=2 refined to full lattice: tight bound scales by uv
-        rep = oversample_check(w, ZNLattice(8, 2, 2), 2, 2)
+        [rep] = oversample_checks([(w, ZNLattice(8, 2, 2), 2, 2)])
         fine = rep["fine"]
         coarse = rep["coarse"]
         if coarse["A"] == pytest.approx(coarse["B"], rel=1e-9):
@@ -630,7 +635,7 @@ class TestOversampleCheck:
     def test_bad_refinement(self):
         w = sample_window("gaussian", 8)
         with pytest.raises(ConditionViolated, match=r"need u \| a and v \| b, got u=3, v=1"):
-            oversample_check(w, ZNLattice(8, 4, 2), 3, 1)
+            oversample_checks([(w, ZNLattice(8, 4, 2), 3, 1)])
 
     def test_batch_equals_one_case_calls(self):
         rng = np.random.default_rng(10)
@@ -641,7 +646,7 @@ class TestOversampleCheck:
             for u in gabor.divisors(lat.a)
             for v in gabor.divisors(lat.b)
         ]
-        assert oversample_checks(cases) == [oversample_check(*case) for case in cases]
+        assert oversample_checks(cases) == [oversample_checks([case])[0] for case in cases]
         assert oversample_checks([]) == []
 
     def test_batch_names_the_first_bad_refinement(self):
@@ -804,7 +809,7 @@ def test_rank_r_components_match_the_zak_factor_reports():
         for n in rng.choice([4, 6, 8], size=2):
             pairs = [(a, b) for a in gabor.divisors(n) for b in gabor.divisors(n) if a * b <= n]
             lat = ZNLattice(int(n), *pairs[rng.integers(len(pairs))])
-            points = rng.choice(lat.count, size=r, replace=False)  # r distinct lattice points (m, l)
+            points = rng.choice((n // lat.a) * (n // lat.b), size=r, replace=False)  # r distinct lattice points (m, l)
             alphas.append(tuple(int(lat.a * (p // (n // lat.b))) for p in points))
             betas.append(tuple(int(lat.b * (p % (n // lat.b))) for p in points))
             windows.append(ZNWindow(2.0 ** int(rng.integers(-20, 21)) * crandom(rng, int(n))))
@@ -974,7 +979,7 @@ class TestDensitySuite:
         monkeypatch.setattr(verify, "classify_all", counting_classify_all)
         assert verify.suite_gabor_density(verify.suite_rng(0, 8), 1)["passed"]
         want = [
-            (lat.count, n)
+            ((n // lat.a) * (n // lat.b), n)
             for n in (4, 6, 8, 12)
             for _ in range(3)
             for lat in divisor_lattices(n)
@@ -998,6 +1003,10 @@ class TestSampleWindow:
     def test_peak_at_zero(self):
         w = sample_window("gaussian", 16)
         assert np.argmax(np.abs(w.g)) == 0
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^window must be nonempty$"):
+            ZNWindow([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_window_rejected(self, bad):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frameforge import cli, gabor, io, schmidt, sequences, verify
-from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, FrameForgeError
+from frameforge.errors import ConditionViolated, DependentGroup, DimensionMismatch, DrawFailed, FrameForgeError
 from frameforge.linalg import DEFAULT_RTOL
 from frameforge.schmidt import BipartiteShape, FSROperator
 from frameforge.sequences import VectorSequence, build_minimal_sum, classify, materialize
@@ -984,6 +984,8 @@ class TestFramesCommands:
          "--dims needs comma-separated integers, got '2,x'"),
         (["schmidt", "decompose", "--input", "missing.json", "--shape", ",2,2,2"],
          "--shape needs comma-separated integers, got ',2,2,2'"),
+        (["schmidt", "decompose", "--input", "missing.json", "--shape", "2,2,2"], "--shape needs h1,h2,k1,k2"),
+        (["frames", "verify-main", "--dims", "2,2", "--lens", "3,3", "--trials", "0"], "trials must be >= 1"),
     ])
     def test_integer_list_errors_name_their_argument(self, monkeypatch, capsys, argv, message):
         draws = []
@@ -1135,6 +1137,28 @@ class TestFramesCommands:
         for key in range(3):
             assert_same_draw(verify.branch3_minimal_sum, branch3_loop, sequences.two_term_disjunction_check, key)
             assert_same_draw(verify.branch1_minimal_sum, branch1_loop, sequences.two_term_disjunction_check, key)
+
+    def test_frame_draw_retries_after_a_dependent_group(self, monkeypatch):
+        calls = []
+
+        def dependent_once(groups):
+            calls.append(groups)
+            if len(calls) == 1:
+                raise DependentGroup(0)
+            return build_minimal_sum(groups)
+
+        monkeypatch.setattr(verify, "build_minimal_sum", dependent_once)
+        ms, report = verify.random_frame_minimal_sum(suite_rng(0, 0), [2, 2], [3, 3], 1)
+        assert len(calls) == 2 and ms.groups == tuple(map(tuple, calls[1])) and report["full"]["is_frame"]
+
+    def test_frame_draw_fails_after_50_draws_without_a_frame(self, monkeypatch):
+        checked = []
+        not_a_frame = {"full": {"is_frame": False}}
+        monkeypatch.setattr(sequences, "verify_main_theorem", lambda ms: checked.append(ms) or not_a_frame)
+        message = r"^no frame minimal sum found in 50 draws with dims \[2, 2\], lengths \[3, 3\] and rank 1; "
+        with pytest.raises(DrawFailed, match=message):
+            verify.random_frame_minimal_sum(suite_rng(0, 0), [2, 2], [3, 3], 1)
+        assert len(checked) == 50
 
     @pytest.mark.parametrize("dims, lengths, r, error, match", [
         ([2], [3, 3], 1, DimensionMismatch, "need one length per dim"),
@@ -1308,6 +1332,12 @@ class TestGaborCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "'N'" in captured.err
+
+    def test_window_file_of_another_n_exits_2(self, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        io.save_json(wpath, io.window_to_dict(gabor.sample_window("gaussian", 4)))
+        assert cli.main(["gabor", "sweep", "--N", "8", "--window", f"file:{wpath}"]) == 2
+        assert capsys.readouterr().err == "error: window file has N=4, expected 8\n"
 
     @pytest.mark.parametrize("generator", [{"x": 1}, ["gaussian"], 3, True])
     def test_window_file_generator_must_be_a_string_or_null(self, tmp_path, capsys, generator):

@@ -116,10 +116,11 @@ class TestKron:
         rng = np.random.default_rng(12)
         a, b = crandom(rng, *sa), crandom(rng, *sb)
         want = np.kron(a, b)
-        assert np.array_equal(linalg._kron(a, b), want)
-        assert np.array_equal(linalg.kron_sum([(a, b)]), want)
         public = tensor_vec if a.ndim == 1 else tensor_op
         assert np.array_equal(public(a, b), want)
+        a, b, want = np.atleast_2d(a, b, want)  # a vector enters _kron and kron_sum as a one-row matrix
+        assert np.array_equal(linalg._kron(a, b), want)
+        assert np.array_equal(linalg.kron_sum([(a, b)]), want)
 
     @pytest.mark.parametrize("dims, lens", [
         ((2, 3, 2), (3, 4, 2)), ((1, 4), (5, 1)), ((3,), (4,)), ((2, 2, 2, 2), (1, 2, 3, 1)),
@@ -132,7 +133,8 @@ class TestKron:
     def test_chain_of_vectors_equals_np_kron(self):
         rng = np.random.default_rng(14)
         vecs = [crandom(rng, n) for n in (2, 1, 3, 2)]
-        assert np.array_equal(linalg.kron_sum([vecs]), functools.reduce(np.kron, vecs))
+        rows = [v[None] for v in vecs]  # vectors enter kron_sum as one-row matrices
+        assert np.array_equal(linalg.kron_sum([rows])[0], functools.reduce(np.kron, vecs))
 
 
 def kron_sum_by_loop(terms):
@@ -145,8 +147,9 @@ def kron_sum_by_loop(terms):
 
 
 def random_terms(rng, d, r, vectors):
-    """r terms of d factors: vectors of lengths 1-4, or matrices of 1-4 rows and 1-3 columns."""
-    shapes = [(int(rng.integers(1, 5)),) if vectors else (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+    """r terms of d factors: vectors of lengths 1-4, as the one-row matrices that kron_sum takes, or matrices of
+    1-4 rows and 1-3 columns."""
+    shapes = [(1, int(rng.integers(1, 5))) if vectors else (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
               for _ in range(d)]
     return [tuple(crandom(rng, *shape) for shape in shapes) for _ in range(r)]
 

@@ -886,6 +886,41 @@ def test_fsr_suites_reuse_the_draws_matrix_and_decomposition(suite, monkeypatch)
     assert set(callers["reshuffle_rank"]) == set(callers["materialize"]) == {"random_fsr_operator"}
 
 
+def times(factor, fn):
+    """``fn`` with each array it returns multiplied by ``factor``."""
+    return lambda *args: tuple(factor * x for x in fn(*args))
+
+
+@pytest.mark.parametrize("name", ["P_uv", "D_uv"])
+def test_prop22_fails_when_an_inequality_breaks(monkeypatch, name):
+    # D_uv reads P_uv, so a scaled P breaks both the P bound and D continuity; a scaled D only the latter
+    monkeypatch.setattr(schmidt, name, times(1e6, getattr(schmidt, name)))
+    report = verify.suite_prop22_identities(suite_rng(7, 0), 5)
+    assert (report["passed"], report["inequalities_ok"]) == (False, False)
+
+
+def test_deflation_rank_law_fails_when_a_residual_ranks_wrong(monkeypatch):
+    rank = schmidt.reshuffle_rank  # the draw's own rank check passes no scale and stays exact
+
+    def residual_ranks_zero(f, shape, tol=DEFAULT_RTOL, scale=0.0):
+        return rank(np.zeros_like(f) if scale else f, shape, tol, scale)
+
+    monkeypatch.setattr(schmidt, "reshuffle_rank", residual_ranks_zero)
+    report = verify.suite_deflation_rank_law(suite_rng(7, 0), 4)
+    assert report["passed"] is False and report["worst_reconstruction"] <= 1e-8  # only the rank walk failed
+
+
+def test_span_uniqueness_fails_when_the_deflation_drops_a_term(monkeypatch):
+    deflation = schmidt.schmidt_decompose_deflation
+
+    def one_term_short(f, shape, tol=DEFAULT_RTOL):
+        dec = deflation(f, shape, tol)
+        return FSROperator(shape, dec.a[1:], dec.b[1:])
+
+    monkeypatch.setattr(schmidt, "schmidt_decompose_deflation", one_term_short)
+    assert verify.suite_span_uniqueness(suite_rng(7, 0), 3) == {"passed": False, "trials": 3}
+
+
 LAYOUT_SHAPE = BipartiteShape(2, 3, 2, 3)  # square, so inverse_factors takes it too
 LAYOUT_VECTORS = (E2[0], np.eye(3)[0], E2[0], np.eye(3)[0])  # u1, u2, v1, v2
 VIEW_CALLERS = {  # each reads its operator argument through BipartiteShape.view4
@@ -956,6 +991,11 @@ class TestLayout:
                 got, want = schmidt.reshuffle(g, shape), reshuffle_by_reshape_chain(g, shape)
                 assert got.dtype == complex and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dims", [(0, 1, 1, 1), (1, 1, 1, -1)])
+    def test_shape_needs_positive_dimensions(self, dims):
+        with pytest.raises(ValueError, match="^all factor dimensions must be positive$"):
+            BipartiteShape(*dims)
+
     def test_max_rank_is_the_smaller_flattened_dimension(self):
         for shape in seeded_shapes(45, count=40):
             assert shape.max_rank == min(shape.k1 * shape.h1, shape.k2 * shape.h2)
@@ -994,6 +1034,14 @@ class TestTolerance:
     def test_zero_is_accepted(self, decompose):
         assert decompose(np.eye(4), SHAPE22, 0.0).rank_bound == 1
         assert decompose(np.zeros((4, 4)), SHAPE22, 0.0).rank_bound == 0
+
+    @pytest.mark.parametrize("decompose", [schmidt_decompose_deflation, reshuffle_rank])
+    @pytest.mark.parametrize("tol", [1e308, 2.0])
+    def test_large_tol_ranks_zero_without_warning(self, decompose, tol):
+        # a tol >= 1 stops at the first test; the deflation's threshold must not overflow on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decompose(np.ones((4, 4)), SHAPE22, tol).rank_bound == 0
 
 
 class TestStacks:

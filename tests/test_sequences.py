@@ -77,7 +77,7 @@ class TestOperators:
         seq = VectorSequence(crandom(rng, 4, 3))
         syn = analysis_operator(seq).conj().T
         for n in range(4):
-            np.testing.assert_allclose(syn @ np.eye(4)[n], seq[n], atol=1e-12)
+            np.testing.assert_allclose(syn @ np.eye(4)[n], seq.vectors[n], atol=1e-12)
 
     def test_synthesis_times_analysis_is_frame_operator(self):
         rng = np.random.default_rng(2)
@@ -414,9 +414,9 @@ class TestMinimalSum:
         for n1 in range(2):
             for n2 in range(2):
                 expected = sum(
-                    np.kron(ms.groups[0][k][n1], ms.groups[1][k][n2]) for k in range(2)
+                    np.kron(ms.groups[0][k].vectors[n1], ms.groups[1][k].vectors[n2]) for k in range(2)
                 )
-                np.testing.assert_allclose(mat[n1 * 2 + n2], expected, atol=1e-12)
+                np.testing.assert_allclose(mat.vectors[n1 * 2 + n2], expected, atol=1e-12)
 
     def test_rank_one_reduces_to_tensor_product(self):
         rng = np.random.default_rng(6)
@@ -455,9 +455,9 @@ def materialize_by_rows(ms):
     for multi in itertools.product(*(range(len(g[0])) for g in ms.groups)):
         acc = np.zeros(int(np.prod([g[0].space_dim for g in ms.groups])), dtype=complex)
         for k in range(ms.r):
-            v = ms.groups[0][k][multi[0]]
+            v = ms.groups[0][k].vectors[multi[0]]
             for j in range(1, ms.d):
-                v = np.kron(v, ms.groups[j][k][multi[j]])
+                v = np.kron(v, ms.groups[j][k].vectors[multi[j]])
             acc += v
         out.append(acc)
     return np.array(out)
