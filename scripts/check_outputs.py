@@ -22,8 +22,10 @@ group runs commands on deliberate bad inputs whose messages name no file path:
 ``verify all`` and ``frames verify-main`` at seed -1, ``gabor sweep`` of a
 window file whose ``generator`` is an object, ``schmidt decompose`` with both
 methods of the planted rank-8 operator under ``--shape 16,16,16,15``, whose
-240 rows fall 16 short of the operator's 256, and, as a control, ``frames
-classify`` of a sequence file with a boolean entry.  Three library
+240 rows fall 16 short of the operator's 256, ``schmidt decompose`` with both
+methods, and ``--output``, of the two finite operators of
+``NEAR_LIMIT_OPERATORS``, whose deflation residual outgrows the float max, and,
+as a control, ``frames classify`` of a sequence file with a boolean entry.  Three library
 checks with no command of their own are called directly and their reports
 written as JSON: ``sequences.two_term_disjunction_check`` on seeded
 ``verify.branch1_minimal_sum`` and ``verify.branch3_minimal_sum`` draws,
@@ -44,7 +46,8 @@ on ``ones((4, 4))`` (the ``ones4`` rows) at each ``tol`` of ``TOLERANCES``, up t
 1e308, with numpy's warnings raised as errors.  ``library/objects.json`` records,
 for two separately built equal twins of each class of ``OBJECT_TWINS``, the value,
 or the exception class and message, of ``x == twin``, ``hash(x) == hash(x)`` and
-``x in {x}``.
+``x in {x}``; and, for the array an object holds of its complex source, the
+outcome of writing into it and whether a later write into the source shows in it.
 """
 
 import argparse
@@ -105,12 +108,23 @@ FSR_STACKS = {  # name: (A stack, B stack) on the 2,2,2,2 shape, none of which f
     "bare_empty_list": ([], []),
 }
 TOLERANCES = (float("nan"), float("inf"), -1.0, 0.0, 0.5, 1.0, 1e308)
-OBJECT_TWINS = {  # name: a call that builds a new object of a class that holds arrays; two calls build equal twins
-    "VectorSequence": lambda: sequences.VectorSequence(np.eye(2)),
-    "MinimalSumSequence": lambda: sequences.MinimalSumSequence(((sequences.VectorSequence(np.eye(2)),),)),
-    "FSROperator": lambda: schmidt.FSROperator(_S2, [_I2], [_I2]),
-    "ZNWindow": lambda: gabor.ZNWindow(np.ones(4)),
-    "RankRWindowSpec": lambda: gabor.RankRWindowSpec((gabor.ZNWindow(np.ones(4)),), ((0,),), ((0,),)),
+# name: (a call that builds a new object of a class that holds arrays from a 2x2 complex source, and the array of
+# the object that holds the source's entries); two calls on equal sources build equal twins
+OBJECT_TWINS = {
+    "VectorSequence": (sequences.VectorSequence, lambda x: x.vectors),
+    "MinimalSumSequence": (lambda s: sequences.MinimalSumSequence(((sequences.VectorSequence(s),),)),
+                           lambda x: x.groups[0][0].vectors),
+    "FSROperator": (lambda s: schmidt.FSROperator(_S2, s[None], s[None]), lambda x: x.a),
+    "ZNWindow": (lambda s: gabor.ZNWindow(s[0]), lambda x: x.g),
+    "RankRWindowSpec": (lambda s: gabor.RankRWindowSpec((gabor.ZNWindow(s[0]),), ((0,),), ((0,),)),
+                        lambda x: x.windows[0].g),
+}
+_RNG3 = np.random.default_rng(3)
+NEAR_LIMIT_OPERATORS = {  # name: (a finite operator whose deflation residual outgrows the float max, its --shape)
+    "rows_of_1.5e308": (np.array([[1.5e308, -1.5e308, 1.5e308, 1.5e308], [1.5e308, 1e308, 1.5e308, 1.5e308],
+                                  [1.5e308, 1.5e308, 1.5e308, -1.5e308], [1.5e308] * 4]), "2,2,2,2"),
+    "uniform_times_1.5e308": ((_RNG3.uniform(-1, 1, (16, 16)) + 1j * _RNG3.uniform(-1, 1, (16, 16))) * 1.5e308,
+                              "4,4,4,4"),
 }
 
 
@@ -137,6 +151,14 @@ def rank_or_error(decompose, f, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return value_or_error(lambda: decompose(f, _S2, tol).rank_bound)
+
+
+def shows_through(build, held) -> bool:
+    """Whether a write into the source an object was built from shows in the array the object holds."""
+    source = np.eye(2, dtype=complex)
+    array = held(build(source))
+    source[:] = 7
+    return bool((array == 7).all())
 
 
 def entries(z) -> list:
@@ -222,6 +244,13 @@ def main(out: pathlib.Path) -> None:
     short_shape = ["--input", str(dirs["inputs"] / "op_rank8.json"), "--shape", f"{h1},{h2},{k1},{k2 - 1}"]
     for method in ("deflate", "svd"):
         run(dirs["errors"], f"schmidt_shape_{method}", ["schmidt", "decompose", *short_shape, "--method", method])
+    for name, (f, shape) in NEAR_LIMIT_OPERATORS.items():
+        op_path = dirs["inputs"] / f"op_{name}.json"
+        op_path.write_text(json.dumps({"rows": len(f), "cols": len(f), "entries": entries(f)}))
+        for method in ("deflate", "svd"):
+            run(dirs["errors"], f"schmidt_{name}_{method}", ["schmidt", "decompose", "--input", str(op_path), "--shape",
+                                                             shape, "--method", method, "--output",
+                                                             str(dirs["errors"] / f"schmidt_{name}_{method}.json")])
     bool_path = dirs["inputs"] / "sequence_bool_entries.json"
     bool_path.write_text(json.dumps({"space_dim": 1, "vectors": [{"dim": 1, "entries": [[0.5, True]]}]}))
     run(dirs["errors"], "classify_bool_entries", ["frames", "classify", "--input", str(bool_path)])
@@ -271,11 +300,13 @@ def main(out: pathlib.Path) -> None:
                   for name, f in (("eye4", np.eye(4)), ("zero4", np.zeros((4, 4))), ("ones4", np.ones((4, 4))))}
     (dirs["library"] / "tolerances.json").write_text(json.dumps(tolerances, indent=2) + "\n")
     objects = {}
-    for name, build in OBJECT_TWINS.items():
-        x, twin = build(), build()
+    for name, (build, held) in OBJECT_TWINS.items():
+        x, twin = build(np.eye(2, dtype=complex)), build(np.eye(2, dtype=complex))
         objects[name] = {"x == twin": value_or_error(lambda: x == twin),
                          "hash(x) == hash(x)": value_or_error(lambda: hash(x) == hash(x)),
-                         "x in {x}": value_or_error(lambda: x in {x})}
+                         "x in {x}": value_or_error(lambda: x in {x}),
+                         "write into the held array": outcome(lambda a: a.__setitem__((0,) * a.ndim, 7), held(x)),
+                         "a source write shows through": value_or_error(lambda: shows_through(build, held))}
     (dirs["library"] / "objects.json").write_text(json.dumps(objects, indent=2) + "\n")
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

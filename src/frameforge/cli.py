@@ -51,8 +51,9 @@ def cmd_schmidt_decompose(args) -> int:
     shape = schmidt.BipartiteShape(*dims)
     decompose = schmidt.schmidt_decompose_deflation if args.method == "deflate" else schmidt.reshuffle_rank
     dec = decompose(f, shape, args.tol)
-    e = linalg.max_exponent(f)  # one exact power of two keeps both norms finite and nonzero
-    f_s, rec_s = (linalg.times_power_of_two(x, -e) for x in (f, dec.materialize()))
+    e = linalg.max_exponent(f)  # one exact power of two, applied before the sum, keeps both norms finite and nonzero
+    f_s = linalg.times_power_of_two(f, -e)
+    rec_s = schmidt.FSROperator(shape, linalg.times_power_of_two(dec.a, -e), dec.b).materialize()
     recon = np.linalg.norm(f_s - rec_s) / np.linalg.norm(f_s) if f_s.any() else 0.0
     if args.output:
         io.save_json(args.output, io.fsr_to_dict(dec))

@@ -204,38 +204,34 @@ def _walnut_blocks(z: np.ndarray, zc: np.ndarray, N: int, a: int, b: int) -> np.
 
 def _solve(systems: list[tuple[ZNWindow, int, int]]) -> list[tuple[float, float, bool, bool]]:
     """(A, B, is_frame, is_riesz) of each system (window, a, b), in order, from the (lo, hi) of 2**-2e S / q
-    on (a, b) when ab <= N, else on its adjoint (N/b, N/a) with lo = 0.  Windows are told apart by identity
-    and scaled together per N.  One Z_L stack, from one batched FFT, and one conjugate serve each (N, L, window set),
-    the windows a solved lattice needs: one per L in a sweep, or when every window asks for the same lattices.
-    Each solved lattice is built once for all its windows, one ``linalg.hermitian_extremes`` call solves every
-    stack, and ``sequences.scaled_bounds`` runs per system in input order, so errors name the first failing one."""
-    gs, rows, keys = {}, {}, []  # rows[w]: (N, the row of w in gs[N]); keys[i]: (N, row, a, b) of system i
-    for w, a, b in systems:
-        if w not in rows:
-            rows[w] = w.N, len(gs.setdefault(w.N, []))
-            gs[w.N].append(w.g)
-        keys.append(rows[w] + (a, b))
-    exps, scaled = {}, {}
-    for N, g in gs.items():
-        e = linalg.max_exponents(g := np.array(g))
-        exps[N], scaled[N] = e.tolist(), linalg.times_power_of_two(g, -e[:, None])
-    solved = {(N, j, a, b): (N, j, a, b) if a * b <= N else (N, j, N // b, N // a) for N, j, a, b in keys}
-    windows: dict[tuple, list] = {}  # solved (N, a, b) -> rows of the windows it is solved for
-    for N, j, a, b in dict.fromkeys(solved.values()):
-        windows.setdefault((N, a, b), []).append(j)
-    by_zak: dict[tuple, list] = {}  # (N, L, sorted rows) -> the solved (a, b) that need exactly those windows
-    for (N, a, b), js in windows.items():
-        by_zak.setdefault((N, math.lcm(a, N // b), tuple(sorted(js))), []).append((a, b))
+    on (a, b) when ab <= N, else on its adjoint (N/b, N/a) with lo = 0.  Windows key the tables by identity and
+    are scaled together per N.  One Z_L stack (one batched FFT) and its conjugate serve each (N, L, window set),
+    the windows of a solved lattice in first appearance: one per L in a sweep, or when all ask for the same
+    lattices.  Each solved lattice is built once for all its windows and one ``linalg.hermitian_extremes`` call
+    solves every stack; ``sequences.scaled_bounds`` runs per system in input order, so errors name the first one."""
+    solved = [(w, a, b) if a * b <= (N := w.N) else (w, N // b, N // a) for w, a, b in systems]
+    by_n, exps, scaled, windows = {}, {}, {}, {}  # by_n: N -> its windows, in first appearance -> their solved (a, b)
+    for w, a, b in dict.fromkeys(solved):
+        by_n.setdefault(w.N, {}).setdefault(w, {})[a, b] = None
+    for N, asks in by_n.items():
+        e = linalg.max_exponents(g := np.array([w.g for w in asks]))
+        exps.update(zip(asks, e.tolist()))
+        scaled.update(zip(asks, linalg.times_power_of_two(g, -e[:, None])))
+        for w, lattices in asks.items():
+            for a, b in lattices:
+                windows.setdefault((N, a, b), []).append(w)  # solved (N, a, b) -> the windows it is solved for
+    by_zak: dict[tuple, list] = {}  # (N, L, window set) -> the solved (a, b) that need exactly those windows
+    for (N, a, b), ws in windows.items():
+        by_zak.setdefault((N, math.lcm(a, N // b), tuple(ws)), []).append((a, b))
     stacks = {}
-    for (N, L, js), lattices in by_zak.items():
-        z = _zaks(scaled[N][list(js)], L)
+    for (N, L, ws), lattices in by_zak.items():
+        z = _zaks(np.array([scaled[w] for w in ws]), L)
         zc = z.conj()
         for a, b in lattices:
-            stacks.update(zip([(N, j, a, b) for j in js], _walnut_blocks(z, zc, N, a, b)))
+            stacks.update(zip([(w, a, b) for w in ws], _walnut_blocks(z, zc, N, a, b)))
     bounds = dict(zip(stacks, linalg.hermitian_extremes(list(stacks.values()))))
-    bounds.update({k: (0.0, bounds[s][1]) for k, s in solved.items() if k != s})
-    return [sequences.scaled_bounds(*bounds[N, j, a, b], (N // a) * (N // b), N, N // b, exps[N][j], _WHAT, a, b)
-            for N, j, a, b in keys]
+    return [sequences.scaled_bounds(lo if a * b <= N else 0.0, hi, (N // a) * (N // b), N, N // b, exps[w], _WHAT, a, b)
+            for (w, a, b), s in zip(systems, solved) for N, (lo, hi) in [(w.N, bounds[s])]]
 
 
 def gabor_frame_reports(systems: list[tuple[ZNWindow, ZNLattice]]) -> list[FrameReport]:

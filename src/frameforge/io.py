@@ -110,7 +110,7 @@ def sequence_from_dict(d) -> VectorSequence:
     for n, v in enumerate(vecs):
         if v.shape[0] != dim:
             raise ValueError(f"sequence file vector {n} has dim {v.shape[0]}, but space_dim is {dim}")
-    return VectorSequence(np.array(vecs))
+    return VectorSequence(vecs)
 
 
 def fsr_to_dict(f: FSROperator) -> dict:

@@ -71,7 +71,7 @@ def _swap_middle(x4: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FSROperator:
-    """sum_k A_k (x) B_k held as the factor stacks a = (A_k) of shape (r, k1, h1) and b = (B_k) of shape (r, k2, h2)."""
+    """sum_k A_k (x) B_k held as read-only copies of the stacks a = (A_k), (r, k1, h1), and b = (B_k), (r, k2, h2)."""
 
     shape: BipartiteShape
     a: np.ndarray
@@ -79,12 +79,13 @@ class FSROperator:
 
     def __post_init__(self):
         try:
-            a, b = np.asarray(self.a, dtype=complex), np.asarray(self.b, dtype=complex)
+            a, b = np.array(self.a, dtype=complex), np.array(self.b, dtype=complex)
         except ValueError:  # a ragged list of factors has no stack shape
             a = b = None
         s = self.shape
         if a is None or a.shape != (*a.shape[:1], s.k1, s.h1) or b.shape != (*a.shape[:1], s.k2, s.h2):
             raise DimensionMismatch("term factor shapes do not match the bipartite shape")
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -179,8 +180,8 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
     R viewed as R4[i1, i2, j1, j2]: A = R4[:, i2, :, j2] and
     B = R4[i1, :, j1, :] / R[i, j], read here without forming D_uv.
 
-    The loop runs on 2**-e * F, e = ``linalg.max_exponent(F)``, and scales
-    each A back by 2**e: exact scaling, but no norm overflows or underflows.
+    The loop runs on 2**-e * F, e = ``linalg.max_exponent(F)``, so no norm over- or underflows; each A is
+    scaled back by 2**e, exactly, and one that leaves the float range raises ``OutOfFloatRange``.
     """
     _check_tol_value(tol)
     f4 = shape.view4(f)
@@ -197,7 +198,8 @@ def schmidt_decompose_deflation(f, shape: BipartiteShape, tol: float = DEFAULT_R
         b[r] = r4[i1, :, j1, :] / r4[i1, i2, j1, j2]
         residual -= linalg.tensor_op(a[r], b[r])
         r += 1
-    return FSROperator(shape, linalg.times_power_of_two(a[:r], e), b[:r])
+    return FSROperator(shape, linalg.within_float_range(lambda: linalg.times_power_of_two(a[:r], e),
+                                                        "a deflation factor"), b[:r])
 
 
 def reshuffle(f, shape: BipartiteShape) -> np.ndarray:

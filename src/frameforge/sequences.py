@@ -32,15 +32,16 @@ FRAME_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class VectorSequence:
-    """Finite family of vectors in one space, stored as rows of a matrix."""
+    """Finite family of vectors in one space, the rows of ``vectors``: a read-only copy, so checks made on it hold."""
 
     vectors: np.ndarray  # shape (count, space_dim), complex
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.size == 0:
             raise DimensionMismatch("a sequence needs at least one vector in a positive-dimensional space, "
                                     f"as the rows of a 2-d array; got an array of shape {v.shape}")
+        v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -191,9 +192,9 @@ def materialize(ms: MinimalSumSequence) -> VectorSequence:
     """Expand the minimal sum into the full family on the product space.
 
     Length is prod(N_j), dimension prod(m_j), lexicographic order over the
-    multi-index (n_1, ..., n_d).  An overflow raises ``OutOfFloatRange``."""
+    multi-index (n_1, ..., n_d).  The checked components are finite; an overflow raises ``OutOfFloatRange``."""
     vs = [[s.vectors for s in g] for g in ms.groups]
-    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_sum(zip(*vs)), "a minimal sum", *sum(vs, [])))
+    return VectorSequence(linalg.within_float_range(lambda: linalg.kron_sum(zip(*vs)), "a minimal sum"))
 
 
 def verify_main_theorem(ms: MinimalSumSequence) -> dict:

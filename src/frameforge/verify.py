@@ -28,7 +28,9 @@ def suite_rng(seed: int, key: int) -> np.random.Generator:
 
 
 def _cnormal(rng, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = np.empty(shape, complex)  # the bits of re + 1j * im, real part drawn first, in one array
+    z.real, z.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    return z
 
 
 def random_fsr_operator(rng, shape: BipartiteShape, r: int) -> tuple[FSROperator, np.ndarray, FSROperator]:

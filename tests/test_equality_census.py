@@ -8,9 +8,15 @@ array is ambiguous), and ``hash`` raises ``TypeError`` (unhashable
 ``np.ndarray``, or a class this rule already covers, passes ``eq=False``; the
 census below keeps the generated methods from coming back.  Dataclasses of
 scalars keep value equality.
+
+Identity equality is sound only if an object's arrays cannot change after its
+checks ran, so a second census builds each dataclass whose fields name
+``np.ndarray`` from complex arrays (which ``np.asarray`` would not copy) and
+requires every array field to be read-only and to share no memory with an input.
 """
 
 import ast
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +39,42 @@ def dataclass_call(node: ast.ClassDef):
     return None
 
 
+def names_in(annotation: ast.expr) -> set[str]:
+    """Every name and attribute read in one annotation, string annotations parsed."""
+    names, todo = set(), [annotation]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            todo.append(ast.parse(n.value, mode="eval").body)
+            continue
+        names |= {x.id for x in ast.walk(n) if isinstance(x, ast.Name)}
+        names |= {x.attr for x in ast.walk(n) if isinstance(x, ast.Attribute)}
+    return names
+
+
 def annotation_names(node: ast.ClassDef) -> set[str]:
     """Every name and attribute read in the class's field annotations, string annotations parsed."""
-    names = set()
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign):
-            todo = [stmt.annotation]
-            while todo:
-                n = todo.pop()
-                if isinstance(n, ast.Constant) and isinstance(n.value, str):
-                    todo.append(ast.parse(n.value, mode="eval").body)
-                    continue
-                names |= {x.id for x in ast.walk(n) if isinstance(x, ast.Name)}
-                names |= {x.attr for x in ast.walk(n) if isinstance(x, ast.Attribute)}
-    return names
+    return set().union(*(names_in(stmt.annotation) for stmt in node.body if isinstance(stmt, ast.AnnAssign)))
+
+
+def array_fields(sources: list[str]) -> dict[str, list[str]]:
+    """Each dataclass with a field whose annotation names ``ndarray``, mapped to those fields in order."""
+    found = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and dataclass_call(node) is not None:
+                fields = [stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and "ndarray" in names_in(stmt.annotation)]
+                if fields:
+                    found[node.name] = fields
+    return found
+
+
+def unowned_fields(obj, fields: list[str], inputs) -> list[str]:
+    """The array ``fields`` of a built ``obj`` that are writable or share memory with an array of ``inputs``."""
+    arrays = [x for x in inputs if isinstance(x, np.ndarray)]
+    return [name for name in fields if (v := getattr(obj, name)).flags.writeable
+            or any(np.shares_memory(v, x) for x in arrays)]
 
 
 def array_holders(sources: list[str]) -> dict[str, bool]:
@@ -142,3 +170,47 @@ class TestIdentity:
 def test_scalar_dataclasses_keep_value_equality(build):
     x, twin = build(), build()
     assert x == twin and hash(x) == hash(twin) and len({x, twin}) == 1
+
+
+ARRAY_FIELDS = array_fields([p.read_text() for p in MODULES])
+OWNERS = {  # each class with array fields: the class, and a call that makes the complex arrays to build one from
+    "VectorSequence": (VectorSequence, lambda: (np.eye(2, dtype=complex),)),
+    "FSROperator": (FSROperator, lambda: (_S2, np.eye(2, dtype=complex)[None], np.ones((1, 2, 2), complex))),
+    "ZNWindow": (ZNWindow, lambda: (np.ones(4, complex),)),
+}
+
+
+def test_census_finds_the_array_fields():
+    assert ARRAY_FIELDS == {"VectorSequence": ["vectors"], "FSROperator": ["a", "b"], "ZNWindow": ["g"]}
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+def test_every_array_field_is_an_owned_read_only_copy(name):
+    cls, make_inputs = OWNERS[name]
+    inputs = make_inputs()
+    assert unowned_fields(cls(*inputs), ARRAY_FIELDS[name], inputs) == []
+
+
+@dataclass(frozen=True, eq=False)
+class _Planted:
+    """Keeps ``kept`` as given, a writable copy of ``copied`` and a read-only view of ``viewed``; ``owned`` is
+    a read-only copy, as the package's classes keep theirs."""
+
+    kept: np.ndarray
+    copied: np.ndarray
+    viewed: np.ndarray
+    owned: np.ndarray
+
+    def __post_init__(self):
+        viewed, owned = self.viewed.view(), self.owned.copy()
+        viewed.flags.writeable = owned.flags.writeable = False
+        object.__setattr__(self, "copied", self.copied.copy())
+        object.__setattr__(self, "viewed", viewed)
+        object.__setattr__(self, "owned", owned)
+
+
+def test_detects_fields_that_alias_their_input_or_stay_writable():
+    inputs = tuple(np.ones(2, complex) for _ in range(4))
+    fields = array_fields([Path(__file__).read_text()])["_Planted"]
+    assert fields == ["kept", "copied", "viewed", "owned"]
+    assert unowned_fields(_Planted(*inputs), fields, inputs) == ["kept", "copied", "viewed"]

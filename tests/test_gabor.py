@@ -383,6 +383,19 @@ class TestBatchedReports:
         assert sorted(calls["ifft"]) == [(1, 3, 8), (2, 3, 8), (3, 3, 8)]
         assert sorted(calls["_walnut_blocks"]) == [(1, 3, 8), (2, 3, 8), (3, 3, 8)]
 
+    def test_twin_windows_of_equal_entries_are_solved_apart(self, monkeypatch):
+        # two window objects with one set of entries, interleaved with Z_8 windows: each keeps its own lattices
+        w = oracle_windows(12)[4]
+        twins, others = (w, ZNWindow(w.g)), oracle_windows(8)[:2]
+        pairs = [(twins[0], ZNLattice(12, 2, 3)), (others[0], ZNLattice(8, 2, 2)), (twins[1], ZNLattice(12, 4, 6)),
+                 (others[1], ZNLattice(8, 4, 4)), (twins[1], ZNLattice(12, 1, 1)), (twins[0], ZNLattice(12, 4, 6))]
+        calls = []
+        monkeypatch.setattr(linalg, "times_power_of_two", shape_logging(linalg.times_power_of_two, calls))
+        got = gabor_frame_reports(pairs)
+        monkeypatch.undo()
+        assert [rep.to_dict() for rep in got] == [gabor_frame_report(w, lat).to_dict() for w, lat in pairs]
+        assert sorted(calls) == [(2, 8), (2, 12)]  # the twins are two windows, scaled together
+
     def test_mixed_call_error_names_first_failing_lattice_in_input_order(self):
         # B = (N/b) 1e308 overflows exactly when b < N; the N = 8 windows are scaled and solved first
         big8, big12 = (ZNWindow(np.where(np.arange(n) == 0, 1e154, 0)) for n in (8, 12))

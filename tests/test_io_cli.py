@@ -882,6 +882,31 @@ class TestSchmidtCommand:
             assert int(fields["rank"]) == 3
             assert float(fields["reconstruction_error"]) <= 1e-12
 
+    @pytest.mark.parametrize("method", ["deflate", "svd"])
+    @pytest.mark.parametrize("name", ["rows_of_1.5e308", "uniform_times_1.5e308"])
+    def test_finite_operators_whose_residual_outgrows_the_float_max(self, tmp_path, capsys, name, method):
+        # both printed reconstruction_error: nan with overflow warnings: the deflation scaled its factors back
+        # unguarded, and the check summed the decomposition before scaling it down
+        if name == "rows_of_1.5e308":
+            x, y = 1.5e308, 1e308
+            f, dims = np.array([[x, -x, x, x], [x, y, x, x], [x, x, x, -x], [x, x, x, x]]), "2,2,2,2"
+        else:
+            rng = np.random.default_rng(3)
+            f, dims = (rng.uniform(-1, 1, (16, 16)) + 1j * rng.uniform(-1, 1, (16, 16))) * 1.5e308, "4,4,4,4"
+        out = tmp_path / "D.json"
+        code = cli.main(["schmidt", "decompose", "--input", self.write_operator(tmp_path, f), "--shape", dims,
+                         "--method", method, "--output", str(out)])
+        captured = capsys.readouterr()
+        if method == "deflate":  # a factor of the residual's scale has no float value
+            assert code == 2 and captured.out == "" and not out.exists()
+            assert captured.err.splitlines() == ["error: a deflation factor leaves the float range"]
+            return
+        fields = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert code == 0 and captured.err == ""
+        assert int(fields["rank"]) == (3 if dims == "2,2,2,2" else 16)
+        assert float(fields["reconstruction_error"]) <= 1e-12
+        assert fsr_from_dict(io.load_json(out)).rank_bound == int(fields["rank"])
+
     def test_svd_output_of_benchmark_inputs_is_unchanged(self, tmp_path):
         # the schmidt_cli operators of perfbench seed 1; the file is that of an SVD of the unscaled reshuffle
         rng = np.random.default_rng(1)

@@ -1075,6 +1075,19 @@ class TestStacks:
         with pytest.raises(DimensionMismatch, match="^term factor shapes do not match the bipartite shape$"):
             FSROperator(SHAPE22, a, b)
 
+    def test_stacks_are_read_only_copies(self):
+        rng = np.random.default_rng(51)
+        a, b = crandom(rng, 2, 2, 2), crandom(rng, 2, 2, 2)
+        fsr = FSROperator(SHAPE22, a, b)
+        f = fsr.materialize()
+        a[:], b[:] = np.nan, np.nan  # writes to the given stacks do not reach the decomposition
+        assert np.array_equal(fsr.materialize(), f)
+        routes = (fsr, schmidt_decompose_deflation(f, SHAPE22), reshuffle_rank(f, SHAPE22))
+        for stack in [x for dec in routes for x in (dec.a, dec.b)]:
+            assert not np.shares_memory(stack, a) and not np.shares_memory(stack, b)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 0.0
+
     @pytest.mark.parametrize("magnitude", [1e-300, 1.0, 1e300])
     def test_deflation_stacks_are_the_pairs_of_the_pair_loop(self, magnitude):
         cases = [(shape, magnitude * materialize_by_kron_loop(fsr_of_pairs(shape, terms)))

@@ -133,6 +133,30 @@ class TestEmptyInputs:
             build_minimal_sum(groups)
 
 
+class TestOwnedVectors:
+    """A sequence holds a read-only copy of its rows, so what a minimal sum checked on them cannot change."""
+
+    def test_vectors_of_a_sequence_and_of_a_built_sum_are_read_only(self):
+        seq = VectorSequence(crandom(np.random.default_rng(8), 3, 2))
+        ms = MinimalSumSequence(TestMinimalSum().groups())
+        for vectors in [seq.vectors] + [s.vectors for g in ms.groups for s in g]:
+            with pytest.raises(ValueError, match="read-only"):
+                vectors[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_writes_to_the_source_array_do_not_show(self, dtype):
+        source = np.eye(2, dtype=dtype)
+        seq = VectorSequence(source)
+        source[:] = np.nan
+        assert np.array_equal(seq.vectors, np.eye(2)) and not np.shares_memory(seq.vectors, source)
+
+    def test_a_write_to_a_source_cannot_make_a_checked_group_dependent(self):
+        first, second = np.eye(2, dtype=complex), np.eye(2, dtype=complex)[::-1].copy()
+        ms = MinimalSumSequence(((VectorSequence(first), VectorSequence(second)),))
+        second[:] = first  # the source of the second term now equals the first
+        assert linalg.matrix_rank(np.array([s.vectors.ravel() for s in ms.groups[0]])) == 2
+
+
 class TestClassify:
     def test_onb(self):
         rep = classify(onb(3))
@@ -404,9 +428,9 @@ class TestMinimalSum:
         with raises_without_warning(NonFiniteData, "NaN or inf"):
             MinimalSumSequence(((e1, e2), (e2, VectorSequence(np.array([[1, bad], [0, 1]], dtype=complex)))))
         ms = MinimalSumSequence(((e1, e2), (e2, VectorSequence(np.array([[1, 0], [0, 1]], dtype=complex)))))
-        ms.groups[1][1].vectors[0, 1] = bad  # past the constructor's check: materialize's own guard must see it
-        with raises_without_warning(NonFiniteData, "minimal sum has non-finite entries"):
-            materialize(ms)
+        with pytest.raises(ValueError, match="read-only"):  # no write can slip a NaN past the constructor's check
+            ms.groups[1][1].vectors[0, 1] = bad
+        assert np.isfinite(materialize(ms).vectors).all()
 
     def test_materialize_matches_defining_formula(self):
         ms = build_minimal_sum(self.groups())
